@@ -25,7 +25,7 @@ from .disks import (
     second_derivative_disk,
     second_order_dieudonne_disk,
 )
-from .extremal import ExtremalKind, branch_bound_for, make_extremal, verify_attainment
+from .extremal import ExtremalKind, kind_for_branch, kind_spec, make_extremal, verify_attainment
 from .functions import PrescribedData, complex_to_pair
 from .harness import (
     MEMBERSHIP_FAMILIES,
@@ -35,6 +35,10 @@ from .harness import (
     run_tightness_search,
 )
 from .moebius import DegeneracyError, DomainError, PoleError
+
+# not called here since the kind table computes the targets; kept bound
+# because bench/tracing.py wraps this name in this module
+from .extremal import branch_bound_for  # noqa: F401
 
 __all__ = ["cli_main", "main"]
 
@@ -60,8 +64,11 @@ def _emit(args, text):
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -101,14 +108,6 @@ def _bound_obj(result):
     }
 
 
-_BRANCH_TO_KIND = {
-    "deg1": ExtremalKind.SHARP_DEG1,
-    "deg2": ExtremalKind.SHARP_DEG2,
-    "deg2-zero": ExtremalKind.SHARP_DEG2,
-    "szasz": ExtremalKind.SZASZ,
-}
-
-
 def _cmd_disk(args):
     doc = None
     if args.region == "schwarz-pick":
@@ -139,23 +138,18 @@ def _magnitude(args, flag, value, point, point_flag):
 
 
 def _cmd_bound(args):
-    if args.which == "thm31":
+    if args.which in ("thm31", "szasz"):
         r = _magnitude(args, "--r", args.r, args.z0, "--z0")
-        R = _magnitude(args, "--R", args.R, args.delta0, "--delta0")
-        result = theorem31_bound(r, R, z0=args.z0, delta0=args.delta0)
+        data = {"z0": args.z0 if args.z0 is not None else complex(r)}
+        if args.which == "thm31":
+            R = _magnitude(args, "--R", args.R, args.delta0, "--delta0")
+            result = theorem31_bound(r, R, z0=args.z0, delta0=args.delta0)
+            data["delta0"] = args.delta0 if args.delta0 is not None else complex(R)
+        else:
+            result = szasz_bound(r, z0=args.z0)
         doc = _bound_obj(result)
         if args.emit_function:
-            z0 = args.z0 if args.z0 is not None else complex(r)
-            delta0 = args.delta0 if args.delta0 is not None else complex(R)
-            kind = _BRANCH_TO_KIND[result.branch.value]
-            doc["function"] = make_extremal(kind, z0=z0, delta0=delta0).to_obj()
-        _emit_json(args, doc)
-    elif args.which == "szasz":
-        r = _magnitude(args, "--r", args.r, args.z0, "--z0")
-        doc = _bound_obj(szasz_bound(r, z0=args.z0))
-        if args.emit_function:
-            z0 = args.z0 if args.z0 is not None else complex(r)
-            doc["function"] = make_extremal(ExtremalKind.SZASZ, z0=z0).to_obj()
+            doc["function"] = make_extremal(kind_for_branch(result.branch), **data).to_obj()
         _emit_json(args, doc)
     elif args.which == "ruscheweyh":
         _emit_json(args, _bound_obj(ruscheweyh_bound(args.n, args.r, args.R)))
@@ -178,30 +172,17 @@ def _extremal_kwargs(args):
 
 
 def _cmd_extremal_emit(args):
-    kind = ExtremalKind(args.kind)
-    g = make_extremal(kind, **_extremal_kwargs(args))
-    _emit_json(args, {"kind": kind.value, "function": g.to_obj()})
+    g = make_extremal(args.kind, **_extremal_kwargs(args))
+    _emit_json(args, {"kind": args.kind, "function": g.to_obj()})
     return 0
 
 
-def _expected_target(kind, args):
-    if kind is ExtremalKind.SCHWARZ_PICK:
-        return schwarz_pick_disk(args.z0, args.delta0)
-    if kind is ExtremalKind.DIEUDONNE:
-        return dieudonne_disk(args.z0, args.w0)
-    if kind in (ExtremalKind.SECOND_BOUNDARY, ExtremalKind.SECOND_DEGENERATE):
-        return second_derivative_disk(PrescribedData(args.z0, args.delta0, args.delta1))
-    if kind in (ExtremalKind.DIEUDONNE2_BOUNDARY, ExtremalKind.DIEUDONNE2_DEGENERATE):
-        return second_order_dieudonne_disk(args.z0, args.w0, args.delta1).region
-    return branch_bound_for(kind, args.z0 if args.z0 is not None else 0j, args.delta0)
-
-
 def _cmd_extremal_verify(args):
-    kind = ExtremalKind(args.kind)
+    spec = kind_spec(args.kind)
     kwargs = _extremal_kwargs(args)
-    make_extremal(kind, **kwargs)  # surface parameter errors before the target is built
-    expected = _expected_target(kind, args)
-    report = verify_attainment(kind, kwargs, expected, args.tol)
+    g = make_extremal(spec.kind, **kwargs)  # surface parameter errors before the target is built
+    expected = spec.target(**{name: kwargs[name] for name, _ in spec.data})
+    report = verify_attainment(spec.kind, kwargs, expected, args.tol)
     doc = {
         "kind": report.kind.value,
         "value": complex_to_pair(report.value),
@@ -213,7 +194,7 @@ def _cmd_extremal_verify(args):
         "passed": report.passed,
     }
     if args.emit_function:
-        doc["function"] = make_extremal(kind, **kwargs).to_obj()
+        doc["function"] = g.to_obj()
     _emit_json(args, doc)
     return 0 if report.passed else 1
 
@@ -247,8 +228,7 @@ def _cmd_verify_tightness(args):
     return _report_exit(args, run_tightness_search(cfg, args.r, args.R))
 
 
-def _add_output_flags(parser):
-    parser.add_argument("--json", action="store_true", help="emit JSON (the default)")
+def _add_out(parser):
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
@@ -268,23 +248,18 @@ def _parser():
     disk_sub = disk.add_subparsers(dest="region", required=True)
     p = disk_sub.add_parser("schwarz-pick", help="g'(z0) given g(z0)")
     _add_complex(p, "z0", "delta0")
-    _add_output_flags(p)
     p = disk_sub.add_parser("rogosinski", help="g(z0) given g(0) = 0 and g'(0)")
     _add_complex(p, "z0", "delta1")
-    _add_output_flags(p)
     p = disk_sub.add_parser("mercer", help="f(z) given f(0) = 0 and f(z0) = w0")
     _add_complex(p, "z0", "w0", "z")
-    _add_output_flags(p)
     p = disk_sub.add_parser("dieudonne", help="f'(z0) given f(0) = 0 and f(z0) = w0")
     _add_complex(p, "z0", "w0")
-    _add_output_flags(p)
     p = disk_sub.add_parser("second", help="g''(z0) given g(z0) and the hyperbolic derivative")
     _add_complex(p, "z0", "delta0", "delta1")
-    _add_output_flags(p)
     p = disk_sub.add_parser("dieudonne2", help="f''(z0) given f(0) = 0, f(z0) = w0 and delta1")
     _add_complex(p, "z0", "w0", "delta1")
-    _add_output_flags(p)
     for p in disk_sub.choices.values():
+        _add_out(p)
         p.set_defaults(func=_cmd_disk)
 
     bound = sub.add_parser("bound", help="sharp bounds for |g''(z0)|")
@@ -295,23 +270,20 @@ def _parser():
     p.add_argument("--z0", type=_complex_arg, metavar="RE,IM")
     p.add_argument("--delta0", type=_complex_arg, metavar="RE,IM")
     p.add_argument("--emit-function", action="store_true", help="include the extremal function tree")
-    _add_output_flags(p)
     p = bound_sub.add_parser("szasz", help="point-only sharp bound at |z0| = r")
     p.add_argument("--r", type=float)
     p.add_argument("--z0", type=_complex_arg, metavar="RE,IM")
     p.add_argument("--emit-function", action="store_true", help="include the extremal function tree")
-    _add_output_flags(p)
     p = bound_sub.add_parser("ruscheweyh", help="n-th derivative bound, n in {1, 2}")
     p.add_argument("--n", type=int, required=True, choices=(1, 2))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
-    _add_output_flags(p)
     p = bound_sub.add_parser("table", help="compare thm31 / ruscheweyh / szasz on a grid")
     p.add_argument("--r-grid", type=_float_list_arg, default=[0.1, 0.3, 0.5, 0.7, 0.9])
     p.add_argument("--R-grid", type=_float_list_arg, default=[0.0, 0.25, 0.5, 0.75, 0.9])
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
-    _add_output_flags(p)
     for p in bound_sub.choices.values():
+        _add_out(p)
         p.set_defaults(func=_cmd_bound)
 
     extremal = sub.add_parser("extremal", help="extremal functions as serialized trees")
@@ -326,7 +298,7 @@ def _parser():
         if action == "verify":
             p.add_argument("--tol", type=float, default=1e-8)
             p.add_argument("--emit-function", action="store_true")
-        _add_output_flags(p)
+        _add_out(p)
         p.set_defaults(func=func)
 
     verify = sub.add_parser("verify", help="randomized verification suites")
@@ -348,7 +320,7 @@ def _parser():
         else:
             p.add_argument("--r", type=float, required=True)
             p.add_argument("--R", type=float, required=True)
-        _add_output_flags(p)
+        _add_out(p)
         p.set_defaults(func=func)
 
     return top

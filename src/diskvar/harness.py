@@ -24,15 +24,15 @@ from dataclasses import dataclass
 from functools import partial
 
 from .bounds import theorem31_bound
-from .disks import (
-    dieudonne_disk,
-    max_attaining_alpha,
-    mercer_disk,
-    schwarz_pick_disk,
-    second_derivative_disk,
-    second_order_dieudonne_disk,
+from .disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_derivative_disk
+from .extremal import (
+    _UNIMODULAR_GRID,
+    ExtremalKind,
+    attainment_distance,
+    kind_for_branch,
+    kind_spec,
+    make_extremal,
 )
-from .extremal import ExtremalKind, branch_bound_for, make_extremal
 from .functions import (
     Constant,
     PrescribedData,
@@ -43,6 +43,11 @@ from .functions import (
     substream,
 )
 from .moebius import DomainError
+
+# not called here since the kind table computes the attainment targets; kept
+# bound because bench/tracing.py wraps these names in this module
+from .disks import schwarz_pick_disk, second_order_dieudonne_disk  # noqa: F401
+from .extremal import branch_bound_for  # noqa: F401
 
 __all__ = [
     "HarnessConfig",
@@ -114,9 +119,12 @@ class HarnessReport:
 
 def _workers():
     env = os.environ.get("THREADS", "").strip()
-    if env:
+    if not env:
+        return min(os.cpu_count() or 1, 8)
+    try:
         return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+    except ValueError:
+        raise DomainError(f"THREADS must be an integer, got {env!r}") from None
 
 
 def _chunk_ranges(n, pieces):
@@ -142,11 +150,23 @@ def _map_chunks(fn, n, parallel):
         return list(pool.map(fn, ranges))
 
 
+def _tally(part, margin, tol, value=None):
+    """Add one sample to a chunk tally (count, violations, worst margin, best value)."""
+    n, violations, worst, best = part
+    return (
+        n + 1,
+        violations + (margin < -tol),
+        margin if worst is None or margin < worst else worst,
+        value if best is None or (value is not None and value > best) else best,
+    )
+
+
 def _merge(parts):
-    samples = sum(p[0] for p in parts)
-    violations = sum(p[1] for p in parts)
+    """Combine chunk tallies: counts sum, worst margins reduce by min and best
+    values by max, so the result does not depend on how the indices were split."""
     worsts = [p[2] for p in parts if p[2] is not None]
-    return samples, violations, (min(worsts) if worsts else None)
+    bests = [p[3] for p in parts if p[3] is not None]
+    return sum(p[0] for p in parts), sum(p[1] for p in parts), min(worsts, default=None), max(bests, default=None)
 
 
 def _nonzero_disk_sample(rng, cap):
@@ -183,18 +203,11 @@ def _membership_margin(cfg, family, index):
 
 def _membership_chunk(cfg, families, rg):
     lo, hi = rg
-    n = 0
-    violations = 0
-    worst = None
+    part = (0, 0, None, None)
     for index in range(lo, hi):
         for family in families:
-            m = _membership_margin(cfg, family, index)
-            n += 1
-            if m < -cfg.tol_membership:
-                violations += 1
-            if worst is None or m < worst:
-                worst = m
-    return n, violations, worst
+            part = _tally(part, _membership_margin(cfg, family, index), cfg.tol_membership)
+    return part
 
 
 def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
@@ -205,7 +218,7 @@ def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
             raise DomainError(f"unknown membership family {family!r}")
     start = time.perf_counter()
     parts = _map_chunks(partial(_membership_chunk, cfg, families), cfg.samples, cfg.parallel)
-    samples, violations, worst = _merge(parts)
+    samples, violations, worst, _ = _merge(parts)
     return HarnessReport(
         suite="membership:" + "+".join(families),
         samples=samples,
@@ -218,136 +231,27 @@ def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
 
 # -- attainment ---------------------------------------------------------------
 
-_Z0_GRID = (0j, 0.4 + 0j, 0.3 + 0.45j, -0.62 + 0.1j)
-_D0_GRID = (0j, 0.35 + 0j, -0.2 + 0.4j)
-_D1_GRID = (0j, 0.3 + 0j, 0.5j, -0.4 + 0.35j)
-_U0_GRID = (0j, 0.5 + 0j, -0.3 + 0.2j)
-_RR_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
+def _attainment_margins(spec, tol):
+    """Yield (margin, ok) for every row of one kind's attainment grid.
 
-def _roots_of_unity(n):
-    return tuple(complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n))
-
-
-_ALPHA_GRID = _roots_of_unity(16)
-_UNIMODULAR_GRID = _roots_of_unity(8)
-
-
-def _attainment_rows(kind):
-    """Yield (margin, ok) rows for one extremal kind.
-
-    Distance rows use margin = -distance with ok = distance <= tol; interior
-    rows (perturbed extremals) use the disk inclusion margin with ok =
-    margin > 0.  The tolerance comparison happens in the caller.
+    A distance d gives margin -d and passes when d <= tol; an ``inside`` row
+    gives the disk inclusion margin and passes when that is positive.
     """
-    if kind is ExtremalKind.SECOND_BOUNDARY:
-        for z0 in _Z0_GRID:
-            for d0 in _D0_GRID:
-                for d1 in _D1_GRID:
-                    data = PrescribedData(z0, d0, d1)
-                    disk = second_derivative_disk(data)
-                    for alpha in _ALPHA_GRID:
-                        g = make_extremal(kind, z0=z0, delta0=d0, delta1=d1, alpha=alpha)
-                        yield "boundary", disk.boundary_distance(g.jet(complex(z0)).f2)
-                    best = max_attaining_alpha(data)
-                    if best is not None:
-                        g = make_extremal(kind, z0=z0, delta0=d0, delta1=d1, alpha=best)
-                        top = abs(disk.center) + disk.radius
-                        yield "boundary", abs(abs(g.jet(complex(z0)).f2) - top)
-                    g = make_extremal(kind, z0=z0, delta0=d0, delta1=d1,
-                                      alpha=0.99 * complex(math.cos(0.7), math.sin(0.7)))
-                    yield "interior", disk.margin(g.jet(complex(z0)).f2)
-    elif kind is ExtremalKind.SECOND_DEGENERATE:
-        for z0 in _Z0_GRID:
-            for d0 in _D0_GRID:
-                for d1 in _UNIMODULAR_GRID:
-                    data = PrescribedData(z0, d0, d1)
-                    disk = second_derivative_disk(data)
-                    g = make_extremal(kind, z0=z0, delta0=d0, delta1=d1)
-                    yield "boundary", abs(g.jet(complex(z0)).f2 - disk.center)
-    elif kind is ExtremalKind.SCHWARZ_PICK:
-        for z0 in _Z0_GRID:
-            for d0 in _D0_GRID:
-                disk = schwarz_pick_disk(z0, d0)
-                for alpha in _ALPHA_GRID:
-                    g = make_extremal(kind, z0=z0, delta0=d0, alpha=alpha)
-                    yield "boundary", disk.boundary_distance(g.jet(complex(z0)).f1)
-    elif kind is ExtremalKind.DIEUDONNE:
-        for z0 in _Z0_GRID[1:]:
-            for u0 in _U0_GRID:
-                w0 = u0 * z0
-                disk = dieudonne_disk(z0, w0)
-                for alpha in _ALPHA_GRID:
-                    f = make_extremal(kind, z0=z0, w0=w0, alpha=alpha)
-                    yield "boundary", disk.boundary_distance(f.jet(complex(z0)).f1)
-    elif kind is ExtremalKind.DIEUDONNE2_BOUNDARY:
-        for z0 in _Z0_GRID[1:]:
-            for u0 in _U0_GRID:
-                w0 = u0 * z0
-                for d1 in _D1_GRID:
-                    w1, disk = second_order_dieudonne_disk(z0, w0, d1)
-                    for alpha in _ALPHA_GRID[::2]:
-                        f = make_extremal(kind, z0=z0, w0=w0, delta1=d1, alpha=alpha)
-                        jet = f.jet(complex(z0))
-                        yield "boundary", disk.boundary_distance(jet.f2)
-                    # the first derivative is pinned regardless of alpha
-                    yield "boundary", abs(jet.f1 - w1)
-    elif kind is ExtremalKind.DIEUDONNE2_DEGENERATE:
-        for z0 in _Z0_GRID[1:]:
-            for u0 in _U0_GRID:
-                w0 = u0 * z0
-                for d1 in _UNIMODULAR_GRID:
-                    w1, disk = second_order_dieudonne_disk(z0, w0, d1)
-                    f = make_extremal(kind, z0=z0, w0=w0, delta1=d1)
-                    jet = f.jet(complex(z0))
-                    yield "boundary", abs(jet.f2 - disk.center)
-                    yield "boundary", abs(jet.f1 - w1)
-    elif kind is ExtremalKind.SHARP_DEG1:
-        for r in _RR_GRID:
-            for R in _RR_GRID:
-                for z0, d0 in ((complex(r), complex(R)),
-                               (r * complex(math.cos(0.6), math.sin(0.6)),
-                                R * complex(math.cos(-1.2), math.sin(-1.2)))):
-                    bound = branch_bound_for(kind, z0, d0)
-                    g = make_extremal(kind, z0=z0, delta0=d0)
-                    jet = g.jet(z0)
-                    yield "bound", abs(abs(jet.f2) - bound) / bound
-                    yield "boundary", abs(jet.f0 - d0)
-    elif kind is ExtremalKind.SHARP_DEG2:
-        for r in _RR_GRID:
-            for R in (0.0,) + _RR_GRID:
-                if r + 2.0 * R >= 2.0:
-                    continue
-                for z0, d0 in ((complex(r), complex(R)),
-                               (r * complex(math.cos(0.6), math.sin(0.6)),
-                                R * complex(math.cos(-1.2), math.sin(-1.2)))):
-                    bound = branch_bound_for(kind, z0, d0)
-                    g = make_extremal(kind, z0=z0, delta0=d0)
-                    jet = g.jet(z0)
-                    yield "bound", abs(abs(jet.f2) - bound) / bound
-                    yield "boundary", abs(abs(jet.f0) - abs(d0))
-        for R in (0.35, 0.6):
-            bound = branch_bound_for(kind, 0j, complex(R))
-            for theta in (0.0, 1.3):
-                g = make_extremal(kind, z0=0j, delta0=complex(R), theta=theta)
-                yield "bound", abs(abs(g.jet(0j).f2) - bound) / bound
-    elif kind is ExtremalKind.SZASZ:
-        for r in (0.0, 0.25, 0.5, 0.75, 0.9):
-            for theta in (0.0, 1.1):
-                z0 = r * complex(math.cos(0.4), math.sin(0.4)) if r else 0j
-                bound = branch_bound_for(kind, z0)
-                g = make_extremal(kind, z0=z0, theta=theta)
-                jet = g.jet(z0)
-                yield "bound", abs(abs(jet.f2) - bound) / bound
-                yield "boundary", abs(abs(jet.f0) - r * r / 8.0)
-    else:
-        raise DomainError(f"no attainment rows defined for {kind!r}")
-
-
-def _normalize_kinds(kinds):
-    if kinds is None:
-        return tuple(ExtremalKind)
-    return tuple(ExtremalKind(k) for k in kinds)
+    for point in spec.grid():
+        z0 = point.data["z0"]
+        for free, pins in point.rows:
+            jet = make_extremal(spec.kind, **point.data, **free).jet(z0)
+            probe = getattr(jet, spec.probe)
+            if point.inside:
+                margin = point.target.margin(probe)
+                yield margin, margin > 0.0
+            else:
+                distance = attainment_distance(point.target, probe)
+                yield -distance, distance <= tol
+            for pin in pins:
+                distance = pin(jet)
+                yield -distance, distance <= tol
 
 
 def run_attainment_suite(cfg, kinds=None):
@@ -356,35 +260,29 @@ def run_attainment_suite(cfg, kinds=None):
     Rows are deterministic (no sampling), so cfg.seed and cfg.parallel do not
     change the report.
     """
-    kinds = _normalize_kinds(kinds)
+    specs = [kind_spec(kind) for kind in (ExtremalKind if kinds is None else kinds)]
     start = time.perf_counter()
     n = 0
     violations = 0
     worst = None
     per_kind = {}
-    for kind in kinds:
+    for spec in specs:
         kind_violations = 0
-        for row_type, value in _attainment_rows(kind):
+        for margin, ok in _attainment_margins(spec, cfg.tol_attainment):
             n += 1
-            if row_type == "interior":
-                margin = value
-                ok = margin > 0.0
-            else:
-                margin = -value
-                ok = value <= cfg.tol_attainment
             if not ok:
-                violations += 1
                 kind_violations += 1
             if worst is None or margin < worst:
                 worst = margin
-        per_kind[kind.value] = kind_violations
+        violations += kind_violations
+        per_kind[spec.kind.value] = kind_violations
     return HarnessReport(
         suite="attainment",
         samples=n,
         violations=violations,
         worst_margin=worst,
         wall_time=time.perf_counter() - start,
-        details={"kinds": [k.value for k in kinds], "violations_by_kind": per_kind},
+        details={"kinds": [spec.kind.value for spec in specs], "violations_by_kind": per_kind},
     )
 
 
@@ -395,10 +293,7 @@ def _tightness_chunk(cfg, r, R, bound, rg):
     lo, hi = rg
     z0 = complex(r)
     d0 = complex(R)
-    n = 0
-    violations = 0
-    worst = None
-    best = None
+    part = (0, 0, None, None)
     total = max(1, cfg.samples)
     for index in range(lo, hi):
         rng = substream(cfg.seed, _TIGHTNESS_TAG, index)
@@ -414,15 +309,8 @@ def _tightness_chunk(cfg, r, R, bound, rg):
         for alpha in alphas:
             g = schur_parametrize(data, Constant(alpha))
             second = abs(g.jet(z0).f2)
-            n += 1
-            margin = bound - second
-            if margin < -cfg.tol_membership:
-                violations += 1
-            if worst is None or margin < worst:
-                worst = margin
-            if best is None or second > best:
-                best = second
-    return n, violations, worst, best
+            part = _tally(part, bound - second, cfg.tol_membership, second)
+    return part
 
 
 def run_tightness_search(cfg, r, R):
@@ -437,31 +325,19 @@ def run_tightness_search(cfg, r, R):
     bound = result.value
     start = time.perf_counter()
     parts = _map_chunks(partial(_tightness_chunk, cfg, float(r), float(R), bound), cfg.samples, cfg.parallel)
-    n, violations, worst, best = _merge_tightness(parts)
+    part = _merge(parts)
 
     # deterministic candidates: the branch extremal and unimodular delta1
     z0 = complex(float(r))
     d0 = complex(float(R))
-    extremal_candidates = []
-    if float(r) + 2.0 * float(R) >= 2.0:
-        extremal_candidates.append(make_extremal(ExtremalKind.SHARP_DEG1, z0=z0, delta0=d0))
-    else:
-        extremal_candidates.append(make_extremal(ExtremalKind.SHARP_DEG2, z0=z0, delta0=d0))
+    candidates = [make_extremal(kind_for_branch(result.branch), z0=z0, delta0=d0)]
     if abs(z0) > 0:
         for d1 in _UNIMODULAR_GRID:
-            extremal_candidates.append(
-                make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=d0, delta1=d1)
-            )
-    for g in extremal_candidates:
+            candidates.append(make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=d0, delta1=d1))
+    for g in candidates:
         second = abs(g.jet(z0).f2)
-        n += 1
-        margin = bound - second
-        if margin < -cfg.tol_membership:
-            violations += 1
-        if worst is None or margin < worst:
-            worst = margin
-        if best is None or second > best:
-            best = second
+        part = _tally(part, bound - second, cfg.tol_membership, second)
+    n, violations, worst, best = part
 
     return HarnessReport(
         suite="tightness",
@@ -477,17 +353,4 @@ def run_tightness_search(cfg, r, R):
             "best": best,
             "gap": None if best is None else bound - best,
         },
-    )
-
-
-def _merge_tightness(parts):
-    n = sum(p[0] for p in parts)
-    violations = sum(p[1] for p in parts)
-    worsts = [p[2] for p in parts if p[2] is not None]
-    bests = [p[3] for p in parts if p[3] is not None]
-    return (
-        n,
-        violations,
-        min(worsts) if worsts else None,
-        max(bests) if bests else None,
     )

@@ -32,8 +32,6 @@ __all__ = [
     "jet_mul",
     "jet_div",
     "jet_compose",
-    "jet_mobius",
-    "jet_bracket",
 ]
 
 # |z| <= 1 + _CLOSED_SLACK counts as the closed disk; covers e^{i theta}
@@ -214,20 +212,3 @@ def jet_compose(outer, inner):
         outer.f2 * inner.f1 * inner.f1 + outer.f1 * inner.f2,
     )
 
-
-def jet_mobius(a, x):
-    """Push the jet x through T_a."""
-    a = unit_disk_point(a, "a")
-    ac = a.conjugate()
-    num = Jet2(x.f0 + a, x.f1, x.f2)
-    den = Jet2(1.0 + ac * x.f0, ac * x.f1, ac * x.f2)
-    return jet_div(num, den)
-
-
-def jet_bracket(w, x):
-    """Push the jet x through z -> [z, w]."""
-    w = unit_disk_point(w, "w")
-    wc = w.conjugate()
-    num = Jet2(x.f0 - w, x.f1, x.f2)
-    den = Jet2(1.0 - wc * x.f0, -wc * x.f1, -wc * x.f2)
-    return jet_div(num, den)

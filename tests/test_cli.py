@@ -195,6 +195,27 @@ def test_out_writes_file(capsys, tmp_path):
     assert json.loads(path.read_text()) == {"center": [0.5, 0.0], "radius": 0.5}
 
 
+def test_out_to_a_directory_is_an_input_error(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "disk", "dieudonne", "--z0", "0.5,0", "--w0", "0.25,0", "--out", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unknown_attainment_kind_is_an_input_error(capsys):
+    code, out, err = run(capsys, "verify", "attainment", "--kinds", "nope")
+    assert code == 2 and out == ""
+    assert err == "error: unknown extremal kind 'nope'\n"
+
+
+def test_non_integer_threads_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("THREADS", "abc")
+    code, out, err = run(capsys, "verify", "membership", "--samples", "20", "--parallel")
+    assert code == 2 and out == ""
+    assert err == "error: THREADS must be an integer, got 'abc'\n"
+
+
 def test_repeated_invocations_are_byte_identical(capsys):
     argv = ("verify", "membership", "--samples", "50", "--seed", "11")
     _, first, _ = run(capsys, *argv)

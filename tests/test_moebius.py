@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskvar.functions import Bracket, Identity, MobiusT
 from diskvar.moebius import (
     DegeneracyError,
     Disk,
@@ -14,10 +15,8 @@ from diskvar.moebius import (
     disk_contains,
     hyperbolic_bracket,
     jet_add,
-    jet_bracket,
     jet_compose,
     jet_div,
-    jet_mobius,
     jet_mul,
     jet_scale,
     jet_sub,
@@ -192,7 +191,7 @@ def test_jet_compose_chain_rule():
 @given(a=disk_pts, z=disk_pts)
 def test_jet_mobius_derivatives(a, z):
     # T_a' = (1 - |a|^2) / (1 + conj(a) z)^2, T_a'' = -2 conj(a) (1 - |a|^2) / (1 + conj(a) z)^3
-    j = jet_mobius(a, Jet2.variable(z))
+    j = MobiusT(a, Identity()).jet(z)
     den = 1.0 + a.conjugate() * z
     assert abs(j.f0 - mobius_T(a, z)) < 1e-12
     assert abs(j.f1 - (1.0 - abs(a) ** 2) / den**2) < 1e-10
@@ -203,6 +202,6 @@ def test_jet_mobius_derivatives(a, z):
 @given(w=disk_pts, z=disk_pts)
 def test_jet_bracket_matches_mobius_identity(w, z):
     # [z, w] = T_{-w}(z)
-    jb = jet_bracket(w, Jet2.variable(z))
-    jm = jet_mobius(-w, Jet2.variable(z))
+    jb = Bracket(w, Identity()).jet(z)
+    jm = MobiusT(-w, Identity()).jet(z)
     assert jets_close(jb, jm, 1e-11)
