@@ -1,162 +1,25 @@
 """Exact variability regions and sharp second-derivative bounds for analytic
 self-maps of the unit disk, with the extremal functions that attain them and
-a randomized verification harness."""
+a randomized verification harness.
 
-from .bounds import (
-    TABLE_CSV_HEADER,
-    BoundResult,
-    Branch,
-    ExtremalParams,
-    TableRow,
-    bound_comparison_table,
-    branch_value,
-    phi_cubic,
-    phi_cubic_critical,
-    phi_quadratic,
-    psi,
-    psi_argmax,
-    ruscheweyh_bound,
-    szasz_bound,
-    table_to_csv,
-    theorem31_bound,
-)
-from .disks import (
-    DerivativePair,
-    SecondOrderData,
-    SecondOrderDisk,
-    dieudonne_disk,
-    hyperbolic_d1,
-    hyperbolic_h2,
-    max_attaining_alpha,
-    mercer_disk,
-    modulus_max_second_derivative,
-    peschl_d2,
-    peschl_pair,
-    rogosinski_disk,
-    schwarz_pick_disk,
-    second_derivative_disk,
-    second_order_dieudonne_disk,
-)
-from .extremal import (
-    AttainmentReport,
-    ExtremalKind,
-    branch_bound_for,
-    make_extremal,
-    verify_attainment,
-)
-from .functions import (
-    Bracket,
-    Compose,
-    Constant,
-    FunctionExpr,
-    Identity,
-    MobiusT,
-    PrescribedData,
-    Product,
-    RandomFunctionConfig,
-    Rotation,
-    dieudonne_parametrize,
-    eval_jet,
-    evaluate,
-    expr_from_obj,
-    function_from_json,
-    function_to_json,
-    random_blaschke_product,
-    random_schur_function,
-    schur_parametrize,
-)
-from .harness import (
-    MEMBERSHIP_FAMILIES,
-    HarnessConfig,
-    HarnessReport,
-    run_attainment_suite,
-    run_membership_suite,
-    run_tightness_search,
-)
-from .moebius import (
-    DegeneracyError,
-    Disk,
-    DomainError,
-    Jet2,
-    PoleError,
-    disk_contains,
-    hyperbolic_bracket,
-    mobius_T,
-    mobius_T_inverse,
-)
+The package namespace holds the names of the library example in the README;
+everything else is imported from its submodule (``diskvar.bounds``,
+``diskvar.disks``, ``diskvar.harness``, ...).
+"""
+
+from .disks import second_derivative_disk
+from .extremal import ExtremalKind, make_extremal
+from .functions import PrescribedData, eval_jet
+from .moebius import DomainError
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "DomainError",
-    "PoleError",
-    "DegeneracyError",
-    "Disk",
-    "disk_contains",
-    "Jet2",
-    "mobius_T",
-    "mobius_T_inverse",
-    "hyperbolic_bracket",
-    "FunctionExpr",
-    "Identity",
-    "Constant",
-    "Rotation",
-    "MobiusT",
-    "Product",
-    "Compose",
-    "Bracket",
-    "evaluate",
-    "eval_jet",
     "PrescribedData",
-    "schur_parametrize",
-    "dieudonne_parametrize",
-    "RandomFunctionConfig",
-    "random_schur_function",
-    "random_blaschke_product",
-    "expr_from_obj",
-    "function_to_json",
-    "function_from_json",
-    "schwarz_pick_disk",
-    "rogosinski_disk",
-    "mercer_disk",
-    "dieudonne_disk",
+    "eval_jet",
     "second_derivative_disk",
-    "modulus_max_second_derivative",
-    "max_attaining_alpha",
-    "SecondOrderData",
-    "SecondOrderDisk",
-    "second_order_dieudonne_disk",
-    "DerivativePair",
-    "peschl_pair",
-    "hyperbolic_d1",
-    "peschl_d2",
-    "hyperbolic_h2",
-    "Branch",
-    "ExtremalParams",
-    "BoundResult",
-    "psi",
-    "psi_argmax",
-    "phi_cubic",
-    "phi_cubic_critical",
-    "phi_quadratic",
-    "branch_value",
-    "theorem31_bound",
-    "szasz_bound",
-    "ruscheweyh_bound",
-    "TableRow",
-    "TABLE_CSV_HEADER",
-    "bound_comparison_table",
-    "table_to_csv",
     "ExtremalKind",
     "make_extremal",
-    "AttainmentReport",
-    "verify_attainment",
-    "branch_bound_for",
-    "HarnessConfig",
-    "HarnessReport",
-    "MEMBERSHIP_FAMILIES",
-    "run_membership_suite",
-    "run_attainment_suite",
-    "run_tightness_search",
+    "DomainError",
     "__version__",
 ]

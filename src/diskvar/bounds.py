@@ -25,11 +25,6 @@ __all__ = [
     "Branch",
     "ExtremalParams",
     "BoundResult",
-    "psi",
-    "psi_argmax",
-    "phi_cubic",
-    "phi_cubic_critical",
-    "phi_quadratic",
     "branch_value",
     "theorem31_bound",
     "szasz_bound",
@@ -75,55 +70,14 @@ class BoundResult:
     extremal: ExtremalParams | None = None
 
 
-def _check_r(r):
+def _check_rR(r, R):
     r = float(r)
     if not (math.isfinite(r) and 0.0 <= r < 1.0):
         raise DomainError(f"r must lie in [0, 1), got {r}")
-    return r
-
-
-def _check_rR(r, R):
-    r = _check_r(r)
     R = float(R)
     if not (math.isfinite(R) and 0.0 <= R < 1.0):
         raise DomainError(f"R must lie in [0, 1), got {R}")
     return r, R
-
-
-def psi(x, r, R):
-    """Psi(x) = (R - 1) x^2 + r x + 1; |g''| <= 2(1-R^2) Psi(|delta1|) / (1-r^2)^2."""
-    r, R = _check_rR(r, R)
-    x = float(x)
-    return (R - 1.0) * x * x + r * x + 1.0
-
-
-def psi_argmax(r, R):
-    """Unconstrained maximiser x* = r / (2 (1 - R)) of psi; the bound branches
-    on whether x* reaches 1."""
-    r, R = _check_rR(r, R)
-    return r / (2.0 * (1.0 - R))
-
-
-def phi_cubic(R, r):
-    """phi(R) = -R^3 - r R^2 + r + R, the R-profile of the deg1 branch
-    (up to the (1 - r^2)^2 denominator); phi(1) = 0 for every r."""
-    r = _check_r(r)
-    R = float(R)
-    return -(R**3) - r * R * R + r + R
-
-
-def phi_cubic_critical(r):
-    """Positive critical point R2 = 1 / (sqrt(3 + r^2) + r) of phi_cubic."""
-    r = _check_r(r)
-    return 1.0 / (math.sqrt(3.0 + r * r) + r)
-
-
-def phi_quadratic(R, r):
-    """Phi(R) = -4R^2 + r^2 R + r^2 + 4, the R-profile of the deg2 branch;
-    maximal at R = r^2/8 where Phi = (8 + r^2)^2 / 16."""
-    r = _check_r(r)
-    R = float(R)
-    return -4.0 * R * R + r * r * R + r * r + 4.0
 
 
 def branch_value(branch, r, R=0.0):

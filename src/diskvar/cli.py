@@ -163,8 +163,8 @@ def _cmd_bound(args):
 
 
 def _extremal_kwargs(args):
-    kwargs = {"theta": args.theta}
-    for name in ("z0", "delta0", "delta1", "alpha", "w0"):
+    kwargs = {}
+    for name in ("z0", "delta0", "delta1", "alpha", "w0", "theta"):
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = value
@@ -294,7 +294,7 @@ def _parser():
         p.add_argument("--kind", required=True, choices=kinds)
         for name in ("z0", "delta0", "delta1", "alpha", "w0"):
             p.add_argument(f"--{name}", type=_complex_arg, metavar="RE,IM")
-        p.add_argument("--theta", type=float, default=0.0)
+        p.add_argument("--theta", type=float)
         if action == "verify":
             p.add_argument("--tol", type=float, default=1e-8)
             p.add_argument("--emit-function", action="store_true")
@@ -341,3 +341,7 @@ def cli_main(argv=None):
 
 def main():
     raise SystemExit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

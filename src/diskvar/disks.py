@@ -3,12 +3,12 @@ analytic self-maps of the unit disk, and the invariant derivative functionals
 used to state them.
 
 Conventions: g is analytic with |g| <= 1 on the disk; r = |z0|, s = |w0|,
-R = |delta0|.  Every region below is sharp: the harness in
-``diskvar.harness`` checks membership on random samples and the extremal
-constructors in ``diskvar.extremal`` land on each boundary.
+R = |delta0|.  Every region below is sharp.  The harness in
+``diskvar.harness`` checks membership on random samples, and the extremal
+constructors in ``diskvar.extremal`` land on the boundary of each region
+except the Rogosinski and Mercer disks, which have no extremal kind yet.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .functions import eval_jet
@@ -30,13 +30,10 @@ __all__ = [
     "second_derivative_disk",
     "modulus_max_second_derivative",
     "max_attaining_alpha",
-    "SecondOrderData",
     "SecondOrderDisk",
     "second_order_dieudonne_disk",
     "DerivativePair",
     "peschl_pair",
-    "hyperbolic_d1",
-    "peschl_d2",
     "hyperbolic_h2",
     "H2_DEGENERACY_THRESHOLD",
 ]
@@ -149,52 +146,6 @@ class SecondOrderDisk(NamedTuple):
     region: Disk
 
 
-@dataclass(frozen=True)
-class SecondOrderData:
-    """Zero-fixing interpolation data (f(0) = 0, f(z0) = w0) augmented with
-    the hyperbolic parameter delta1 of h = f/z and the induced f'(z0) = w1.
-
-    w1 is determined by (z0, w0, delta1); the constructor checks consistency
-    rather than trusting the caller.
-    """
-
-    z0: complex
-    w0: complex
-    delta1: complex
-    w1: complex
-
-    def __post_init__(self):
-        z0 = unit_disk_point(self.z0, "z0")
-        w0 = require_finite(self.w0, "w0")
-        if abs(w0) >= abs(z0):
-            raise DomainError("SecondOrderData requires |w0| < |z0|")
-        d1 = closed_disk_point(self.delta1, "delta1")
-        w1 = require_finite(self.w1, "w1")
-        expected = _first_derivative_value(z0, w0, d1)
-        if abs(w1 - expected) > 1e-12 * (1.0 + abs(expected)):
-            raise DomainError(
-                f"w1 = {w1!r} is inconsistent with (z0, w0, delta1); "
-                f"expected {expected!r}"
-            )
-        object.__setattr__(self, "z0", z0)
-        object.__setattr__(self, "w0", w0)
-        object.__setattr__(self, "delta1", d1)
-        object.__setattr__(self, "w1", w1)
-
-    @classmethod
-    def from_delta1(cls, z0, w0, delta1):
-        z0 = unit_disk_point(z0, "z0")
-        w0 = require_finite(w0, "w0")
-        delta1 = closed_disk_point(delta1, "delta1")
-        return cls(z0, w0, delta1, _first_derivative_value(z0, w0, delta1))
-
-
-def _first_derivative_value(z0, w0, delta1):
-    # w1 = c1 + rho1 * r * delta1 / conj(z0) with (c1, rho1) the first-order disk
-    d = dieudonne_disk(z0, w0)
-    return d.center + d.radius * abs(z0) * delta1 / z0.conjugate()
-
-
 def second_order_dieudonne_disk(z0, w0, delta1):
     """Region of f''(z0) over self-maps with f(0) = 0, f(z0) = w0 and first
     derivative pinned at w1 (returned alongside the region).
@@ -202,14 +153,18 @@ def second_order_dieudonne_disk(z0, w0, delta1):
         c2'  = 2 (r^2 - s^2) delta1 (1 - (z0 conj(w0)/conj(z0)) delta1) / (r^2 (1 - r^2)^2)
         rho2' = 2 (r^2 - s^2) (1 - |delta1|^2) / (r (1 - r^2)^2)
     """
-    data = SecondOrderData.from_delta1(z0, w0, delta1)
-    z0, w0, d1 = data.z0, data.w0, data.delta1
+    z0 = unit_disk_point(z0, "z0")
+    w0 = require_finite(w0, "w0")
+    d1 = closed_disk_point(delta1, "delta1")
+    first = dieudonne_disk(z0, w0)
+    # w1 = c1 + rho1 * r * delta1 / conj(z0) with (c1, rho1) the first-order disk
+    w1 = first.center + first.radius * abs(z0) * d1 / z0.conjugate()
     r = abs(z0)
     s = abs(w0)
     lead = 2.0 * (r * r - s * s) / (1.0 - r * r) ** 2
     center = (lead / (r * r)) * d1 * (1.0 - (z0 * w0.conjugate() / z0.conjugate()) * d1)
     radius = (lead / r) * (1.0 - abs(d1) ** 2)
-    return SecondOrderDisk(data.w1, Disk(center, radius))
+    return SecondOrderDisk(w1, Disk(center, radius))
 
 
 class DerivativePair(NamedTuple):
@@ -224,7 +179,9 @@ def peschl_pair(g, z0):
         D2 g = (1 - |z0|^2)^2 / (1 - |g|^2)
                * [ g'' - 2 conj(z0) g' / (1 - |z0|^2) + 2 conj(g) g'^2 / (1 - |g|^2) ]
 
-    Undefined when |g(z0)| = 1 (g is then a unimodular constant).
+    |D2 g| <= 2 (1 - |D1 g|^2), with equality exactly for Blaschke products
+    of degree <= 2.  Undefined when |g(z0)| = 1 (g is then a unimodular
+    constant).
     """
     j = eval_jet(g, z0)
     z0 = complex(z0)
@@ -236,17 +193,6 @@ def peschl_pair(g, z0):
     inner = j.f2 - 2.0 * z0.conjugate() * j.f1 / zden + 2.0 * j.f0.conjugate() * j.f1 * j.f1 / gden
     d2 = zden * zden * inner / gden
     return DerivativePair(d1, d2)
-
-
-def hyperbolic_d1(g, z0):
-    """Hyperbolic derivative (1 - |z0|^2) g'(z0) / (1 - |g(z0)|^2)."""
-    return peschl_pair(g, z0).d1
-
-
-def peschl_d2(g, z0):
-    """Second invariant derivative; satisfies |D2 g| <= 2 (1 - |D1 g|^2),
-    with equality exactly for Blaschke products of degree <= 2."""
-    return peschl_pair(g, z0).d2
 
 
 H2_DEGENERACY_THRESHOLD = 1e-12

@@ -340,18 +340,26 @@ def kind_for_branch(branch):
     return next(spec.kind for spec in KINDS.values() if branch in spec.branches)
 
 
-def make_extremal(kind, *, z0=None, delta0=None, delta1=None, alpha=None, w0=None, theta=0.0):
+def make_extremal(kind, *, z0=None, delta0=None, delta1=None, alpha=None, w0=None, theta=None):
     """Build the extremal function of the given kind.
 
     The kind's row of ``KINDS`` lists the parameters it requires, with their
     validators: its data (z0 with delta0, or w0 with |w0| < |z0| when f(0) =
-    0, and delta1 for second order), then its free values (alpha or theta).
-    Parameters the row does not list are ignored.
+    0, and delta1 for second order), then its free values (alpha or theta;
+    theta defaults to 0).  Giving a parameter the row does not list raises
+    DomainError.
     """
     spec = kind_spec(kind)
     given = {"z0": z0, "delta0": delta0, "delta1": delta1, "alpha": alpha, "w0": w0, "theta": theta}
+    params = spec.data + spec.free
+    listed = {name for name, _ in params}
+    for name, value in given.items():
+        if value is not None and name not in listed:
+            raise DomainError(f"{spec.kind.value} does not take parameter {name}")
+    if theta is None:
+        given["theta"] = 0.0
     values = []
-    for name, validate in spec.data + spec.free:
+    for name, validate in params:
         if given[name] is None:
             raise DomainError(f"{spec.kind.value} requires parameter {name}")
         values.append(validate(given[name], name))

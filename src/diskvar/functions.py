@@ -28,6 +28,7 @@ from .moebius import (
     jet_mul,
     jet_scale,
     require_finite,
+    require_int,
     unit_disk_point,
 )
 
@@ -70,10 +71,6 @@ class FunctionExpr:
     def to_obj(self):
         """JSON-ready dict; complex scalars appear as [re, im] pairs."""
         raise NotImplementedError
-
-    def __call__(self, z):
-        # unchecked evaluation; use evaluate() for domain validation
-        return self.value(z)
 
 
 @dataclass(frozen=True)
@@ -284,14 +281,11 @@ class RandomFunctionConfig:
     zero_modulus_cap: float = 0.95
 
     def __post_init__(self):
-        if int(self.seed) < 0:
-            raise DomainError("seed must be a non-negative integer")
-        if int(self.max_blaschke_degree) < 0:
-            raise DomainError("max_blaschke_degree must be >= 0")
+        object.__setattr__(self, "seed", require_int(self.seed, "seed"))
+        degree = require_int(self.max_blaschke_degree, "max_blaschke_degree")
+        object.__setattr__(self, "max_blaschke_degree", degree)
         if not 0.0 < float(self.zero_modulus_cap) < 1.0:
             raise DomainError("zero_modulus_cap must lie in (0, 1)")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "max_blaschke_degree", int(self.max_blaschke_degree))
         object.__setattr__(self, "zero_modulus_cap", float(self.zero_modulus_cap))
 
 
@@ -356,35 +350,64 @@ def complex_to_pair(z):
     return [z.real, z.imag]
 
 
+def _json_real(x):
+    """A JSON number as a float; bools, strings and overflowing integers are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise DomainError(f"expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"number out of range: {x!r}") from None
+
+
 def pair_to_complex(p):
     if not isinstance(p, (list, tuple)) or len(p) != 2:
         raise DomainError(f"expected [re, im] pair, got {p!r}")
-    return complex(float(p[0]), float(p[1]))
+    return complex(_json_real(p[0]), _json_real(p[1]))
+
+
+# node tag -> (class, fields in constructor order); a field without a reader
+# holds a child node
+_NODES = {
+    "identity": (Identity, ()),
+    "constant": (Constant, (("c", pair_to_complex),)),
+    "rotation": (Rotation, (("theta", _json_real), ("child", None))),
+    "mobius": (MobiusT, (("a", pair_to_complex), ("child", None))),
+    "product": (Product, (("left", None), ("right", None))),
+    "compose": (Compose, (("outer", None), ("inner", None))),
+    "bracket": (Bracket, (("w", pair_to_complex), ("child", None))),
+}
+
+# evaluating or serialising a tree recurses once per level, so deeper
+# documents are refused well inside Python's default recursion limit (1000)
+_MAX_TREE_DEPTH = 500
 
 
 def expr_from_obj(obj):
-    """Inverse of ``FunctionExpr.to_obj``."""
+    """Inverse of ``FunctionExpr.to_obj``.  Unknown or missing fields,
+    non-numeric components and trees deeper than ``_MAX_TREE_DEPTH`` levels
+    raise DomainError."""
+    return _node_from_obj(obj, 1)
+
+
+def _node_from_obj(obj, depth):
+    if depth > _MAX_TREE_DEPTH:
+        raise DomainError(f"function tree is deeper than {_MAX_TREE_DEPTH} levels")
     if not isinstance(obj, dict) or "node" not in obj:
         raise DomainError(f"not a function node: {obj!r}")
     node = obj["node"]
-    try:
-        if node == "identity":
-            return Identity()
-        if node == "constant":
-            return Constant(pair_to_complex(obj["c"]))
-        if node == "rotation":
-            return Rotation(float(obj["theta"]), expr_from_obj(obj["child"]))
-        if node == "mobius":
-            return MobiusT(pair_to_complex(obj["a"]), expr_from_obj(obj["child"]))
-        if node == "product":
-            return Product(expr_from_obj(obj["left"]), expr_from_obj(obj["right"]))
-        if node == "compose":
-            return Compose(expr_from_obj(obj["outer"]), expr_from_obj(obj["inner"]))
-        if node == "bracket":
-            return Bracket(pair_to_complex(obj["w"]), expr_from_obj(obj["child"]))
-    except KeyError as exc:
-        raise DomainError(f"node {node!r} is missing field {exc}") from exc
-    raise DomainError(f"unknown node tag {node!r}")
+    if not isinstance(node, str) or node not in _NODES:
+        raise DomainError(f"unknown node tag {node!r}")
+    cls, fields = _NODES[node]
+    unknown = set(obj) - {"node"} - {name for name, _ in fields}
+    if unknown:
+        raise DomainError(f"node {node!r} has unknown fields {sorted(map(str, unknown))}")
+    args = []
+    for name, read in fields:
+        if name not in obj:
+            raise DomainError(f"node {node!r} is missing field {name!r}")
+        args.append(_node_from_obj(obj[name], depth + 1) if read is None else read(obj[name]))
+    return cls(*args)
 
 
 def function_to_json(f, indent=None):
@@ -392,4 +415,9 @@ def function_to_json(f, indent=None):
 
 
 def function_from_json(text):
-    return expr_from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses per nesting level too
+        raise DomainError(f"not a function document: {exc}") from None
+    return expr_from_obj(obj)

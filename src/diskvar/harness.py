@@ -42,7 +42,7 @@ from .functions import (
     schur_parametrize,
     substream,
 )
-from .moebius import DomainError
+from .moebius import DomainError, require_int
 
 # not called here since the kind table computes the attainment targets; kept
 # bound because bench/tracing.py wraps these names in this module
@@ -74,16 +74,14 @@ class HarnessConfig:
     zero_modulus_cap: float = 0.95
 
     def __post_init__(self):
-        if int(self.seed) < 0:
-            raise DomainError("seed must be a non-negative integer")
-        if int(self.samples) < 0:
-            raise DomainError("samples must be non-negative")
+        object.__setattr__(self, "seed", require_int(self.seed, "seed"))
+        object.__setattr__(self, "samples", require_int(self.samples, "samples"))
         if not self.tol_membership > 0.0:
             raise DomainError("tol_membership must be positive")
         if not self.tol_attainment > 0.0:
             raise DomainError("tol_attainment must be positive")
-        if int(self.max_blaschke_degree) < 1:
-            raise DomainError("max_blaschke_degree must be at least 1")
+        degree = require_int(self.max_blaschke_degree, "max_blaschke_degree", 1)
+        object.__setattr__(self, "max_blaschke_degree", degree)
         if not 0.0 < self.zero_modulus_cap < 1.0:
             raise DomainError("zero_modulus_cap must lie in (0, 1)")
 

@@ -9,6 +9,7 @@ arguments |z| <= 1 (with a tiny slack so that unimodular values produced by
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,17 +18,14 @@ __all__ = [
     "PoleError",
     "DegeneracyError",
     "require_finite",
+    "require_int",
     "unit_disk_point",
     "closed_disk_point",
     "unimodular_point",
     "mobius_T",
-    "mobius_T_inverse",
     "hyperbolic_bracket",
     "Disk",
-    "disk_contains",
     "Jet2",
-    "jet_add",
-    "jet_sub",
     "jet_scale",
     "jet_mul",
     "jet_div",
@@ -56,6 +54,16 @@ def require_finite(z, name="value"):
     if not cmath.isfinite(z):
         raise DomainError(f"{name} must have finite components, got {z!r}")
     return z
+
+
+def require_int(n, name, minimum=0):
+    """Validate an integer n >= minimum and return it as an int; bools and
+    floats, even integral ones, are refused rather than truncated."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {n}")
+    return int(n)
 
 
 def unit_disk_point(z, name="z"):
@@ -90,12 +98,6 @@ def mobius_T(a, z):
     return (z + a) / (1.0 + a.conjugate() * z)
 
 
-def mobius_T_inverse(a, w):
-    """Inverse automorphism; T_a^{-1} = T_{-a}."""
-    a = unit_disk_point(a, "a")
-    return mobius_T(-a, w)
-
-
 def hyperbolic_bracket(z, w):
     """Pseudo-hyperbolic difference [z, w] = (z - w) / (1 - conj(w) z).
 
@@ -126,7 +128,11 @@ class Disk:
         object.__setattr__(self, "radius", r)
 
     def contains(self, p, tol=0.0):
-        return disk_contains(self, p, tol)
+        """Membership with relative slack: |p - center| <= radius + tol*(1 + radius)."""
+        if tol < 0.0:
+            raise DomainError("tol must be non-negative")
+        p = require_finite(p, "p")
+        return abs(p - self.center) <= self.radius + tol * (1.0 + self.radius)
 
     def boundary_distance(self, p):
         """Distance of p from the boundary circle: | |p - center| - radius |."""
@@ -136,18 +142,10 @@ class Disk:
         """Signed inclusion margin (radius - |p - center|) / (1 + radius).
 
         Positive inside, negative outside; the 1 + radius scaling matches the
-        relative tolerance used by :func:`disk_contains`.
+        relative tolerance used by :meth:`contains`.
         """
         p = require_finite(p, "p")
         return (self.radius - abs(p - self.center)) / (1.0 + self.radius)
-
-
-def disk_contains(d, p, tol=0.0):
-    """Membership with relative slack: |p - center| <= radius + tol*(1 + radius)."""
-    if tol < 0.0:
-        raise DomainError("tol must be non-negative")
-    p = require_finite(p, "p")
-    return abs(p - d.center) <= d.radius + tol * (1.0 + d.radius)
 
 
 class Jet2(NamedTuple):
@@ -161,23 +159,6 @@ class Jet2(NamedTuple):
     f0: complex
     f1: complex
     f2: complex
-
-    @classmethod
-    def constant(cls, c):
-        return cls(complex(c), 0j, 0j)
-
-    @classmethod
-    def variable(cls, z0):
-        """Jet of the identity map at z0."""
-        return cls(complex(z0), 1.0 + 0j, 0j)
-
-
-def jet_add(a, b):
-    return Jet2(a.f0 + b.f0, a.f1 + b.f1, a.f2 + b.f2)
-
-
-def jet_sub(a, b):
-    return Jet2(a.f0 - b.f0, a.f1 - b.f1, a.f2 - b.f2)
 
 
 def jet_scale(s, a):

@@ -10,11 +10,6 @@ from diskvar.bounds import (
     Branch,
     bound_comparison_table,
     branch_value,
-    phi_cubic,
-    phi_cubic_critical,
-    phi_quadratic,
-    psi,
-    psi_argmax,
     ruscheweyh_bound,
     szasz_bound,
     table_to_csv,
@@ -26,6 +21,38 @@ from diskvar.moebius import DomainError
 TOL = 1e-12
 
 radii = st.floats(min_value=0.0, max_value=0.99)
+
+
+# The polynomials of the proof of the two-branch bound, kept here to check the
+# closed forms against.
+
+
+def psi(x, r, R):
+    """Psi(x) = (R - 1) x^2 + r x + 1; |g''| <= 2(1-R^2) Psi(|delta1|) / (1-r^2)^2."""
+    return (R - 1.0) * x * x + r * x + 1.0
+
+
+def psi_argmax(r, R):
+    """Unconstrained maximiser x* = r / (2 (1 - R)) of psi; the bound branches
+    on whether x* reaches 1."""
+    return r / (2.0 * (1.0 - R))
+
+
+def phi_cubic(R, r):
+    """phi(R) = -R^3 - r R^2 + r + R, the R-profile of the deg1 branch
+    (up to the (1 - r^2)^2 denominator); phi(1) = 0 for every r."""
+    return -(R**3) - r * R * R + r + R
+
+
+def phi_cubic_critical(r):
+    """Positive critical point R2 = 1 / (sqrt(3 + r^2) + r) of phi_cubic."""
+    return 1.0 / (math.sqrt(3.0 + r * r) + r)
+
+
+def phi_quadratic(R, r):
+    """Phi(R) = -4R^2 + r^2 R + r^2 + 4, the R-profile of the deg2 branch;
+    maximal at R = r^2/8 where Phi = (8 + r^2)^2 / 16."""
+    return -4.0 * R * R + r * r * R + r * r + 4.0
 
 
 def test_branch_selection():

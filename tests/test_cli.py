@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from diskvar.cli import cli_main
 from diskvar.functions import eval_jet, function_from_json
 from diskvar.moebius import Jet2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SZASZ_GOLDEN = '{"value":3.78125,"branch":"szasz","extremal":{"theta":"arbitrary"}}\n'
 
 
 def run(capsys, *argv):
@@ -56,7 +64,16 @@ def test_disk_subcommands(capsys):
 def test_bound_szasz_golden(capsys):
     code, out, err = run(capsys, "bound", "szasz", "--r", "0.5")
     assert code == 0 and err == ""
-    assert out == '{"value":3.78125,"branch":"szasz","extremal":{"theta":"arbitrary"}}\n'
+    assert out == SZASZ_GOLDEN
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diskvar.cli", "bound", "szasz", "--r", "0.5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, SZASZ_GOLDEN, "")
 
 
 def test_bound_thm31_accepts_point_or_magnitude(capsys):
@@ -140,6 +157,21 @@ def test_extremal_verify_missing_parameter(capsys):
     code, out, err = run(capsys, "extremal", "verify", "--kind", "schwarz-pick", "--z0", "0.3,0")
     assert code == 2
     assert "requires parameter" in err
+
+
+def test_extremal_rejects_parameters_the_kind_does_not_take(capsys):
+    code, out, err = run(
+        capsys, "extremal", "emit", "--kind", "szasz", "--z0", "0.5,0", "--alpha", "5,0", "--delta0", "0.9,0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "does not take parameter delta0" in err
+    code, out, err = run(
+        capsys, "extremal", "verify", "--kind", "schwarz-pick", "--z0", "0.3,0", "--delta0", "0.1,0",
+        "--alpha", "1,0", "--theta", "0.5",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: schwarz-pick does not take parameter theta\n"
 
 
 def test_malformed_complex_literal(capsys):

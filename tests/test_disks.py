@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from diskvar.disks import (
     DerivativePair,
-    SecondOrderData,
     dieudonne_disk,
-    hyperbolic_d1,
     hyperbolic_h2,
     max_attaining_alpha,
     mercer_disk,
     modulus_max_second_derivative,
-    peschl_d2,
     peschl_pair,
     rogosinski_disk,
     schwarz_pick_disk,
@@ -217,12 +214,9 @@ def test_second_order_dieudonne_membership(z0, ratio, d1, alpha):
 
 
 def test_second_order_data_validation():
-    data = SecondOrderData.from_delta1(0.5, 0.25, 0.3)
-    assert data.w1 == pytest.approx(0.65, abs=TOL)
+    assert second_order_dieudonne_disk(0.5, 0.25, 0.3).w1 == pytest.approx(0.65, abs=TOL)
     with pytest.raises(DomainError):
-        SecondOrderData(0.5, 0.25, 0.3, 0.7)  # inconsistent w1
-    with pytest.raises(DomainError):
-        SecondOrderData.from_delta1(0.5, 0.6, 0.3)
+        second_order_dieudonne_disk(0.5, 0.6, 0.3)  # |w0| >= |z0|
 
 
 def test_peschl_pair_automorphism():
@@ -244,7 +238,7 @@ def test_hyperbolic_d1_matches_definition():
     z0 = 0.3 + 0.2j
     jet = eval_jet(g, z0)
     expect = (1.0 - abs(z0) ** 2) * jet.f1 / (1.0 - abs(jet.f0) ** 2)
-    assert abs(hyperbolic_d1(g, z0) - expect) < TOL
+    assert abs(peschl_pair(g, z0).d1 - expect) < TOL
 
 
 def test_hyperbolic_h2_relation():
@@ -253,7 +247,6 @@ def test_hyperbolic_h2_relation():
     pair = peschl_pair(g, z0)
     h2 = hyperbolic_h2(g, z0)
     assert abs(h2 - pair.d2 / (2.0 * (1.0 - abs(pair.d1) ** 2))) < TOL
-    assert abs(peschl_d2(g, z0) - pair.d2) < TOL
 
 
 def test_hyperbolic_h2_degenerate_for_automorphism():

@@ -43,6 +43,15 @@ def test_missing_parameters_are_reported():
         make_extremal(ExtremalKind.DIEUDONNE, z0=0.3, alpha=1.0)
 
 
+def test_parameters_the_kind_does_not_take_are_refused():
+    with pytest.raises(DomainError, match="szasz does not take parameter alpha"):
+        make_extremal(ExtremalKind.SZASZ, z0=0.5, alpha=5.0)
+    with pytest.raises(DomainError, match="schwarz-pick does not take parameter theta"):
+        make_extremal(ExtremalKind.SCHWARZ_PICK, z0=0.3, delta0=0.1, alpha=1.0, theta=0.0)
+    # theta defaults to 0 for the kinds that take it
+    assert make_extremal(ExtremalKind.SZASZ, z0=0.5) == make_extremal(ExtremalKind.SZASZ, z0=0.5, theta=0.0)
+
+
 def test_kind_accepts_plain_strings():
     g = make_extremal("schwarz-pick", z0=0.3, delta0=0.1, alpha=1.0)
     assert eval_jet(g, 0.3 + 0j).f0 == pytest.approx(0.1, abs=TOL)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import pytest
@@ -126,6 +127,10 @@ def test_config_validation():
         RandomFunctionConfig(seed=-1)
     with pytest.raises(DomainError):
         RandomFunctionConfig(seed=1, zero_modulus_cap=1.0)
+    # integer fields are checked, not truncated
+    for bad in ({"seed": 1.5}, {"seed": "3"}, {"seed": 1, "max_blaschke_degree": 2.5}):
+        with pytest.raises(DomainError):
+            RandomFunctionConfig(**bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -191,6 +196,35 @@ def test_expr_from_obj_errors():
         expr_from_obj({"node": "mobius", "a": [0.1, 0.0]})  # missing child
     with pytest.raises(DomainError):
         expr_from_obj({"node": "constant", "c": [0.1]})
+    with pytest.raises(DomainError, match="unknown fields"):
+        expr_from_obj({"node": "identity", "junk": 1})
+    with pytest.raises(DomainError):
+        expr_from_obj({"node": "constant", "c": [True, False]})
+    for c in (["0.1", 0.0], [10**400, 0.0]):
+        with pytest.raises(DomainError):
+            expr_from_obj({"node": "constant", "c": c})
+    for theta in ("0.5", True):
+        with pytest.raises(DomainError):
+            expr_from_obj({"node": "rotation", "theta": theta, "child": {"node": "identity"}})
+    with pytest.raises(DomainError):
+        expr_from_obj({"node": ["identity"]})
+    # nesting deeper than the evaluator can follow is refused, from a dict
+    # and from a JSON document
+    deep = {"node": "identity"}
+    for _ in range(3000):
+        deep = {"node": "rotation", "theta": 0.1, "child": deep}
+    with pytest.raises(DomainError, match="deeper"):
+        expr_from_obj(deep)
+    text = '{"node":"rotation","theta":0.1,"child":' * 3000 + '{"node":"identity"}' + "}" * 3000
+    with pytest.raises(DomainError):
+        function_from_json(text)
+    with pytest.raises(DomainError):
+        function_from_json("{")
+    # the depth cap leaves room for trees that evaluate
+    shallow = {"node": "identity"}
+    for _ in range(499):
+        shallow = {"node": "rotation", "theta": 0.1, "child": shallow}
+    assert eval_jet(function_from_json(json.dumps(shallow)), 0.2).f0 == pytest.approx(0.2 * cmath.exp(49.9j))
 
 
 def test_substream_independence():

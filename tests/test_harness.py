@@ -27,6 +27,11 @@ def test_config_validation():
         HarnessConfig(tol_membership=-1e-9)
     with pytest.raises(DomainError):
         HarnessConfig(zero_modulus_cap=1.0)
+    # integer fields are checked, not truncated
+    for bad in ({"seed": 1.5}, {"samples": 2.7}, {"samples": float("nan")}, {"seed": True},
+                {"max_blaschke_degree": 2.0}, {"max_blaschke_degree": 0}):
+        with pytest.raises(DomainError):
+            HarnessConfig(**bad)
 
 
 def test_membership_each_family_clean():
