@@ -13,17 +13,15 @@ R = r^2/8.  The Ruscheweyh bound n! (1 - R^2) / ((1 - r)^n (1 + r)) is kept
 for comparison; the branch bounds never exceed it.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .moebius import DomainError, require_finite
+from .moebius import DomainError
 
 __all__ = [
     "Branch",
-    "ExtremalParams",
     "BoundResult",
     "branch_value",
     "theorem31_bound",
@@ -47,27 +45,9 @@ class Branch(str, Enum):
 
 
 @dataclass(frozen=True)
-class ExtremalParams:
-    """Parameters pinning down a function that attains a bound.
-
-    Fields are None when they do not apply.  ``alpha_arbitrary`` means any
-    unimodular alpha works (with the matching delta1 phase);
-    ``theta_arbitrary`` means the overall rotation is free.
-    """
-
-    theta: float | None = None
-    a: complex | None = None
-    delta1: complex | None = None
-    alpha: complex | None = None
-    alpha_arbitrary: bool = False
-    theta_arbitrary: bool = False
-
-
-@dataclass(frozen=True)
 class BoundResult:
     value: float
     branch: Branch
-    extremal: ExtremalParams | None = None
 
 
 def _check_rR(r, R):
@@ -97,74 +77,27 @@ def branch_value(branch, r, R=0.0):
     raise DomainError(f"unknown branch {branch!r}")
 
 
-def _resolve_point(r, R, z0, delta0):
-    """Canonical complex data (z0, delta0) for the magnitudes (r, R)."""
-    if z0 is None:
-        z0 = complex(r)
-    else:
-        z0 = require_finite(z0, "z0")
-        if abs(abs(z0) - r) > 1e-9 * (1.0 + r):
-            raise DomainError(f"|z0| = {abs(z0)} does not match r = {r}")
-    if delta0 is None:
-        delta0 = complex(R)
-    else:
-        delta0 = require_finite(delta0, "delta0")
-        if abs(abs(delta0) - R) > 1e-9 * (1.0 + R):
-            raise DomainError(f"|delta0| = {abs(delta0)} does not match R = {R}")
-    return z0, delta0
+def theorem31_bound(r, R):
+    """Sharp bound for |g''(z0)| given the magnitudes r = |z0| and R = |g(z0)|.
 
-
-def theorem31_bound(r, R, z0=None, delta0=None):
-    """Sharp bound for |g''(z0)| given |z0| = r and |g(z0)| = R.
-
-    Optional complex z0/delta0 (consistent with r, R) rotate the reported
-    extremal parameters; otherwise the positive-real representatives are used.
+    Returns the value and the active branch.  The functions that attain it
+    depend on the phases of z0 and g(z0) as well; ``diskvar.extremal`` derives
+    their parameters.
     """
     r, R = _check_rR(r, R)
-    z0, delta0 = _resolve_point(r, R, z0, delta0)
     if r + 2.0 * R >= 2.0:
-        # here r, R > 0 automatically
-        theta = cmath.phase(-z0.conjugate() * delta0)
-        a = (r + R) * z0 / (r * (1.0 + r * R))
-        return BoundResult(
-            branch_value(Branch.DEG1, r, R),
-            Branch.DEG1,
-            ExtremalParams(theta=theta, a=a),
-        )
+        return BoundResult(branch_value(Branch.DEG1, r, R), Branch.DEG1)
     if R == 0.0:
-        # any |delta1| = r/2 works, paired with the aligned unimodular alpha
-        return BoundResult(
-            branch_value(Branch.DEG2_ZERO, r),
-            Branch.DEG2_ZERO,
-            ExtremalParams(delta1=z0 / 2.0, alpha_arbitrary=True),
-        )
-    # phase-wise forms; products like conj(z0) * delta0 / (z0 R) underflow
-    # for tiny r, R even though the results have moduli r/(2(1-R)) and 1
-    phase_z0 = cmath.phase(z0)
-    phase_d0 = cmath.phase(delta0)
-    delta1 = -(r / (2.0 * (1.0 - R))) * cmath.exp(1j * (phase_d0 - phase_z0))
-    if r == 0.0:
-        extremal = ExtremalParams(delta1=delta1, alpha_arbitrary=True, theta_arbitrary=True)
-    else:
-        extremal = ExtremalParams(
-            theta=cmath.phase(-cmath.exp(1j * (phase_d0 - 2.0 * phase_z0))),
-            delta1=delta1,
-            alpha=-cmath.exp(1j * (phase_d0 - 2.0 * phase_z0)),
-        )
-    return BoundResult(branch_value(Branch.DEG2, r, R), Branch.DEG2, extremal)
+        return BoundResult(branch_value(Branch.DEG2_ZERO, r), Branch.DEG2_ZERO)
+    return BoundResult(branch_value(Branch.DEG2, r, R), Branch.DEG2)
 
 
-def szasz_bound(r, z0=None):
-    """Sharp bound for |g''(z0)| over all self-maps, |z0| = r: the maximum of
-    the two-parameter bound over R, attained at R = r^2/8 with a free overall
-    rotation."""
+def szasz_bound(r):
+    """Sharp bound for |g''(z0)| over all self-maps, r = |z0|: the maximum of
+    the two-parameter bound over R, attained at R = r^2/8 (the extremal's
+    overall rotation is free)."""
     r, _ = _check_rR(r, 0.0)
-    _resolve_point(r, 0.0, z0, None)  # consistency check only
-    return BoundResult(
-        branch_value(Branch.SZASZ, r),
-        Branch.SZASZ,
-        ExtremalParams(theta_arbitrary=True),
-    )
+    return BoundResult(branch_value(Branch.SZASZ, r), Branch.SZASZ)
 
 
 def ruscheweyh_bound(n, r, R):
@@ -173,7 +106,7 @@ def ruscheweyh_bound(n, r, R):
         raise DomainError("ruscheweyh_bound is implemented for n in {1, 2}")
     r, R = _check_rR(r, R)
     value = math.factorial(n) * (1.0 - R * R) / ((1.0 - r) ** n * (1.0 + r))
-    return BoundResult(value, Branch.RUSCHEWEYH, None)
+    return BoundResult(value, Branch.RUSCHEWEYH)
 
 
 class TableRow(NamedTuple):

@@ -34,7 +34,7 @@ from .harness import (
     run_membership_suite,
     run_tightness_search,
 )
-from .moebius import DegeneracyError, DomainError, PoleError
+from .moebius import DegeneracyError, DomainError, PoleError, require_finite
 
 # not called here since the kind table computes the targets; kept bound
 # because bench/tracing.py wraps this name in this module
@@ -81,31 +81,8 @@ def _disk_obj(disk):
     return {"center": complex_to_pair(disk.center), "radius": disk.radius}
 
 
-def _extremal_params_obj(params):
-    if params is None:
-        return None
-    doc = {}
-    if params.theta_arbitrary:
-        doc["theta"] = "arbitrary"
-    elif params.theta is not None:
-        doc["theta"] = params.theta
-    if params.a is not None:
-        doc["a"] = complex_to_pair(params.a)
-    if params.delta1 is not None:
-        doc["delta1"] = complex_to_pair(params.delta1)
-    if params.alpha_arbitrary:
-        doc["alpha"] = "arbitrary"
-    elif params.alpha is not None:
-        doc["alpha"] = complex_to_pair(params.alpha)
-    return doc
-
-
-def _bound_obj(result):
-    return {
-        "value": result.value,
-        "branch": result.branch.value,
-        "extremal": _extremal_params_obj(result.extremal),
-    }
+def _bound_obj(result, extremal=None):
+    return {"value": result.value, "branch": result.branch.value, "extremal": extremal}
 
 
 def _cmd_disk(args):
@@ -129,7 +106,7 @@ def _cmd_disk(args):
     return 0
 
 
-def _magnitude(args, flag, value, point, point_flag):
+def _magnitude(flag, value, point, point_flag):
     if value is not None:
         return float(value)
     if point is not None:
@@ -137,19 +114,39 @@ def _magnitude(args, flag, value, point, point_flag):
     raise DomainError(f"give {flag} or {point_flag}")
 
 
+def _point(point, name, magnitude, magnitude_name):
+    """The data point of a bound: the given point, which must have the given
+    magnitude, or else the positive real of that magnitude."""
+    if point is None:
+        return complex(magnitude)
+    point = require_finite(point, name)
+    if abs(abs(point) - magnitude) > 1e-9 * (1.0 + magnitude):
+        raise DomainError(f"|{name}| = {abs(point)} does not match {magnitude_name} = {magnitude}")
+    return point
+
+
+def _extremal_obj(values, free):
+    """The parameters of a sharp extremal, "arbitrary" for the free ones."""
+    return {
+        name: "arbitrary" if name in free else complex_to_pair(value) if isinstance(value, complex) else value
+        for name, value in values.items()
+    }
+
+
 def _cmd_bound(args):
     if args.which in ("thm31", "szasz"):
-        r = _magnitude(args, "--r", args.r, args.z0, "--z0")
-        data = {"z0": args.z0 if args.z0 is not None else complex(r)}
+        r = _magnitude("--r", args.r, args.z0, "--z0")
         if args.which == "thm31":
-            R = _magnitude(args, "--R", args.R, args.delta0, "--delta0")
-            result = theorem31_bound(r, R, z0=args.z0, delta0=args.delta0)
-            data["delta0"] = args.delta0 if args.delta0 is not None else complex(R)
+            R = _magnitude("--R", args.R, args.delta0, "--delta0")
+            result = theorem31_bound(r, R)
+            data = {"z0": _point(args.z0, "z0", r, "r"), "delta0": _point(args.delta0, "delta0", R, "R")}
         else:
-            result = szasz_bound(r, z0=args.z0)
-        doc = _bound_obj(result)
+            result = szasz_bound(r)
+            data = {"z0": _point(args.z0, "z0", r, "r")}
+        spec = kind_spec(kind_for_branch(result.branch))
+        doc = _bound_obj(result, _extremal_obj(*spec.params(**data)))
         if args.emit_function:
-            doc["function"] = make_extremal(kind_for_branch(result.branch), **data).to_obj()
+            doc["function"] = make_extremal(spec.kind, **data).to_obj()
         _emit_json(args, doc)
     elif args.which == "ruscheweyh":
         _emit_json(args, _bound_obj(ruscheweyh_bound(args.n, args.r, args.R)))
@@ -178,11 +175,8 @@ def _cmd_extremal_emit(args):
 
 
 def _cmd_extremal_verify(args):
-    spec = kind_spec(args.kind)
     kwargs = _extremal_kwargs(args)
-    g = make_extremal(spec.kind, **kwargs)  # surface parameter errors before the target is built
-    expected = spec.target(**{name: kwargs[name] for name, _ in spec.data})
-    report = verify_attainment(spec.kind, kwargs, expected, args.tol)
+    report = verify_attainment(args.kind, kwargs, args.tol)
     doc = {
         "kind": report.kind.value,
         "value": complex_to_pair(report.value),
@@ -194,7 +188,7 @@ def _cmd_extremal_verify(args):
         "passed": report.passed,
     }
     if args.emit_function:
-        doc["function"] = g.to_obj()
+        doc["function"] = make_extremal(args.kind, **kwargs).to_obj()
     _emit_json(args, doc)
     return 0 if report.passed else 1
 
@@ -204,28 +198,25 @@ def _report_exit(args, report):
     return 1 if report.violations > 0 else 0
 
 
-def _harness_config(args, tol_field):
+def _harness_config(args):
     kwargs = {"seed": args.seed, "samples": args.samples, "parallel": args.parallel}
     if args.tol is not None:
-        kwargs[tol_field] = args.tol
+        kwargs["tol"] = args.tol
     return HarnessConfig(**kwargs)
 
 
 def _cmd_verify_membership(args):
-    cfg = _harness_config(args, "tol_membership")
     families = tuple(args.families.split(",")) if args.families else MEMBERSHIP_FAMILIES
-    return _report_exit(args, run_membership_suite(cfg, families))
+    return _report_exit(args, run_membership_suite(_harness_config(args), families))
 
 
 def _cmd_verify_attainment(args):
-    cfg = _harness_config(args, "tol_attainment")
     kinds = tuple(args.kinds.split(",")) if args.kinds else None
-    return _report_exit(args, run_attainment_suite(cfg, kinds))
+    return _report_exit(args, run_attainment_suite(_harness_config(args), kinds))
 
 
 def _cmd_verify_tightness(args):
-    cfg = _harness_config(args, "tol_membership")
-    return _report_exit(args, run_tightness_search(cfg, args.r, args.R))
+    return _report_exit(args, run_tightness_search(_harness_config(args), args.r, args.R))
 
 
 def _add_out(parser):

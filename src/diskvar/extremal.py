@@ -7,8 +7,9 @@ same machinery the harness uses for random samples.
 
 ``KINDS`` is the one table of what an extremal kind is: its parameters with
 their validators, its constructor, the target it attains, the jet component
-that lands on the target, the bound branches it attains and the grid the
-attainment suite sweeps.
+that lands on the target, the bound branches it attains, the grid the
+attainment suite sweeps and, for the sharp kinds, the one function that
+derives the extremal's parameters.
 """
 
 import cmath
@@ -43,6 +44,7 @@ from .moebius import (
     DomainError,
     closed_disk_point,
     require_finite,
+    require_real,
     unimodular_point,
     unit_disk_point,
 )
@@ -81,18 +83,24 @@ def _two_step(z0, delta0, delta1, alpha):
     return MobiusT(delta0, Product(u, MobiusT(delta1, Product(Constant(alpha), u))))
 
 
-def _sharp_deg1(z0, delta0):
+def _deg1_params(z0, delta0):
+    """Rotation theta and zero a of the deg1 extremal e^{i theta} [a, z];
+    none of its values is free."""
     r, R = abs(z0), abs(delta0)
     if r == 0.0:
         raise DomainError("sharp-deg1 requires z0 != 0")
-    rot = cmath.phase(-z0.conjugate() * delta0) if delta0 != 0 else 0.0
-    a = (r + R) * z0 / (r * (1.0 + r * R))
-    return Rotation(rot, Bracket(a, Identity()))
+    theta = cmath.phase(-z0.conjugate() * delta0) if delta0 != 0 else 0.0
+    return {"theta": theta, "a": (r + R) * z0 / (r * (1.0 + r * R))}, ()
 
 
-def _sharp_deg2(z0, delta0, theta):
-    """Compose(G, u) with G(u) = T_{delta0}(u T_{delta1}(alpha u)), the
-    degree-2 rational attaining the deg2 branch bound."""
+def _sharp_deg1(z0, delta0):
+    params, _ = _deg1_params(z0, delta0)
+    return Rotation(params["theta"], Bracket(params["a"], Identity()))
+
+
+def _deg2_params(z0, delta0, theta=0.0):
+    """delta1 and alpha of the deg2 extremal T_{delta0}(u T_{delta1}(alpha u)),
+    with the names of the values a free rotation ``theta`` moves."""
     r, R = abs(z0), abs(delta0)
     if r + 2.0 * R >= 2.0:
         raise DomainError("sharp-deg2 requires |z0| + 2|delta0| < 2")
@@ -101,17 +109,27 @@ def _sharp_deg2(z0, delta0, theta):
         rel = cmath.phase(delta0) - cmath.phase(z0)
         delta1 = -(r / (2.0 * (1.0 - R))) * cmath.exp(1j * rel)
         alpha = -cmath.exp(1j * (rel - cmath.phase(z0)))
-    elif R > 0.0:
+        return {"theta": cmath.phase(alpha), "delta1": delta1, "alpha": alpha}, ()
+    alpha = cmath.exp(1j * theta)
+    if R > 0.0:
         # z0 = 0: T_{delta0}(alpha z^2) with a free rotation
-        delta1 = 0j
-        alpha = cmath.exp(1j * theta)
-    else:
-        # delta0 = 0: any |delta1| = r/2 with the phase-matched alpha
-        alpha = cmath.exp(1j * theta)
-        delta1 = alpha * z0 / 2.0
+        return {"theta": theta, "delta1": 0j, "alpha": alpha}, ("theta", "alpha")
+    # delta0 = 0: any |delta1| = r/2 with the phase-matched alpha
+    return {"delta1": alpha * z0 / 2.0, "alpha": alpha}, ("alpha",)
+
+
+def _sharp_deg2(z0, delta0, theta):
+    """Compose(G, u) with G(u) = T_{delta0}(u T_{delta1}(alpha u)), the
+    degree-2 rational attaining the deg2 branch bound."""
+    params, _ = _deg2_params(z0, delta0, theta)
     ident = Identity()
-    g_outer = MobiusT(delta0, Product(ident, MobiusT(delta1, Product(Constant(alpha), ident))))
-    return Compose(g_outer, _u(z0))
+    inner = MobiusT(params["delta1"], Product(Constant(params["alpha"]), ident))
+    return Compose(MobiusT(delta0, Product(ident, inner)), _u(z0))
+
+
+def _szasz_params(z0, theta=0.0):
+    """The szasz extremal's overall rotation theta, which is free."""
+    return {"theta": theta}, ("theta",)
 
 
 def _szasz(z0, theta):
@@ -256,7 +274,10 @@ class KindSpec:
     values by name and returns a Disk or a positive bound.  ``probe`` names
     the jet component that lands on the target, ``branches`` the bound
     branches a sharp kind attains, and ``grid()`` yields the GridPoints the
-    attainment suite checks.
+    attainment suite checks.  A sharp kind's ``params`` takes its data (and
+    optionally its free value) and returns ``(values, free)``: the named
+    parameters its tree is built from, and the names among them that any
+    choice of the free value moves.
     """
 
     kind: ExtremalKind
@@ -267,6 +288,7 @@ class KindSpec:
     probe: str
     grid: Callable
     branches: tuple = ()
+    params: Callable | None = None
 
 
 _Z0 = ("z0", unit_disk_point)
@@ -275,7 +297,7 @@ _W0 = ("w0", require_finite)
 _DELTA1 = ("delta1", unit_disk_point)
 _UNIMODULAR_DELTA1 = ("delta1", unimodular_point)
 _ALPHA = ("alpha", closed_disk_point)
-_THETA = ("theta", lambda theta, name: float(theta))
+_THETA = ("theta", require_real)
 
 KINDS = {
     spec.kind: spec
@@ -312,16 +334,16 @@ KINDS = {
         KindSpec(
             ExtremalKind.SHARP_DEG1, (_Z0, _DELTA0), (), _sharp_deg1,
             lambda z0, delta0: branch_value(Branch.DEG1, abs(z0), abs(delta0)),
-            "f2", _sharp_deg1_grid, (Branch.DEG1,),
+            "f2", _sharp_deg1_grid, (Branch.DEG1,), _deg1_params,
         ),
         KindSpec(
             ExtremalKind.SHARP_DEG2, (_Z0, _DELTA0), (_THETA,), _sharp_deg2,
-            _deg2_bound, "f2", _sharp_deg2_grid, (Branch.DEG2, Branch.DEG2_ZERO),
+            _deg2_bound, "f2", _sharp_deg2_grid, (Branch.DEG2, Branch.DEG2_ZERO), _deg2_params,
         ),
         KindSpec(
             ExtremalKind.SZASZ, (_Z0,), (_THETA,), _szasz,
             lambda z0: branch_value(Branch.SZASZ, abs(z0)),
-            "f2", _szasz_grid, (Branch.SZASZ,),
+            "f2", _szasz_grid, (Branch.SZASZ,), _szasz_params,
         ),
     )
 }
@@ -398,30 +420,28 @@ def attainment_distance(target, probe):
     return abs(abs(probe) - target) / target
 
 
-def verify_attainment(kind, params, expected, tol):
+def verify_attainment(kind, params, tol):
     """Build the extremal of ``kind`` with ``params`` (a dict of keyword
-    arguments for :func:`make_extremal`) and check that it lands on
-    ``expected`` (a Disk boundary or a real bound) within ``tol``."""
+    arguments for :func:`make_extremal`) and check that it lands on the
+    target of the kind's ``KINDS`` row (a Disk boundary or a positive bound)
+    within ``tol``."""
     spec = kind_spec(kind)
-    if tol < 0.0:
-        raise DomainError("tol must be non-negative")
     g = make_extremal(spec.kind, **params)
-    z0 = complex(params.get("z0", 0j) or 0j)
-    j = eval_jet(g, z0)
-    if isinstance(expected, Disk):
-        target = f"boundary of disk(center={expected.center!r}, radius={expected.radius!r})"
+    target = spec.target(**{name: params[name] for name, _ in spec.data})
+    if not tol >= 0.0:
+        raise DomainError("tol must be non-negative")
+    j = eval_jet(g, complex(params["z0"]))
+    if isinstance(target, Disk):
+        text = f"boundary of disk(center={target.center!r}, radius={target.radius!r})"
     else:
-        expected = float(expected)
-        if expected <= 0.0:
-            raise DomainError("a bound target must be positive")
-        target = f"bound {expected!r}"
-    distance = attainment_distance(expected, getattr(j, spec.probe))
+        text = f"bound {target!r}"
+    distance = attainment_distance(target, getattr(j, spec.probe))
     return AttainmentReport(
         kind=spec.kind,
         value=j.f0,
         first=j.f1,
         second=j.f2,
-        target=target,
+        target=text,
         distance=distance,
         tol=float(tol),
         passed=distance <= tol,

@@ -61,29 +61,27 @@ __all__ = [
 MEMBERSHIP_FAMILIES = ("second", "dieudonne", "mercer")
 _FAMILY_TAGS = {"second": 11, "dieudonne": 12, "mercer": 13}
 _TIGHTNESS_TAG = 31
+# the membership suite's random Schur trees: maximum Blaschke degree and
+# the cap on the moduli of their zeros
+_MAX_BLASCHKE_DEGREE = 4
+_ZERO_MODULUS_CAP = 0.95
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
+    """``tol`` is the slack of every check: disk inclusion and the bound in
+    membership and tightness, the distance to the target in attainment."""
+
     seed: int = 42
     samples: int = 10000
-    tol_membership: float = 1e-8
-    tol_attainment: float = 1e-8
+    tol: float = 1e-8
     parallel: bool = False
-    max_blaschke_degree: int = 4
-    zero_modulus_cap: float = 0.95
 
     def __post_init__(self):
         object.__setattr__(self, "seed", require_int(self.seed, "seed"))
         object.__setattr__(self, "samples", require_int(self.samples, "samples"))
-        if not self.tol_membership > 0.0:
-            raise DomainError("tol_membership must be positive")
-        if not self.tol_attainment > 0.0:
-            raise DomainError("tol_attainment must be positive")
-        degree = require_int(self.max_blaschke_degree, "max_blaschke_degree", 1)
-        object.__setattr__(self, "max_blaschke_degree", degree)
-        if not 0.0 < self.zero_modulus_cap < 1.0:
-            raise DomainError("zero_modulus_cap must lie in (0, 1)")
+        if not self.tol > 0.0:
+            raise DomainError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -180,20 +178,20 @@ def _membership_margin(cfg, family, index):
     if family == "second":
         z0 = disk_sample(rng, 0.95)
         data = PrescribedData(z0, disk_sample(rng, 0.95), disk_sample(rng, 0.98))
-        gstar = _schur_tree(rng, cfg.max_blaschke_degree, cfg.zero_modulus_cap)
+        gstar = _schur_tree(rng, _MAX_BLASCHKE_DEGREE, _ZERO_MODULUS_CAP)
         g = schur_parametrize(data, gstar)
         return second_derivative_disk(data).margin(g.jet(z0).f2)
     if family == "dieudonne":
         z0 = _nonzero_disk_sample(rng, 0.95)
         w0 = disk_sample(rng, 0.95) * z0
-        fstar = _schur_tree(rng, cfg.max_blaschke_degree, cfg.zero_modulus_cap)
+        fstar = _schur_tree(rng, _MAX_BLASCHKE_DEGREE, _ZERO_MODULUS_CAP)
         f = dieudonne_parametrize(z0, w0, fstar)
         return dieudonne_disk(z0, w0).margin(f.jet(z0).f1)
     if family == "mercer":
         z0 = _nonzero_disk_sample(rng, 0.95)
         w0 = disk_sample(rng, 0.95) * z0
         z = disk_sample(rng, 0.95)
-        fstar = _schur_tree(rng, cfg.max_blaschke_degree, cfg.zero_modulus_cap)
+        fstar = _schur_tree(rng, _MAX_BLASCHKE_DEGREE, _ZERO_MODULUS_CAP)
         f = dieudonne_parametrize(z0, w0, fstar)
         return mercer_disk(z0, w0, z).margin(f.value(z))
     raise DomainError(f"unknown membership family {family!r}")
@@ -204,7 +202,7 @@ def _membership_chunk(cfg, families, rg):
     part = (0, 0, None, None)
     for index in range(lo, hi):
         for family in families:
-            part = _tally(part, _membership_margin(cfg, family, index), cfg.tol_membership)
+            part = _tally(part, _membership_margin(cfg, family, index), cfg.tol)
     return part
 
 
@@ -266,7 +264,7 @@ def run_attainment_suite(cfg, kinds=None):
     per_kind = {}
     for spec in specs:
         kind_violations = 0
-        for margin, ok in _attainment_margins(spec, cfg.tol_attainment):
+        for margin, ok in _attainment_margins(spec, cfg.tol):
             n += 1
             if not ok:
                 kind_violations += 1
@@ -307,7 +305,7 @@ def _tightness_chunk(cfg, r, R, bound, rg):
         for alpha in alphas:
             g = schur_parametrize(data, Constant(alpha))
             second = abs(g.jet(z0).f2)
-            part = _tally(part, bound - second, cfg.tol_membership, second)
+            part = _tally(part, bound - second, cfg.tol, second)
     return part
 
 
@@ -334,7 +332,7 @@ def run_tightness_search(cfg, r, R):
             candidates.append(make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=d0, delta1=d1))
     for g in candidates:
         second = abs(g.jet(z0).f2)
-        part = _tally(part, bound - second, cfg.tol_membership, second)
+        part = _tally(part, bound - second, cfg.tol, second)
     n, violations, worst, best = part
 
     return HarnessReport(

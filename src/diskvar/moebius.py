@@ -19,6 +19,7 @@ __all__ = [
     "DegeneracyError",
     "require_finite",
     "require_int",
+    "require_real",
     "unit_disk_point",
     "closed_disk_point",
     "unimodular_point",
@@ -64,6 +65,14 @@ def require_int(n, name, minimum=0):
     if n < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {n}")
     return int(n)
+
+
+def require_real(x, name):
+    """Validate a finite real number and return it as a float; bools and
+    strings are refused rather than converted."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise DomainError(f"{name} must be a finite real number, got {x!r}")
+    return float(x)
 
 
 def unit_disk_point(z, name="z"):
@@ -129,7 +138,7 @@ class Disk:
 
     def contains(self, p, tol=0.0):
         """Membership with relative slack: |p - center| <= radius + tol*(1 + radius)."""
-        if tol < 0.0:
+        if not tol >= 0.0:
             raise DomainError("tol must be non-negative")
         p = require_finite(p, "p")
         return abs(p - self.center) <= self.radius + tol * (1.0 + self.radius)

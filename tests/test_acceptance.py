@@ -44,7 +44,7 @@ def _line(n, ok, detail):
 
 
 def test_criterion_1_second_derivative_membership():
-    cfg = HarnessConfig(seed=SEED, samples=10000, tol_membership=1e-8)
+    cfg = HarnessConfig(seed=SEED, samples=10000, tol=1e-8)
     report = run_membership_suite(cfg, families=("second",))
     ok = report.violations == 0 and report.wall_time < 10.0
     _line(
@@ -56,7 +56,7 @@ def test_criterion_1_second_derivative_membership():
 
 
 def test_criterion_2_dieudonne_membership():
-    cfg = HarnessConfig(seed=SEED, samples=10000, tol_membership=1e-8)
+    cfg = HarnessConfig(seed=SEED, samples=10000, tol=1e-8)
     report = run_membership_suite(cfg, families=("dieudonne",))
     _line(
         2,
@@ -93,11 +93,11 @@ def test_criterion_3_yamashita_inequality_and_equality():
 
 
 def test_criterion_4_attainment_grids():
-    cfg_disk = HarnessConfig(seed=SEED, tol_attainment=1e-9)
+    cfg_disk = HarnessConfig(seed=SEED, tol=1e-9)
     disk_kinds = (ExtremalKind.SECOND_BOUNDARY, ExtremalKind.SECOND_DEGENERATE)
     boundary = run_attainment_suite(cfg_disk, kinds=disk_kinds)
 
-    cfg_bound = HarnessConfig(seed=SEED, tol_attainment=1e-8)
+    cfg_bound = HarnessConfig(seed=SEED, tol=1e-8)
     sharp_kinds = (ExtremalKind.SHARP_DEG1, ExtremalKind.SHARP_DEG2, ExtremalKind.SZASZ)
     sharp = run_attainment_suite(cfg_bound, kinds=sharp_kinds)
 

@@ -16,6 +16,7 @@ from diskvar.bounds import (
     theorem31_bound,
 )
 from diskvar.disks import schwarz_pick_disk
+from diskvar.extremal import ExtremalKind, kind_spec
 from diskvar.moebius import DomainError
 
 TOL = 1e-12
@@ -176,39 +177,36 @@ def test_ruscheweyh_n1_is_schwarz_pick_radius(r, R):
     assert ruscheweyh_bound(1, r, R).value == pytest.approx(schwarz_pick_disk(complex(r), complex(R)).radius, rel=1e-13)
 
 
+# the parameters of the functions attaining each branch come from the sharp
+# kinds of diskvar.extremal, as (values, names of the free values)
+
+
 def test_deg1_extremal_params():
-    res = theorem31_bound(0.5, 0.9)
-    p = res.extremal
-    assert p.theta == pytest.approx(math.pi, abs=TOL)
-    assert abs(p.a) < 1.0
-    assert p.a == pytest.approx((0.5 + 0.9) / (0.5 * 1.45) * 0.5, abs=TOL)
-    assert not p.alpha_arbitrary
+    p, free = kind_spec(ExtremalKind.SHARP_DEG1).params(0.5 + 0j, 0.9 + 0j)
+    assert p["theta"] == pytest.approx(math.pi, abs=TOL)
+    assert abs(p["a"]) < 1.0
+    assert p["a"] == pytest.approx((0.5 + 0.9) / (0.5 * 1.45) * 0.5, abs=TOL)
+    assert free == ()
 
 
 def test_deg1_extremal_params_rotate_with_the_data():
     z0 = 0.5 * cmath.exp(0.8j)
     d0 = 0.9 * cmath.exp(-0.3j)
-    res = theorem31_bound(0.5, 0.9, z0=z0, delta0=d0)
-    assert res.extremal.theta == pytest.approx(cmath.phase(-z0.conjugate() * d0), abs=TOL)
-    assert abs(res.extremal.a) == pytest.approx(1.4 / 1.45, abs=TOL)
-    assert cmath.phase(res.extremal.a) == pytest.approx(0.8, abs=TOL)
+    p, _ = kind_spec(ExtremalKind.SHARP_DEG1).params(z0, d0)
+    assert p["theta"] == pytest.approx(cmath.phase(-z0.conjugate() * d0), abs=TOL)
+    assert abs(p["a"]) == pytest.approx(1.4 / 1.45, abs=TOL)
+    assert cmath.phase(p["a"]) == pytest.approx(0.8, abs=TOL)
 
 
 def test_deg2_extremal_params():
-    res = theorem31_bound(0.5, 0.25)
-    p = res.extremal
-    assert abs(p.alpha) == pytest.approx(1.0, abs=TOL)
-    assert abs(p.delta1) == pytest.approx(0.5 / (2.0 * 0.75), abs=TOL)
-    res = theorem31_bound(0.5, 0.0)
-    assert res.extremal.alpha_arbitrary
-    assert abs(res.extremal.delta1) == pytest.approx(0.25, abs=TOL)
-
-
-def test_point_magnitude_consistency_is_checked():
-    with pytest.raises(DomainError):
-        theorem31_bound(0.5, 0.25, z0=0.4 + 0j)
-    with pytest.raises(DomainError):
-        szasz_bound(0.5, z0=0.6 + 0j)
+    deg2_params = kind_spec(ExtremalKind.SHARP_DEG2).params
+    p, free = deg2_params(0.5 + 0j, 0.25 + 0j)
+    assert abs(p["alpha"]) == pytest.approx(1.0, abs=TOL)
+    assert abs(p["delta1"]) == pytest.approx(0.5 / (2.0 * 0.75), abs=TOL)
+    assert free == ()
+    p, free = deg2_params(0.5 + 0j, 0j)
+    assert "alpha" in free
+    assert abs(p["delta1"]) == pytest.approx(0.25, abs=TOL)
 
 
 def test_comparison_table_and_csv():

@@ -92,6 +92,29 @@ def test_bound_requires_r_or_z0(capsys):
     assert "--r or --z0" in err
 
 
+def test_point_magnitude_consistency_is_checked(capsys):
+    for argv, message in (
+        (("thm31", "--r", "0.5", "--R", "0.25", "--z0", "0.4,0"), "|z0| = 0.4 does not match r = 0.5"),
+        (("thm31", "--r", "0.5", "--R", "0.25", "--delta0", "0,0.3"), "|delta0| = 0.3 does not match R = 0.25"),
+        (("szasz", "--r", "0.5", "--z0", "0.6,0"), "|z0| = 0.6 does not match r = 0.5"),
+    ):
+        code, out, err = run(capsys, "bound", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_bound_extremal_params_are_the_trees(capsys):
+    # the extremal's parameters and its tree come from one derivation, so they
+    # agree to the last bit (two derivations differed in the last bits here)
+    code, doc = run_json(
+        capsys, "bound", "thm31", "--z0=-0.30717511844492196,0.5191566660983072",
+        "--delta0=0.34804785653693915,-0.49773647587528946", "--emit-function",
+    )
+    assert code == 0 and doc["branch"] == "deg2"
+    inner = doc["function"]["outer"]["child"]["right"]
+    assert doc["extremal"]["delta1"] == inner["a"]
+    assert doc["extremal"]["alpha"] == inner["child"]["left"]["c"]
+
+
 def test_bound_emit_function_attains(capsys):
     code, doc = run_json(
         capsys, "bound", "thm31", "--z0", "0.3,0.1", "--delta0", "0.2,-0.4", "--emit-function"
@@ -153,6 +176,19 @@ def test_extremal_verify_pass_and_fail(capsys):
     assert doc["passed"] is False
 
 
+def test_extremal_verify_nan_tol_is_an_input_error(capsys):
+    code, out, err = run(capsys, "extremal", "verify", "--kind", "szasz", "--z0", "0.5,0", "--tol", "nan")
+    assert (code, out, err) == (2, "", "error: tol must be non-negative\n")
+
+
+def test_extremal_theta_must_be_finite(capsys):
+    code, out, err = run(
+        capsys, "extremal", "emit", "--kind", "sharp-deg2", "--z0", "0.5,0", "--delta0", "0.25,0", "--theta", "inf"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: theta must be a finite real number, got inf\n"
+
+
 def test_extremal_verify_missing_parameter(capsys):
     code, out, err = run(capsys, "extremal", "verify", "--kind", "schwarz-pick", "--z0", "0.3,0")
     assert code == 2
@@ -207,6 +243,11 @@ def test_verify_attainment_kinds_filter(capsys):
     assert code == 0
     assert doc["details"]["kinds"] == ["szasz"]
     assert doc["violations"] == 0
+
+
+def test_verify_tol_must_be_positive(capsys):
+    code, out, err = run(capsys, "verify", "tightness", "--r", "0.5", "--R", "0.25", "--tol", "0")
+    assert (code, out, err) == (2, "", "error: tol must be positive\n")
 
 
 def test_verify_tightness(capsys):

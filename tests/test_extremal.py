@@ -228,23 +228,35 @@ def test_verify_attainment_against_disk():
     report = verify_attainment(
         ExtremalKind.SECOND_BOUNDARY,
         {"z0": 0.4, "delta0": 0.2, "delta1": 0.3, "alpha": 1.0},
-        disk,
         1e-9,
     )
     assert isinstance(report, AttainmentReport)
     assert report.passed
     assert report.distance < 1e-11
-    assert "disk" in report.target
+    assert report.target == f"boundary of disk(center={disk.center!r}, radius={disk.radius!r})"
 
 
 def test_verify_attainment_against_bound():
     value = branch_bound_for(ExtremalKind.SZASZ, 0.5 + 0j)
-    report = verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, value, 1e-8)
+    report = verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, 1e-8)
     assert report.passed
-    report = verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, value * 1.01, 1e-8)
+    assert report.target == f"bound {value!r}"
+    # an interior alpha lands strictly inside the disk: the check does not pass
+    report = verify_attainment(ExtremalKind.SCHWARZ_PICK, {"z0": 0.3, "delta0": 0.1, "alpha": 0.5}, 1e-8)
     assert not report.passed
 
 
 def test_verify_attainment_rejects_negative_tol():
     with pytest.raises(DomainError):
-        verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, 1.0, -1e-3)
+        verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, -1e-3)
+    with pytest.raises(DomainError, match="tol must be non-negative"):
+        verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, float("nan"))
+
+
+def test_theta_must_be_a_finite_real():
+    for bad in ("abc", float("inf"), float("nan"), True, 1j):
+        with pytest.raises(DomainError, match="theta must be a finite real number"):
+            make_extremal(ExtremalKind.SZASZ, z0=0.5, theta=bad)
+    # checked on the sharp-deg2 branches that do not use theta, too
+    with pytest.raises(DomainError, match="theta must be a finite real number"):
+        make_extremal(ExtremalKind.SHARP_DEG2, z0=0.5, delta0=0.25, theta=float("inf"))

@@ -24,12 +24,11 @@ def test_config_validation():
     with pytest.raises(DomainError):
         HarnessConfig(samples=-5)
     with pytest.raises(DomainError):
-        HarnessConfig(tol_membership=-1e-9)
+        HarnessConfig(tol=-1e-9)
     with pytest.raises(DomainError):
-        HarnessConfig(zero_modulus_cap=1.0)
+        HarnessConfig(tol=float("nan"))
     # integer fields are checked, not truncated
-    for bad in ({"seed": 1.5}, {"samples": 2.7}, {"samples": float("nan")}, {"seed": True},
-                {"max_blaschke_degree": 2.0}, {"max_blaschke_degree": 0}):
+    for bad in ({"seed": 1.5}, {"samples": 2.7}, {"samples": float("nan")}, {"seed": True}):
         with pytest.raises(DomainError):
             HarnessConfig(**bad)
 

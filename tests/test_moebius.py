@@ -115,6 +115,8 @@ def test_disk_contains_and_margin():
     assert d.contains(3.2, tol=0.1)
     with pytest.raises(DomainError):
         d.contains(0.0, tol=-1e-9)
+    with pytest.raises(DomainError):
+        d.contains(0.0, tol=float("nan"))
     assert d.margin(1.0) == pytest.approx(2.0 / 3.0)
     assert d.margin(3.0) == pytest.approx(0.0, abs=1e-15)
     assert d.boundary_distance(3.5) == pytest.approx(0.5)

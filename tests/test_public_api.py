@@ -22,6 +22,7 @@ REMOVED = (
     "hyperbolic_d1",
     "peschl_d2",
     "SecondOrderData",
+    "ExtremalParams",
     "psi",
     "psi_argmax",
     "phi_cubic",
