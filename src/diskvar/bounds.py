@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .moebius import DomainError
+from .moebius import DomainError, require_real
 
 __all__ = [
     "Branch",
@@ -51,11 +51,11 @@ class BoundResult:
 
 
 def _check_rR(r, R):
-    r = float(r)
-    if not (math.isfinite(r) and 0.0 <= r < 1.0):
+    r = require_real(r, "r")
+    if not 0.0 <= r < 1.0:
         raise DomainError(f"r must lie in [0, 1), got {r}")
-    R = float(R)
-    if not (math.isfinite(R) and 0.0 <= R < 1.0):
+    R = require_real(R, "R")
+    if not 0.0 <= R < 1.0:
         raise DomainError(f"R must lie in [0, 1), got {R}")
     return r, R
 
@@ -72,8 +72,6 @@ def branch_value(branch, r, R=0.0):
         return (4.0 + r * r) / (2.0 * one)
     if branch is Branch.SZASZ:
         return (8.0 + r * r) ** 2 / (32.0 * one)
-    if branch is Branch.RUSCHEWEYH:
-        return 2.0 * (1.0 - R * R) / ((1.0 - r) ** 2 * (1.0 + r))
     raise DomainError(f"unknown branch {branch!r}")
 
 

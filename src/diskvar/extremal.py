@@ -14,7 +14,7 @@ derives the extremal's parameters.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
@@ -409,7 +409,6 @@ class AttainmentReport:
     distance: float
     tol: float
     passed: bool
-    params: dict = field(default_factory=dict)
 
 
 def attainment_distance(target, probe):
@@ -445,7 +444,6 @@ def verify_attainment(kind, params, tol):
         distance=distance,
         tol=float(tol),
         passed=distance <= tol,
-        params=dict(params),
     )
 
 

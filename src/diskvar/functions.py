@@ -10,12 +10,15 @@ disk, so every well-formed tree maps the disk into the closed disk by
 construction.  Trees evaluate pointwise (``value``) and as second-order jets
 (``jet``); ``value`` is generic over the scalar type so a high-precision
 evaluation (e.g. with mpmath) can serve as an independent oracle.
+
+A node's JSON tag and fields are declared once, by its class: ``TAG`` and the
+dataclass fields, whose declared types say how each field is written and read.
 """
 
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .moebius import (
     jet_scale,
     require_finite,
     require_int,
+    require_real,
     unit_disk_point,
 )
 
@@ -46,7 +50,6 @@ __all__ = [
     "PrescribedData",
     "schur_parametrize",
     "dieudonne_parametrize",
-    "RandomFunctionConfig",
     "random_schur_function",
     "random_blaschke_product",
     "complex_to_pair",
@@ -61,6 +64,7 @@ class FunctionExpr:
     """Base class for expression nodes.  Nodes are frozen and hashable."""
 
     __slots__ = ()
+    TAG = None
 
     def value(self, z):
         raise NotImplementedError
@@ -69,24 +73,33 @@ class FunctionExpr:
         raise NotImplementedError
 
     def to_obj(self):
-        """JSON-ready dict; complex scalars appear as [re, im] pairs."""
-        raise NotImplementedError
+        """JSON-ready dict: the node's TAG, then its fields in declaration
+        order; complex scalars appear as [re, im] pairs."""
+        obj = {"node": self.TAG}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is FunctionExpr:
+                value = value.to_obj()
+            elif f.type is complex:
+                value = complex_to_pair(value)
+            obj[f.name] = value
+        return obj
 
 
 @dataclass(frozen=True)
 class Identity(FunctionExpr):
+    TAG = "identity"
+
     def value(self, z):
         return z
 
     def jet(self, z0):
         return Jet2(z0, 1.0 + 0j, 0j)
 
-    def to_obj(self):
-        return {"node": "identity"}
-
 
 @dataclass(frozen=True)
 class Constant(FunctionExpr):
+    TAG = "constant"
     c: complex
 
     def __post_init__(self):
@@ -98,22 +111,17 @@ class Constant(FunctionExpr):
     def jet(self, z0):
         return Jet2(self.c, 0j, 0j)
 
-    def to_obj(self):
-        return {"node": "constant", "c": complex_to_pair(self.c)}
-
 
 @dataclass(frozen=True)
 class Rotation(FunctionExpr):
     """e^{i theta} * child(z)."""
 
+    TAG = "rotation"
     theta: float
     child: FunctionExpr
 
     def __post_init__(self):
-        t = float(self.theta)
-        if not math.isfinite(t):
-            raise DomainError("theta must be finite")
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", require_real(self.theta, "theta"))
 
     def value(self, z):
         return cmath.exp(1j * self.theta) * self.child.value(z)
@@ -121,14 +129,12 @@ class Rotation(FunctionExpr):
     def jet(self, z0):
         return jet_scale(cmath.exp(1j * self.theta), self.child.jet(z0))
 
-    def to_obj(self):
-        return {"node": "rotation", "theta": self.theta, "child": self.child.to_obj()}
-
 
 @dataclass(frozen=True)
 class MobiusT(FunctionExpr):
     """T_a(child(z)) with T_a(w) = (w + a) / (1 + conj(a) w)."""
 
+    TAG = "mobius"
     a: complex
     child: FunctionExpr
 
@@ -146,12 +152,10 @@ class MobiusT(FunctionExpr):
         den = Jet2(1.0 + ac * x.f0, ac * x.f1, ac * x.f2)
         return jet_div(num, den)
 
-    def to_obj(self):
-        return {"node": "mobius", "a": complex_to_pair(self.a), "child": self.child.to_obj()}
-
 
 @dataclass(frozen=True)
 class Product(FunctionExpr):
+    TAG = "product"
     left: FunctionExpr
     right: FunctionExpr
 
@@ -161,12 +165,10 @@ class Product(FunctionExpr):
     def jet(self, z0):
         return jet_mul(self.left.jet(z0), self.right.jet(z0))
 
-    def to_obj(self):
-        return {"node": "product", "left": self.left.to_obj(), "right": self.right.to_obj()}
-
 
 @dataclass(frozen=True)
 class Compose(FunctionExpr):
+    TAG = "compose"
     outer: FunctionExpr
     inner: FunctionExpr
 
@@ -178,14 +180,12 @@ class Compose(FunctionExpr):
         jo = self.outer.jet(ji.f0)
         return jet_compose(jo, ji)
 
-    def to_obj(self):
-        return {"node": "compose", "outer": self.outer.to_obj(), "inner": self.inner.to_obj()}
-
 
 @dataclass(frozen=True)
 class Bracket(FunctionExpr):
     """[child(z), w] = (child(z) - w) / (1 - conj(w) child(z))."""
 
+    TAG = "bracket"
     w: complex
     child: FunctionExpr
 
@@ -202,9 +202,6 @@ class Bracket(FunctionExpr):
         num = Jet2(x.f0 - self.w, x.f1, x.f2)
         den = Jet2(1.0 - wc * x.f0, -wc * x.f1, -wc * x.f2)
         return jet_div(num, den)
-
-    def to_obj(self):
-        return {"node": "bracket", "w": complex_to_pair(self.w), "child": self.child.to_obj()}
 
 
 def evaluate(f, z):
@@ -268,25 +265,10 @@ def dieudonne_parametrize(z0, w0, fstar):
     return Product(Identity(), MobiusT(u0, Product(u, fstar)))
 
 
-@dataclass(frozen=True)
-class RandomFunctionConfig:
-    """Deterministic sampler configuration.
-
-    Samples are reproducible per (seed, index); each index gets an
-    independent substream.
-    """
-
-    seed: int
-    max_blaschke_degree: int = 4
-    zero_modulus_cap: float = 0.95
-
-    def __post_init__(self):
-        object.__setattr__(self, "seed", require_int(self.seed, "seed"))
-        degree = require_int(self.max_blaschke_degree, "max_blaschke_degree")
-        object.__setattr__(self, "max_blaschke_degree", degree)
-        if not 0.0 < float(self.zero_modulus_cap) < 1.0:
-            raise DomainError("zero_modulus_cap must lie in (0, 1)")
-        object.__setattr__(self, "zero_modulus_cap", float(self.zero_modulus_cap))
+# the random trees' maximum Blaschke degree and the cap on the moduli of
+# their zeros
+_MAX_BLASCHKE_DEGREE = 4
+_ZERO_MODULUS_CAP = 0.95
 
 
 def substream(seed, *key):
@@ -299,50 +281,43 @@ def disk_sample(rng, cap):
     return cap * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
 
 
-def _blaschke_tree(rng, degree, cap):
+def _blaschke_tree(rng, degree):
     factors = None
     for _ in range(degree):
-        b = Bracket(disk_sample(rng, cap), Identity())
+        b = Bracket(disk_sample(rng, _ZERO_MODULUS_CAP), Identity())
         factors = b if factors is None else Product(factors, b)
     return Rotation(rng.random() * 2.0 * math.pi, factors)
 
 
-def _schur_tree(rng, max_degree, cap):
-    degree = int(rng.integers(0, max_degree + 1))
+def _schur_tree(rng):
+    degree = int(rng.integers(0, _MAX_BLASCHKE_DEGREE + 1))
     if degree == 0:
-        base = Constant(disk_sample(rng, cap))
+        base = Constant(disk_sample(rng, _ZERO_MODULUS_CAP))
     else:
-        base = _blaschke_tree(rng, degree, cap)
+        base = _blaschke_tree(rng, degree)
     if rng.random() < 0.5:
         # interior scaling keeps the sample away from the extremal class
         base = Product(Constant(complex(rng.random())), base)
     if rng.random() < 0.5:
-        base = MobiusT(disk_sample(rng, cap), base)
+        base = MobiusT(disk_sample(rng, _ZERO_MODULUS_CAP), base)
     return base
 
 
-def random_schur_function(cfg, index=0):
-    """Random Schur-class tree: a finite Blaschke product of degree up to
-    cfg.max_blaschke_degree (degree 0 gives a constant), optionally scaled
-    into the interior and transported by a random T_c."""
-    rng = substream(cfg.seed, 0, index)
-    return _schur_tree(rng, cfg.max_blaschke_degree, cfg.zero_modulus_cap)
+def random_schur_function(seed, index=0):
+    """Random Schur-class tree: a finite Blaschke product of degree up to 4
+    (degree 0 gives a constant), optionally scaled into the interior and
+    transported by a random T_c.  Reproducible per (seed, index); each index
+    gets an independent substream."""
+    return _schur_tree(substream(require_int(seed, "seed"), 0, require_int(index, "index")))
 
 
-def random_blaschke_product(cfg, index=0, degree=None):
-    """Random finite Blaschke product of the given degree (>= 1).
-
-    With degree None the degree is drawn uniformly from
-    {1, ..., cfg.max_blaschke_degree}.
-    """
-    rng = substream(cfg.seed, 1, index)
+def random_blaschke_product(seed, index=0, degree=None):
+    """Random finite Blaschke product of the given degree (>= 1), drawn
+    uniformly from {1, ..., 4} when degree is None."""
+    rng = substream(require_int(seed, "seed"), 1, require_int(index, "index"))
     if degree is None:
-        if cfg.max_blaschke_degree < 1:
-            raise DomainError("max_blaschke_degree must be >= 1 to draw a degree")
-        degree = int(rng.integers(1, cfg.max_blaschke_degree + 1))
-    if degree < 1:
-        raise DomainError("Blaschke degree must be >= 1")
-    return _blaschke_tree(rng, int(degree), cfg.zero_modulus_cap)
+        degree = int(rng.integers(1, _MAX_BLASCHKE_DEGREE + 1))
+    return _blaschke_tree(rng, require_int(degree, "degree", minimum=1))
 
 
 def complex_to_pair(z):
@@ -350,33 +325,13 @@ def complex_to_pair(z):
     return [z.real, z.imag]
 
 
-def _json_real(x):
-    """A JSON number as a float; bools, strings and overflowing integers are refused."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise DomainError(f"expected a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise DomainError(f"number out of range: {x!r}") from None
-
-
 def pair_to_complex(p):
     if not isinstance(p, (list, tuple)) or len(p) != 2:
         raise DomainError(f"expected [re, im] pair, got {p!r}")
-    return complex(_json_real(p[0]), _json_real(p[1]))
+    return complex(require_real(p[0], "real part"), require_real(p[1], "imaginary part"))
 
 
-# node tag -> (class, fields in constructor order); a field without a reader
-# holds a child node
-_NODES = {
-    "identity": (Identity, ()),
-    "constant": (Constant, (("c", pair_to_complex),)),
-    "rotation": (Rotation, (("theta", _json_real), ("child", None))),
-    "mobius": (MobiusT, (("a", pair_to_complex), ("child", None))),
-    "product": (Product, (("left", None), ("right", None))),
-    "compose": (Compose, (("outer", None), ("inner", None))),
-    "bracket": (Bracket, (("w", pair_to_complex), ("child", None))),
-}
+_NODES = {cls.TAG: cls for cls in (Identity, Constant, Rotation, MobiusT, Product, Compose, Bracket)}
 
 # evaluating or serialising a tree recurses once per level, so deeper
 # documents are refused well inside Python's default recursion limit (1000)
@@ -398,20 +353,26 @@ def _node_from_obj(obj, depth):
     node = obj["node"]
     if not isinstance(node, str) or node not in _NODES:
         raise DomainError(f"unknown node tag {node!r}")
-    cls, fields = _NODES[node]
-    unknown = set(obj) - {"node"} - {name for name, _ in fields}
+    cls = _NODES[node]
+    declared = fields(cls)
+    unknown = set(obj) - {"node"} - {f.name for f in declared}
     if unknown:
         raise DomainError(f"node {node!r} has unknown fields {sorted(map(str, unknown))}")
     args = []
-    for name, read in fields:
-        if name not in obj:
-            raise DomainError(f"node {node!r} is missing field {name!r}")
-        args.append(_node_from_obj(obj[name], depth + 1) if read is None else read(obj[name]))
+    for f in declared:
+        if f.name not in obj:
+            raise DomainError(f"node {node!r} is missing field {f.name!r}")
+        value = obj[f.name]
+        if f.type is FunctionExpr:
+            value = _node_from_obj(value, depth + 1)
+        elif f.type is complex:
+            value = pair_to_complex(value)
+        args.append(value)  # a real field is checked by its node's constructor
     return cls(*args)
 
 
-def function_to_json(f, indent=None):
-    return json.dumps(f.to_obj(), indent=indent)
+def function_to_json(f):
+    return json.dumps(f.to_obj())
 
 
 def function_from_json(text):

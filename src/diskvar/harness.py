@@ -61,10 +61,6 @@ __all__ = [
 MEMBERSHIP_FAMILIES = ("second", "dieudonne", "mercer")
 _FAMILY_TAGS = {"second": 11, "dieudonne": 12, "mercer": 13}
 _TIGHTNESS_TAG = 31
-# the membership suite's random Schur trees: maximum Blaschke degree and
-# the cap on the moduli of their zeros
-_MAX_BLASCHKE_DEGREE = 4
-_ZERO_MODULUS_CAP = 0.95
 
 
 @dataclass(frozen=True)
@@ -178,20 +174,20 @@ def _membership_margin(cfg, family, index):
     if family == "second":
         z0 = disk_sample(rng, 0.95)
         data = PrescribedData(z0, disk_sample(rng, 0.95), disk_sample(rng, 0.98))
-        gstar = _schur_tree(rng, _MAX_BLASCHKE_DEGREE, _ZERO_MODULUS_CAP)
+        gstar = _schur_tree(rng)
         g = schur_parametrize(data, gstar)
         return second_derivative_disk(data).margin(g.jet(z0).f2)
     if family == "dieudonne":
         z0 = _nonzero_disk_sample(rng, 0.95)
         w0 = disk_sample(rng, 0.95) * z0
-        fstar = _schur_tree(rng, _MAX_BLASCHKE_DEGREE, _ZERO_MODULUS_CAP)
+        fstar = _schur_tree(rng)
         f = dieudonne_parametrize(z0, w0, fstar)
         return dieudonne_disk(z0, w0).margin(f.jet(z0).f1)
     if family == "mercer":
         z0 = _nonzero_disk_sample(rng, 0.95)
         w0 = disk_sample(rng, 0.95) * z0
         z = disk_sample(rng, 0.95)
-        fstar = _schur_tree(rng, _MAX_BLASCHKE_DEGREE, _ZERO_MODULUS_CAP)
+        fstar = _schur_tree(rng)
         f = dieudonne_parametrize(z0, w0, fstar)
         return mercer_disk(z0, w0, z).margin(f.value(z))
     raise DomainError(f"unknown membership family {family!r}")

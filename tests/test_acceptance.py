@@ -19,7 +19,6 @@ from diskvar.bounds import (
 from diskvar.disks import dieudonne_disk, peschl_pair
 from diskvar.extremal import ExtremalKind
 from diskvar.functions import (
-    RandomFunctionConfig,
     disk_sample,
     eval_jet,
     random_blaschke_product,
@@ -67,10 +66,9 @@ def test_criterion_2_dieudonne_membership():
 
 
 def test_criterion_3_yamashita_inequality_and_equality():
-    cfg = RandomFunctionConfig(seed=SEED)
     worst_excess = float("-inf")
     for index in range(10000):
-        g = random_schur_function(cfg, index)
+        g = random_schur_function(SEED, index)
         z0 = disk_sample(substream(SEED, 22, index), 0.9)
         pair = peschl_pair(g, z0)
         worst_excess = max(worst_excess, abs(pair.d2) - 2.0 * (1.0 - abs(pair.d1) ** 2))
@@ -78,7 +76,7 @@ def test_criterion_3_yamashita_inequality_and_equality():
     worst_gap = 0.0
     for index in range(1000):
         degree = 1 + index % 2
-        b = random_blaschke_product(cfg, index, degree=degree)
+        b = random_blaschke_product(SEED, index, degree=degree)
         z0 = disk_sample(substream(SEED, 23, index), 0.9)
         pair = peschl_pair(b, z0)
         worst_gap = max(worst_gap, abs(abs(pair.d2) - 2.0 * (1.0 - abs(pair.d1) ** 2)))
@@ -162,10 +160,9 @@ def test_criterion_6_domination_and_seam():
 
 
 def test_criterion_7_jets_match_finite_differences():
-    cfg = RandomFunctionConfig(seed=SEED)
     worst = 0.0
     for index in range(500):
-        f = random_schur_function(cfg, index)
+        f = random_schur_function(SEED, index)
         z = disk_sample(substream(SEED, 24, index), 0.9)
         jet = eval_jet(f, z)
         f0, f1, f2 = fd_jet(f, z)

@@ -84,6 +84,16 @@ def test_out_of_range_inputs():
         theorem31_bound(-0.1, 0.5)
     with pytest.raises(DomainError):
         szasz_bound(float("nan"))
+    # bools and strings are refused, not converted
+    for args in ((False, 0.25), (0.5, "0.25")):
+        with pytest.raises(DomainError, match="must be a finite real number"):
+            theorem31_bound(*args)
+    with pytest.raises(DomainError, match="r must be a finite real number"):
+        szasz_bound("0.5")
+    with pytest.raises(DomainError, match="R must be a finite real number"):
+        ruscheweyh_bound(2, 0.5, True)
+    with pytest.raises(DomainError, match=r"r must lie in \[0, 1\), got 1.5"):
+        theorem31_bound(1.5, 0.25)
     with pytest.raises(DomainError):
         ruscheweyh_bound(3, 0.5, 0.0)
 

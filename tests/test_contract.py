@@ -1,14 +1,23 @@
 """The reference behaviour, pinned exactly.
 
-The seed-42 attainment report and one ``extremal verify --emit-function``
-document per extremal kind must stay byte-identical: a dropped, added or
-changed attainment row, or a changed extremal tree or jet, fails here.
+The seed-42 attainment report, one ``extremal verify --emit-function``
+document per extremal kind and the JSON text of thousands of trees must stay
+byte-identical: a dropped, added or changed attainment row, or a changed
+extremal tree, jet or serialization, fails here.
 """
+
+import hashlib
 
 import pytest
 
 from diskvar.cli import cli_main
-from diskvar.extremal import ExtremalKind
+from diskvar.extremal import KINDS, ExtremalKind, make_extremal
+from diskvar.functions import (
+    function_from_json,
+    function_to_json,
+    random_blaschke_product,
+    random_schur_function,
+)
 from diskvar.harness import HarnessConfig, run_attainment_suite
 
 ROWS_BY_KIND = {
@@ -150,3 +159,24 @@ def test_extremal_verify_golden(capsys, argv, expected):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == expected
+
+
+# sha256 over the concatenated function_to_json text of the trees below
+TREES_SHA256 = "a2df24b07b8a51e605b7590db7a61a9ecf592d2fef39e32e44cbb0059684b7e2"
+
+
+def test_serialized_trees():
+    """Seed-9 random Schur and Blaschke trees for indices 0-2999, then every
+    attainment-grid extremal in ``KINDS`` order, serialize to pinned text and
+    read back as the same tree."""
+    trees = [f(9, index) for index in range(3000) for f in (random_schur_function, random_blaschke_product)]
+    for spec in KINDS.values():
+        for point in spec.grid():
+            trees += [make_extremal(spec.kind, **point.data, **free) for free, _ in point.rows]
+    digest = hashlib.sha256()
+    for f in trees:
+        text = function_to_json(f)
+        assert function_from_json(text) == f
+        digest.update(text.encode())
+    assert len(trees) == 7753
+    assert digest.hexdigest() == TREES_SHA256

@@ -254,7 +254,7 @@ def test_verify_attainment_rejects_negative_tol():
 
 
 def test_theta_must_be_a_finite_real():
-    for bad in ("abc", float("inf"), float("nan"), True, 1j):
+    for bad in ("abc", float("inf"), float("nan"), True, 1j, 10**400):
         with pytest.raises(DomainError, match="theta must be a finite real number"):
             make_extremal(ExtremalKind.SZASZ, z0=0.5, theta=bad)
     # checked on the sharp-deg2 branches that do not use theta, too

@@ -10,11 +10,11 @@ from diskvar.functions import (
     Bracket,
     Compose,
     Constant,
+    FunctionExpr,
     Identity,
     MobiusT,
     PrescribedData,
     Product,
-    RandomFunctionConfig,
     Rotation,
     dieudonne_parametrize,
     disk_sample,
@@ -43,7 +43,7 @@ def polar(max_modulus):
 
 disk_pts = polar(0.9)
 
-CFG = RandomFunctionConfig(seed=20240611)
+SEED = 20240611
 
 
 def test_node_values():
@@ -65,6 +65,13 @@ def test_evaluate_validates_point():
         eval_jet(Identity(), 1.0 + 0j)
 
 
+def test_rotation_theta_must_be_a_finite_real():
+    for bad in ("abc", True, 10**400, float("inf")):
+        with pytest.raises(DomainError, match="theta must be a finite real number"):
+            Rotation(bad, Identity())
+    assert Rotation(2, Identity()).theta == 2.0
+
+
 def test_constant_accepts_unimodular():
     c = Constant(cmath.exp(0.4j))
     assert abs(abs(c.c) - 1.0) < 1e-12
@@ -81,8 +88,8 @@ def test_eval_jet_square():
 @settings(max_examples=60, deadline=None)
 @given(index=st.integers(min_value=0, max_value=10_000))
 def test_random_tree_jets_match_finite_differences(index):
-    f = random_schur_function(CFG, index=index)
-    z = disk_sample(substream(CFG.seed, 5, index), 0.9)
+    f = random_schur_function(SEED, index=index)
+    z = disk_sample(substream(SEED, 5, index), 0.9)
     jet = eval_jet(f, z)
     f0, f1, f2 = fd_jet(f, z)
     assert rel_err(jet.f0, f0) < 1e-9
@@ -91,46 +98,59 @@ def test_random_tree_jets_match_finite_differences(index):
 
 
 def test_sampler_is_deterministic():
-    a = random_schur_function(CFG, index=3)
-    b = random_schur_function(CFG, index=3)
+    a = random_schur_function(SEED, index=3)
+    b = random_schur_function(SEED, index=3)
     assert a == b  # trees are frozen dataclasses, equality is structural
-    assert any(random_schur_function(CFG, index=i) != a for i in range(4, 10))
+    assert any(random_schur_function(SEED, index=i) != a for i in range(4, 10))
 
 
-def test_sampler_respects_config_caps():
-    cfg = RandomFunctionConfig(seed=7, max_blaschke_degree=2, zero_modulus_cap=0.5)
-    for i in range(50):
-        f = random_schur_function(cfg, index=i)
-        for z in (0j, 0.4 + 0.4j, -0.7j):
-            assert abs(evaluate(f, z)) <= 1.0 + 1e-12
+def _nodes(f):
+    yield f
+    for child in vars(f).values():
+        if isinstance(child, FunctionExpr):
+            yield from _nodes(child)
+
+
+def test_sampler_respects_fixed_caps():
+    # at most 4 Blaschke zeros, each of modulus <= 0.95
+    degrees = set()
+    for i in range(200):
+        for f in (random_schur_function(7, index=i), random_blaschke_product(7, index=i)):
+            zeros = [node.w for node in _nodes(f) if isinstance(node, Bracket)]
+            degrees.add(len(zeros))
+            assert all(abs(w) <= 0.95 for w in zeros)
+            for z in (0j, 0.4 + 0.4j, -0.7j):
+                assert abs(evaluate(f, z)) <= 1.0 + 1e-12
+    assert degrees == {0, 1, 2, 3, 4}
 
 
 def test_blaschke_product_unimodular_on_circle():
     for i in range(20):
-        b = random_blaschke_product(CFG, index=i)
+        b = random_blaschke_product(SEED, index=i)
         for k in range(8):
             z = cmath.exp(2j * math.pi * k / 8)
             assert abs(abs(b.value(z)) - 1.0) < 1e-11
 
 
 def test_blaschke_degree_argument():
-    b = random_blaschke_product(CFG, index=0, degree=3)
+    b = random_blaschke_product(SEED, index=0, degree=3)
     # a degree-3 product has three bracket factors; count them in the tree
     text = function_to_json(b)
     assert text.count('"bracket"') == 3
     with pytest.raises(DomainError):
-        random_blaschke_product(CFG, index=0, degree=0)
+        random_blaschke_product(SEED, index=0, degree=0)
 
 
-def test_config_validation():
-    with pytest.raises(DomainError):
-        RandomFunctionConfig(seed=-1)
-    with pytest.raises(DomainError):
-        RandomFunctionConfig(seed=1, zero_modulus_cap=1.0)
-    # integer fields are checked, not truncated
-    for bad in ({"seed": 1.5}, {"seed": "3"}, {"seed": 1, "max_blaschke_degree": 2.5}):
+def test_sampler_argument_validation():
+    # seed, index and degree are checked, not truncated
+    for args in ((-1,), (1.5,), ("3",), (1, 2.5), (1, -1)):
         with pytest.raises(DomainError):
-            RandomFunctionConfig(**bad)
+            random_schur_function(*args)
+        with pytest.raises(DomainError):
+            random_blaschke_product(*args)
+    for degree in (2.5, True):
+        with pytest.raises(DomainError):
+            random_blaschke_product(1, degree=degree)
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,10 +200,10 @@ def test_prescribed_data_validation():
 @settings(max_examples=60, deadline=None)
 @given(index=st.integers(min_value=0, max_value=10_000))
 def test_json_roundtrip(index):
-    f = random_schur_function(CFG, index=index)
+    f = random_schur_function(SEED, index=index)
     g = function_from_json(function_to_json(f))
     assert f == g
-    z = disk_sample(substream(CFG.seed, 6, index), 0.9)
+    z = disk_sample(substream(SEED, 6, index), 0.9)
     assert eval_jet(f, z) == eval_jet(g, z)
 
 
@@ -203,8 +223,8 @@ def test_expr_from_obj_errors():
     for c in (["0.1", 0.0], [10**400, 0.0]):
         with pytest.raises(DomainError):
             expr_from_obj({"node": "constant", "c": c})
-    for theta in ("0.5", True):
-        with pytest.raises(DomainError):
+    for theta in ("0.5", True, 10**400):
+        with pytest.raises(DomainError, match="theta must be a finite real number"):
             expr_from_obj({"node": "rotation", "theta": theta, "child": {"node": "identity"}})
     with pytest.raises(DomainError):
         expr_from_obj({"node": ["identity"]})

@@ -19,6 +19,7 @@ from diskvar.moebius import (
     jet_scale,
     mobius_T,
     require_finite,
+    require_real,
     unimodular_point,
     unit_disk_point,
 )
@@ -56,6 +57,13 @@ def test_require_finite_rejects_nan_inf():
         require_finite(complex(float("nan"), 0.0))
     with pytest.raises(DomainError):
         require_finite(complex(0.0, float("inf")))
+
+
+def test_require_real_refuses_non_reals_and_huge_integers():
+    assert require_real(3, "x") == 3.0
+    for bad in (10**400, -(10**400), float("nan"), True, "1"):
+        with pytest.raises(DomainError, match="x must be a finite real number"):
+            require_real(bad, "x")
 
 
 def test_unimodular_point_renormalises():

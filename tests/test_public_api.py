@@ -23,6 +23,7 @@ REMOVED = (
     "peschl_d2",
     "SecondOrderData",
     "ExtremalParams",
+    "RandomFunctionConfig",
     "psi",
     "psi_argmax",
     "phi_cubic",
