@@ -27,13 +27,6 @@ from .disks import (
 )
 from .extremal import ExtremalKind, kind_for_branch, kind_spec, make_extremal, verify_attainment
 from .functions import PrescribedData, complex_to_pair
-from .harness import (
-    MEMBERSHIP_FAMILIES,
-    HarnessConfig,
-    run_attainment_suite,
-    run_membership_suite,
-    run_tightness_search,
-)
 from .moebius import DegeneracyError, DomainError, PoleError, require_finite
 
 # not called here since the kind table computes the targets; kept bound
@@ -198,7 +191,13 @@ def _report_exit(args, report):
     return 1 if report.violations > 0 else 0
 
 
+# the verify handlers import the harness themselves: it loads numpy and the
+# process pool, which the closed-form commands never use
+
+
 def _harness_config(args):
+    from .harness import HarnessConfig
+
     kwargs = {"seed": args.seed, "samples": args.samples, "parallel": args.parallel}
     if args.tol is not None:
         kwargs["tol"] = args.tol
@@ -206,16 +205,22 @@ def _harness_config(args):
 
 
 def _cmd_verify_membership(args):
+    from .harness import MEMBERSHIP_FAMILIES, run_membership_suite
+
     families = tuple(args.families.split(",")) if args.families else MEMBERSHIP_FAMILIES
     return _report_exit(args, run_membership_suite(_harness_config(args), families))
 
 
 def _cmd_verify_attainment(args):
+    from .harness import run_attainment_suite
+
     kinds = tuple(args.kinds.split(",")) if args.kinds else None
     return _report_exit(args, run_attainment_suite(_harness_config(args), kinds))
 
 
 def _cmd_verify_tightness(args):
+    from .harness import run_tightness_search
+
     return _report_exit(args, run_tightness_search(_harness_config(args), args.r, args.R))
 
 

@@ -7,6 +7,9 @@ R = |delta0|.  Every region below is sharp.  The harness in
 ``diskvar.harness`` checks membership on random samples, and the extremal
 constructors in ``diskvar.extremal`` land on the boundary of each region
 except the Rogosinski and Mercer disks, which have no extremal kind yet.
+``dieudonne_disk``, ``mercer_disk`` and ``second_derivative_disk`` also take
+batches (see ``diskvar.moebius``) and return one disk per lane, which is how
+the harness checks a whole block of samples at once.
 """
 
 from typing import NamedTuple
@@ -16,6 +19,7 @@ from .moebius import (
     DegeneracyError,
     Disk,
     DomainError,
+    _any_lane,
     closed_disk_point,
     mobius_T,
     require_finite,
@@ -70,9 +74,9 @@ def dieudonne_disk(z0, w0):
     w0 = require_finite(w0, "w0")
     r = abs(z0)
     s = abs(w0)
-    if r >= 1.0:
+    if _any_lane(r >= 1.0):
         raise DomainError("z0 must lie in the open unit disk")
-    if s >= r:
+    if _any_lane(s >= r):
         raise DomainError("dieudonne_disk requires |w0| < |z0|")
     return Disk(w0 / z0, (r * r - s * s) / (r * (1.0 - r * r)))
 
@@ -92,9 +96,9 @@ def mercer_disk(z0, w0, z):
     z0 = require_finite(z0, "z0")
     w0 = require_finite(w0, "w0")
     z = unit_disk_point(z, "z")
-    if abs(z0) >= 1.0:
+    if _any_lane(abs(z0) >= 1.0):
         raise DomainError("z0 must lie in the open unit disk")
-    if abs(w0) >= abs(z0):
+    if _any_lane(abs(w0) >= abs(z0)):
         raise DomainError("mercer_disk requires |w0| < |z0|")
     u0 = w0 / z0
     t = mobius_T(-z0, z)

@@ -427,6 +427,7 @@ def verify_attainment(kind, params, tol):
     spec = kind_spec(kind)
     g = make_extremal(spec.kind, **params)
     target = spec.target(**{name: params[name] for name, _ in spec.data})
+    tol = require_real(tol, "tol", finite=False)
     if not tol >= 0.0:
         raise DomainError("tol must be non-negative")
     j = eval_jet(g, complex(params["z0"]))
@@ -442,7 +443,7 @@ def verify_attainment(kind, params, tol):
         second=j.f2,
         target=text,
         distance=distance,
-        tol=float(tol),
+        tol=tol,
         passed=distance <= tol,
     )
 

@@ -9,7 +9,10 @@ Constants live in the closed disk, Moebius and bracket parameters in the open
 disk, so every well-formed tree maps the disk into the closed disk by
 construction.  Trees evaluate pointwise (``value``) and as second-order jets
 (``jet``); ``value`` is generic over the scalar type so a high-precision
-evaluation (e.g. with mpmath) can serve as an independent oracle.
+evaluation (e.g. with mpmath) can serve as an independent oracle.  A node's
+parameters may also be batches (numpy arrays, one lane per sample, see
+``diskvar.moebius``): the tree then stands for one function per lane and
+evaluates all of them at once, at a batch of points.
 
 A node's JSON tag and fields are declared once, by its class: ``TAG`` and the
 dataclass fields, whose declared types say how each field is written and read.
@@ -20,11 +23,11 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .moebius import (
     DomainError,
     Jet2,
+    _any_lane,
+    _is_batch,
     closed_disk_point,
     jet_compose,
     jet_div,
@@ -124,10 +127,19 @@ class Rotation(FunctionExpr):
         object.__setattr__(self, "theta", require_real(self.theta, "theta"))
 
     def value(self, z):
-        return cmath.exp(1j * self.theta) * self.child.value(z)
+        return _unimodular(self.theta) * self.child.value(z)
 
     def jet(self, z0):
-        return jet_scale(cmath.exp(1j * self.theta), self.child.jet(z0))
+        return jet_scale(_unimodular(self.theta), self.child.jet(z0))
+
+
+def _unimodular(theta):
+    """e^{i theta}, lane-wise for a batch of angles."""
+    if _is_batch(theta):
+        import numpy as np  # a batch is a numpy array, so numpy is loaded already
+
+        return np.exp(1j * theta)
+    return cmath.exp(1j * theta)
 
 
 @dataclass(frozen=True)
@@ -242,7 +254,7 @@ def schur_parametrize(data, gstar):
     class collapses to a single degree-1 Blaschke product, available from
     ``diskvar.extremal``.
     """
-    if abs(data.delta1) >= 1.0:
+    if _any_lane(abs(data.delta1) >= 1.0):
         raise DomainError(
             "schur_parametrize needs |delta1| < 1; the |delta1| = 1 case is a "
             "single extremal function"
@@ -258,7 +270,7 @@ def dieudonne_parametrize(z0, w0, fstar):
     """
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
-    if abs(w0) >= abs(z0):
+    if _any_lane(abs(w0) >= abs(z0)):
         raise DomainError("dieudonne_parametrize requires |w0| < |z0|")
     u0 = w0 / z0
     u = MobiusT(-z0, Identity())
@@ -273,12 +285,21 @@ _ZERO_MODULUS_CAP = 0.95
 
 def substream(seed, *key):
     """Independent RNG substream keyed by (seed, *key)."""
+    # numpy loads on the first draw, so the closed forms and the CLI run without it
+    import numpy as np
+
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
 
-def disk_sample(rng, cap):
-    """Area-uniform point with |z| <= cap."""
-    return cap * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+def disk_sample(rng, cap, size=None):
+    """Area-uniform point with |z| <= cap, or a batch of ``size`` such points."""
+    if size is None:
+        sqrt, exp = math.sqrt, cmath.exp
+    else:
+        import numpy as np
+
+        sqrt, exp = np.sqrt, np.exp
+    return cap * sqrt(rng.random(size)) * exp(2j * math.pi * rng.random(size))
 
 
 def _blaschke_tree(rng, degree):

@@ -10,9 +10,14 @@ Three suites back the closed-form results numerically:
 * tightness: coarse maximisation of |g''(z0)| over sampled parameters must
   approach the sharp bound from below and never cross it.
 
-Sampling is deterministic: every sample draws from an independent RNG
-substream keyed by (seed, suite tag, index), so serial and parallel runs
-aggregate to identical reports (violation counts sum, margins reduce by min).
+Sampling is deterministic.  Membership draws its random parameters in blocks
+of ``_BLOCK`` samples, from an independent RNG substream keyed by (seed,
+family tag, block); a block always draws in full and is then sliced.  The
+samples of a block are checked together, as a batch (numpy arrays, one lane
+per sample), through the same trees, parametrizations and closed forms that
+evaluate a single sample.  Tightness draws one substream per (seed, suite tag,
+index).  So any split of the indices, serial or parallel, aggregates to the
+same report (violation counts sum, margins reduce by min).
 """
 
 import math
@@ -21,7 +26,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+
+import numpy as np
 
 from .bounds import theorem31_bound
 from .disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_derivative_disk
@@ -34,20 +41,29 @@ from .extremal import (
     make_extremal,
 )
 from .functions import (
+    _MAX_BLASCHKE_DEGREE,
+    _ZERO_MODULUS_CAP,
+    Bracket,
     Constant,
+    FunctionExpr,
+    Identity,
+    MobiusT,
     PrescribedData,
-    _schur_tree,
+    Product,
+    Rotation,
     dieudonne_parametrize,
     disk_sample,
     schur_parametrize,
     substream,
 )
-from .moebius import DomainError, require_int
+from .moebius import DomainError, Jet2, require_int, require_real
 
-# not called here since the kind table computes the attainment targets; kept
-# bound because bench/tracing.py wraps these names in this module
+# not called here since the kind table computes the attainment targets and
+# membership draws whole blocks; kept bound because bench/tracing.py wraps
+# these names in this module
 from .disks import schwarz_pick_disk, second_order_dieudonne_disk  # noqa: F401
 from .extremal import branch_bound_for  # noqa: F401
+from .functions import _schur_tree  # noqa: F401
 
 __all__ = [
     "HarnessConfig",
@@ -61,12 +77,17 @@ __all__ = [
 MEMBERSHIP_FAMILIES = ("second", "dieudonne", "mercer")
 _FAMILY_TAGS = {"second": 11, "dieudonne": 12, "mercer": 13}
 _TIGHTNESS_TAG = 31
+# membership samples per random block
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """``tol`` is the slack of every check: disk inclusion and the bound in
-    membership and tightness, the distance to the target in attainment."""
+    """``tol`` is the slack of every check, relative where the checked
+    quantity can grow: disk inclusion in membership (margins are scaled by
+    1 + radius), the bound in tightness (a sample fails when it exceeds the
+    bound by more than tol * (1 + bound)), the distance to the target in
+    attainment."""
 
     seed: int = 42
     samples: int = 10000
@@ -76,8 +97,10 @@ class HarnessConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", require_int(self.seed, "seed"))
         object.__setattr__(self, "samples", require_int(self.samples, "samples"))
-        if not self.tol > 0.0:
+        tol = require_real(self.tol, "tol", finite=False)
+        if not tol > 0.0:
             raise DomainError("tol must be positive")
+        object.__setattr__(self, "tol", tol)
 
 
 @dataclass(frozen=True)
@@ -143,11 +166,12 @@ def _map_chunks(fn, n, parallel):
 
 
 def _tally(part, margin, tol, value=None):
-    """Add one sample to a chunk tally (count, violations, worst margin, best value)."""
+    """Add one sample to a chunk tally (count, violations, worst margin, best
+    value); a NaN margin counts as a violation."""
     n, violations, worst, best = part
     return (
         n + 1,
-        violations + (margin < -tol),
+        violations + (not margin >= -tol),
         margin if worst is None or margin < worst else worst,
         value if best is None or (value is not None and value > best) else best,
     )
@@ -161,45 +185,111 @@ def _merge(parts):
     return sum(p[0] for p in parts), sum(p[1] for p in parts), min(worsts, default=None), max(bests, default=None)
 
 
-def _nonzero_disk_sample(rng, cap):
-    z = disk_sample(rng, cap)
-    while abs(z) <= 1e-6:
-        z = disk_sample(rng, cap)
+def _batch_tally(margins, tol):
+    """The chunk tally of a batch of margins; a NaN margin counts as a violation."""
+    return margins.size, int(np.count_nonzero(~(margins >= -tol))), float(margins.min()), None
+
+
+@dataclass(frozen=True, eq=False)
+class _Select(FunctionExpr):
+    """Batch-only node: ``then`` in the lanes where ``mask`` holds, ``other``
+    elsewhere.  It pads random trees of different shapes to one template and
+    has no JSON form."""
+
+    mask: object
+    then: FunctionExpr
+    other: FunctionExpr
+
+    def value(self, z):
+        return np.where(self.mask, self.then.value(z), self.other.value(z))
+
+    def jet(self, z0):
+        return Jet2(*(np.where(self.mask, a, b) for a, b in zip(self.then.jet(z0), self.other.jet(z0))))
+
+
+def _draw_schur(rng, n):
+    """The parameters of n random Schur trees, one lane each, from the
+    distributions ``_schur_tree`` draws a single tree's from."""
+    return {
+        "degree": rng.integers(0, _MAX_BLASCHKE_DEGREE + 1, n),
+        "k": disk_sample(rng, _ZERO_MODULUS_CAP, n),
+        "zeros": disk_sample(rng, _ZERO_MODULUS_CAP, (_MAX_BLASCHKE_DEGREE, n)),
+        "theta": 2.0 * math.pi * rng.random(n),
+        "scaled": rng.random(n) < 0.5,
+        "s": rng.random(n),
+        "wrapped": rng.random(n) < 0.5,
+        "c": disk_sample(rng, _ZERO_MODULUS_CAP, n),
+    }
+
+
+def _schur_template(p):
+    """One tree for a batch of random Schur trees: T_c(s * base), where base is
+    the constant k at degree 0 and e^{i theta} times the bracket factors
+    [z, w_j] otherwise, each factor at or beyond the lane's degree padded to 1;
+    s = 1 where the lane is not scaled and c = 0 where it is not wrapped."""
+    degree = p["degree"]
+    factors = [_Select(j < degree, Bracket(w, Identity()), Constant(1.0)) for j, w in enumerate(p["zeros"])]
+    base = _Select(degree == 0, Constant(p["k"]), Rotation(p["theta"], reduce(Product, factors)))
+    s = np.where(p["scaled"], p["s"], 1.0)
+    return MobiusT(np.where(p["wrapped"], p["c"], 0.0), Product(Constant(s), base))
+
+
+def _nonzero_disk_samples(rng, n):
+    """n points as ``disk_sample(rng, 0.95, n)`` gives them, each with
+    |z| <= 1e-6 redrawn: the Dieudonné and Mercer data need z0 != 0."""
+    z = disk_sample(rng, 0.95, n)
+    small = abs(z) <= 1e-6
+    while small.any():
+        z[small] = disk_sample(rng, 0.95, int(small.sum()))
+        small = abs(z) <= 1e-6
     return z
 
 
-def _membership_margin(cfg, family, index):
-    """Inclusion margin of one random sample in its predicted disk."""
-    rng = substream(cfg.seed, _FAMILY_TAGS[family], index)
+def _draw_block(family, rng):
+    """Every random parameter of one block of a family, ``_BLOCK`` lanes each,
+    in draw order: the interpolation data, then the Schur parameter."""
     if family == "second":
-        z0 = disk_sample(rng, 0.95)
-        data = PrescribedData(z0, disk_sample(rng, 0.95), disk_sample(rng, 0.98))
-        gstar = _schur_tree(rng)
+        p = {
+            "z0": disk_sample(rng, 0.95, _BLOCK),
+            "delta0": disk_sample(rng, 0.95, _BLOCK),
+            "delta1": disk_sample(rng, 0.98, _BLOCK),
+        }
+    else:
+        z0 = _nonzero_disk_samples(rng, _BLOCK)
+        p = {"z0": z0, "w0": disk_sample(rng, 0.95, _BLOCK) * z0}
+        if family == "mercer":
+            p["z"] = disk_sample(rng, 0.95, _BLOCK)
+    p.update(_draw_schur(rng, _BLOCK))
+    return p
+
+
+def _block_margins(family, p):
+    """Inclusion margins of a batch of samples in their predicted disks."""
+    z0 = p["z0"]
+    gstar = _schur_template(p)
+    if family == "second":
+        data = PrescribedData(z0, p["delta0"], p["delta1"])
         g = schur_parametrize(data, gstar)
         return second_derivative_disk(data).margin(g.jet(z0).f2)
+    f = dieudonne_parametrize(z0, p["w0"], gstar)
     if family == "dieudonne":
-        z0 = _nonzero_disk_sample(rng, 0.95)
-        w0 = disk_sample(rng, 0.95) * z0
-        fstar = _schur_tree(rng)
-        f = dieudonne_parametrize(z0, w0, fstar)
-        return dieudonne_disk(z0, w0).margin(f.jet(z0).f1)
-    if family == "mercer":
-        z0 = _nonzero_disk_sample(rng, 0.95)
-        w0 = disk_sample(rng, 0.95) * z0
-        z = disk_sample(rng, 0.95)
-        fstar = _schur_tree(rng)
-        f = dieudonne_parametrize(z0, w0, fstar)
-        return mercer_disk(z0, w0, z).margin(f.value(z))
-    raise DomainError(f"unknown membership family {family!r}")
+        return dieudonne_disk(z0, p["w0"]).margin(f.jet(z0).f1)
+    return mercer_disk(z0, p["w0"], p["z"]).margin(f.value(p["z"]))
 
 
 def _membership_chunk(cfg, families, rg):
+    """Tally of samples lo..hi-1 of every family.  Each block they touch is
+    drawn in full and sliced, so any split of the indices sees the same lanes."""
     lo, hi = rg
-    part = (0, 0, None, None)
-    for index in range(lo, hi):
+    parts = []
+    for block in range(lo // _BLOCK, (hi + _BLOCK - 1) // _BLOCK):
+        first = block * _BLOCK
+        lanes = slice(max(lo - first, 0), min(hi - first, _BLOCK))
         for family in families:
-            part = _tally(part, _membership_margin(cfg, family, index), cfg.tol)
-    return part
+            p = _draw_block(family, substream(cfg.seed, _FAMILY_TAGS[family], block))
+            margins = _block_margins(family, {name: v[..., lanes] for name, v in p.items()})
+            parts.append(_batch_tally(margins, cfg.tol))
+    return _merge(parts)
 
 
 def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
@@ -287,6 +377,7 @@ def _tightness_chunk(cfg, r, R, bound, rg):
     d0 = complex(R)
     part = (0, 0, None, None)
     total = max(1, cfg.samples)
+    tol = cfg.tol * (1.0 + bound)
     for index in range(lo, hi):
         rng = substream(cfg.seed, _TIGHTNESS_TAG, index)
         # stratify the delta1 modulus by index; phases stay uniform
@@ -301,7 +392,7 @@ def _tightness_chunk(cfg, r, R, bound, rg):
         for alpha in alphas:
             g = schur_parametrize(data, Constant(alpha))
             second = abs(g.jet(z0).f2)
-            part = _tally(part, bound - second, cfg.tol, second)
+            part = _tally(part, bound - second, tol, second)
     return part
 
 
@@ -311,7 +402,9 @@ def run_tightness_search(cfg, r, R):
     The sample set is stratified over the delta1 modulus, includes the
     aligned boundary parameter for each sample, and always contains the
     closed-form extremal of the active branch, so the supremum is reached up
-    to sampling resolution.  No sample may exceed the bound.
+    to sampling resolution.  No sample may exceed the bound by more than
+    cfg.tol * (1 + bound): the bound grows like (1 - r^2)^-2, and a fixed
+    slack would count rounding error near the boundary as a violation.
     """
     result = theorem31_bound(r, R)
     bound = result.value
@@ -328,7 +421,7 @@ def run_tightness_search(cfg, r, R):
             candidates.append(make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=d0, delta1=d1))
     for g in candidates:
         second = abs(g.jet(z0).f2)
-        part = _tally(part, bound - second, cfg.tol, second)
+        part = _tally(part, bound - second, cfg.tol * (1.0 + bound), second)
     n, violations, worst, best = part
 
     return HarnessReport(

@@ -1,10 +1,12 @@
 """Unit-disk Moebius maps, pseudo-hyperbolic differences, closed disks, and
 second-order jet arithmetic.
 
-Everything here works on plain ``complex`` scalars.  Domains are checked at
-the API boundary: open-disk arguments must satisfy |z| < 1, closed-disk
-arguments |z| <= 1 (with a tiny slack so that unimodular values produced by
-``cmath.exp`` are accepted).
+Everything here works on plain ``complex`` scalars, and lane-wise on a batch:
+a numpy array holding one value per sample.  Domains are checked at the API
+boundary: open-disk arguments must satisfy |z| < 1, closed-disk arguments
+|z| <= 1 (with a tiny slack so that unimodular values produced by
+``cmath.exp`` are accepted).  A batch passes a check only when every lane
+does; the checks never import numpy, so the scalar paths run without it.
 """
 
 import cmath
@@ -50,7 +52,28 @@ class DegeneracyError(ArithmeticError):
     """The requested functional is undefined for this function/point."""
 
 
+def _is_batch(x):
+    """True for a numpy array of samples (ndim >= 1); numpy scalars and 0-d
+    arrays count as scalars."""
+    return getattr(x, "ndim", 0) > 0
+
+
+def _any_lane(cond):
+    """A scalar condition itself, or whether it holds in any lane of a batch."""
+    return cond.any() if _is_batch(cond) else cond
+
+
+# The hot scalar paths below test ``type(x) is complex`` (or float, or bool)
+# before anything else: a Python scalar then costs no extra call.
+
+
 def require_finite(z, name="value"):
+    if type(z) is not complex and _is_batch(z):
+        z = z.astype(complex, copy=False)
+        finite = (abs(z.real) < math.inf) & (abs(z.imag) < math.inf)
+        if not finite.all():
+            raise DomainError(f"{name} must have finite components, got {complex(z[~finite][0])!r}")
+        return z
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"{name} must have finite components, got {z!r}")
@@ -67,32 +90,48 @@ def require_int(n, name, minimum=0):
     return int(n)
 
 
-def require_real(x, name):
+def require_real(x, name, finite=True):
     """Validate a finite real number and return it as a float; bools, strings
-    and integers beyond the float range are refused rather than converted."""
+    and integers beyond the float range are refused rather than converted.
+    With finite=False, infinities and NaN pass, for the caller's range check.
+    A batch must hold integers or floats."""
+    if type(x) is not float and _is_batch(x):
+        if x.dtype.kind not in "iuf" or (finite and not (abs(x) < math.inf).all()):
+            raise DomainError(
+                f"{name} must hold a {'finite ' if finite else ''}real number in every lane, got a {x.dtype} batch"
+            )
+        return x.astype(float, copy=False)
     try:
         # float and int first: they skip the abstract-class check, ~10x slower
-        ok = not isinstance(x, bool) and isinstance(x, (float, int, numbers.Real)) and math.isfinite(x)
+        ok = not isinstance(x, bool) and isinstance(x, (float, int, numbers.Real))
+        value = float(x) if ok else None
+        ok = ok and (not finite or math.isfinite(value))
     except OverflowError:
         ok = False
     if not ok:
-        raise DomainError(f"{name} must be a finite real number, got {x!r}")
-    return float(x)
+        raise DomainError(f"{name} must be a {'finite ' if finite else ''}real number, got {x!r}")
+    return value
 
 
 def unit_disk_point(z, name="z"):
     """Validate |z| < 1 and return z as a complex number."""
     z = require_finite(z, name)
-    if abs(z) >= 1.0:
-        raise DomainError(f"{name} must lie in the open unit disk, |{name}| = {abs(z)}")
+    m = abs(z)
+    if type(m) is not float:  # a batch: its largest modulus
+        m = m.max()
+    if m >= 1.0:
+        raise DomainError(f"{name} must lie in the open unit disk, |{name}| = {m}")
     return z
 
 
 def closed_disk_point(z, name="z"):
     """Validate |z| <= 1 and return z as a complex number."""
     z = require_finite(z, name)
-    if abs(z) > 1.0 + _CLOSED_SLACK:
-        raise DomainError(f"{name} must lie in the closed unit disk, |{name}| = {abs(z)}")
+    m = abs(z)
+    if type(m) is not float:  # a batch: its largest modulus
+        m = m.max()
+    if m > 1.0 + _CLOSED_SLACK:
+        raise DomainError(f"{name} must lie in the closed unit disk, |{name}| = {m}")
     return z
 
 
@@ -136,14 +175,15 @@ class Disk:
 
     def __post_init__(self):
         object.__setattr__(self, "center", require_finite(self.center, "center"))
-        r = float(self.radius)
-        if not math.isfinite(r) or r < 0.0:
-            raise DomainError(f"radius must be finite and non-negative, got {r}")
+        r = require_real(self.radius, "radius")
+        negative = r < 0.0
+        if negative if type(negative) is bool else negative.any():
+            raise DomainError(f"radius must be non-negative, got {r.min() if _is_batch(r) else r}")
         object.__setattr__(self, "radius", r)
 
     def contains(self, p, tol=0.0):
         """Membership with relative slack: |p - center| <= radius + tol*(1 + radius)."""
-        if not tol >= 0.0:
+        if not require_real(tol, "tol", finite=False) >= 0.0:
             raise DomainError("tol must be non-negative")
         p = require_finite(p, "p")
         return abs(p - self.center) <= self.radius + tol * (1.0 + self.radius)
@@ -163,7 +203,8 @@ class Disk:
 
 
 class Jet2(NamedTuple):
-    """Second-order jet (f(z0), f'(z0), f''(z0)) of an analytic map.
+    """Second-order jet (f(z0), f'(z0), f''(z0)) of an analytic map, or of a
+    batch of maps with one lane per sample.
 
     All binary operations assume both operands are expanded at the same base
     point; combining jets taken at different points is meaningless and is not
@@ -176,7 +217,6 @@ class Jet2(NamedTuple):
 
 
 def jet_scale(s, a):
-    s = complex(s)
     return Jet2(s * a.f0, s * a.f1, s * a.f2)
 
 
@@ -191,7 +231,8 @@ def jet_mul(a, b):
 
 def jet_div(a, b):
     """Quotient jet; solves a = q*b order by order."""
-    if b.f0 == 0:
+    zero = b.f0 == 0
+    if zero if type(zero) is bool else zero.any():
         raise PoleError("jet division by a jet with zero value part")
     q0 = a.f0 / b.f0
     q1 = (a.f1 - q0 * b.f1) / b.f0

@@ -251,6 +251,8 @@ def test_verify_attainment_rejects_negative_tol():
         verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, -1e-3)
     with pytest.raises(DomainError, match="tol must be non-negative"):
         verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, float("nan"))
+    with pytest.raises(DomainError, match="tol must be a real number"):
+        verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, "0.1")
 
 
 def test_theta_must_be_a_finite_real():

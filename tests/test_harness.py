@@ -1,8 +1,24 @@
 import json
+from functools import reduce
 
+import numpy as np
 import pytest
 
+from diskvar import harness
+from diskvar.disks import dieudonne_disk, mercer_disk, second_derivative_disk
 from diskvar.extremal import ExtremalKind
+from diskvar.functions import (
+    Bracket,
+    Constant,
+    Identity,
+    MobiusT,
+    PrescribedData,
+    Product,
+    Rotation,
+    dieudonne_parametrize,
+    schur_parametrize,
+    substream,
+)
 from diskvar.harness import (
     MEMBERSHIP_FAMILIES,
     HarnessConfig,
@@ -11,7 +27,7 @@ from diskvar.harness import (
     run_membership_suite,
     run_tightness_search,
 )
-from diskvar.moebius import DomainError
+from diskvar.moebius import Disk, DomainError
 
 
 def small(n=200, **kw):
@@ -31,6 +47,8 @@ def test_config_validation():
     for bad in ({"seed": 1.5}, {"samples": 2.7}, {"samples": float("nan")}, {"seed": True}):
         with pytest.raises(DomainError):
             HarnessConfig(**bad)
+    with pytest.raises(DomainError, match="tol must be a real number"):
+        HarnessConfig(tol="1e-8")
 
 
 def test_membership_each_family_clean():
@@ -76,6 +94,123 @@ def test_membership_parallel_matches_serial():
     assert serial.to_obj() == parallel.to_obj()
 
 
+# -- the batched membership path ---------------------------------------------
+
+
+def _scalar_schur_tree(p, lane):
+    """The lane's random Schur tree, built from its drawn parameters the way
+    ``functions._schur_tree`` builds one."""
+    degree = int(p["degree"][lane])
+    if degree == 0:
+        base = Constant(complex(p["k"][lane]))
+    else:
+        zeros = [Bracket(complex(w), Identity()) for w in p["zeros"][:degree, lane]]
+        base = Rotation(float(p["theta"][lane]), reduce(Product, zeros))
+    if p["scaled"][lane]:
+        base = Product(Constant(complex(float(p["s"][lane]))), base)
+    if p["wrapped"][lane]:
+        base = MobiusT(complex(p["c"][lane]), base)
+    return base
+
+
+def _scalar_margin(family, p, lane):
+    gstar = _scalar_schur_tree(p, lane)
+    z0 = complex(p["z0"][lane])
+    if family == "second":
+        data = PrescribedData(z0, complex(p["delta0"][lane]), complex(p["delta1"][lane]))
+        return second_derivative_disk(data).margin(schur_parametrize(data, gstar).jet(z0).f2)
+    w0 = complex(p["w0"][lane])
+    f = dieudonne_parametrize(z0, w0, gstar)
+    if family == "dieudonne":
+        return dieudonne_disk(z0, w0).margin(f.jet(z0).f1)
+    z = complex(p["z"][lane])
+    return mercer_disk(z0, w0, z).margin(f.value(z))
+
+
+@pytest.mark.parametrize("family", MEMBERSHIP_FAMILIES)
+def test_batched_margins_match_scalar_trees(family):
+    lanes = 200
+    block = harness._draw_block(family, substream(7, harness._FAMILY_TAGS[family], 0))
+    p = {name: v[..., :lanes] for name, v in block.items()}
+    # the lanes cover every template shape: each degree, each mask state
+    assert set(p["degree"].tolist()) == {0, 1, 2, 3, 4}
+    assert set(p["scaled"].tolist()) == set(p["wrapped"].tolist()) == {False, True}
+    batched = harness._block_margins(family, p)
+    assert batched.shape == (lanes,)
+    worst = max(abs(batched[lane] - _scalar_margin(family, p, lane)) for lane in range(lanes))
+    assert worst <= 1e-12
+
+
+def test_any_split_gives_the_same_tally():
+    cfg = small(2500)
+    whole = harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, (0, 2500))
+    # splits that cut blocks (1024 samples) in the middle, and a one-sample chunk
+    bounds = (0, 1, 700, 1030, 2047, 2500)
+    parts = [harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, rg) for rg in zip(bounds, bounds[1:])]
+    assert harness._merge(parts) == whole
+    assert whole[0] == 3 * 2500 and whole[1] == 0
+
+
+def test_membership_draws_one_substream_per_family_and_block(monkeypatch):
+    keys = []
+
+    def counted(seed, *key):
+        keys.append(key)
+        return substream(seed, *key)
+
+    monkeypatch.setattr(harness, "substream", counted)
+    run_membership_suite(small(250))
+    assert sorted(keys) == [(11, 0), (12, 0), (13, 0)]
+    keys.clear()
+    run_membership_suite(small(1025), families=("mercer",))
+    assert keys == [(13, 0), (13, 1)]
+
+
+def test_nan_margin_is_never_a_pass(monkeypatch):
+    assert harness._batch_tally(np.array([0.5, float("nan"), 0.1]), 1e-8)[:2] == (3, 1)
+
+    # a NaN margin coming out of a block counts as a violation
+    real = harness._block_margins
+
+    def poisoned(family, p):
+        margins = real(family, p)
+        margins[3] = float("nan")
+        return margins
+
+    monkeypatch.setattr(harness, "_block_margins", poisoned)
+    assert run_membership_suite(small(10), families=("second",)).violations == 1
+    monkeypatch.setattr(harness, "_block_margins", real)
+
+    # a NaN in a drawn parameter or in a derivative is refused, not measured
+    draw = harness._draw_block
+
+    def nan_lane(family, rng):
+        p = draw(family, rng)
+        p["z0"][3] = complex(float("nan"), 0.0)
+        return p
+
+    monkeypatch.setattr(harness, "_draw_block", nan_lane)
+    for family in MEMBERSHIP_FAMILIES:
+        with pytest.raises(DomainError):
+            run_membership_suite(small(10), families=(family,))
+    with pytest.raises(DomainError):
+        Disk(0j, 1.0).margin(np.array([0.5, complex(float("nan"), 0.0)]))
+
+
+def test_nonzero_samples_redraw_small_lanes(monkeypatch):
+    draws = iter([np.array([0.5, 0.0, 1e-7, 0.3j]), np.array([0.0, 0.2]), np.array([0.4j])])
+    sizes = []
+
+    def fake(rng, cap, size):
+        sizes.append(size)
+        return next(draws).astype(complex)
+
+    monkeypatch.setattr(harness, "disk_sample", fake)
+    z = harness._nonzero_disk_samples(None, 4)
+    assert z.tolist() == [0.5, 0.4j, 0.2, 0.3j]
+    assert sizes == [4, 2, 1]
+
+
 def test_attainment_suite_clean():
     report = run_attainment_suite(small())
     assert report.suite == "attainment"
@@ -108,6 +243,15 @@ def test_tightness_parallel_matches_serial():
     serial = run_tightness_search(small(300), r=0.4, R=0.3)
     parallel = run_tightness_search(small(300, parallel=True), r=0.4, R=0.3)
     assert serial.to_obj() == parallel.to_obj()
+
+
+def test_tightness_tolerance_scales_with_the_bound():
+    # near the boundary the bound is 2.0e5 and rounding alone leaves samples
+    # 1.9e-7 above it: an absolute 1e-8 slack counted one false violation
+    report = run_tightness_search(HarnessConfig(seed=42, samples=2000), 0.99999, 0.99999)
+    assert report.details["bound"] > 1e5
+    assert -1e-6 < report.worst_margin < 0.0
+    assert report.violations == 0
 
 
 def test_tightness_rejects_bad_grid_point():

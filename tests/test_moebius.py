@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from diskvar.moebius import (
     DomainError,
     Jet2,
     PoleError,
+    closed_disk_point,
     hyperbolic_bracket,
     jet_compose,
     jet_div,
@@ -64,6 +66,35 @@ def test_require_real_refuses_non_reals_and_huge_integers():
     for bad in (10**400, -(10**400), float("nan"), True, "1"):
         with pytest.raises(DomainError, match="x must be a finite real number"):
             require_real(bad, "x")
+
+
+def test_batches_are_checked_in_every_lane():
+    inside = np.array([0.1, 0.5j, -0.9])
+    assert (unit_disk_point(inside) == inside).all()
+    assert (closed_disk_point(np.array([1.0, 0.5])) == [1.0, 0.5]).all()
+    with pytest.raises(DomainError, match=r"\|z\| = 1.0"):
+        unit_disk_point(np.array([0.1, 1.0, 0.2]))
+    with pytest.raises(DomainError, match=r"\|z\| = 1.5"):
+        closed_disk_point(np.array([0.1, 1.5j]))
+    with pytest.raises(DomainError, match="finite components"):
+        require_finite(np.array([0.1, complex(0.0, float("nan"))]))
+    assert require_real(np.array([1, 2]), "x").dtype == float
+    for bad in (np.array([1.0, float("inf")]), np.array([True, False]), np.array([1j])):
+        with pytest.raises(DomainError, match="x must hold a finite real number in every lane"):
+            require_real(bad, "x")
+    with pytest.raises(DomainError):
+        Bracket(np.array([0.5, 1.2]), Identity())
+    with pytest.raises(DomainError):
+        Disk(np.zeros(2), np.array([1.0, -1e-3]))
+
+
+def test_batch_jets_match_scalar_jets():
+    a = np.array([0.3 - 0.2j, -0.5j, 0.0])
+    z = np.array([0.1 + 0.4j, 0.7, -0.2j])
+    batch = MobiusT(a, Identity()).jet(z)
+    for lane in range(3):
+        scalar = MobiusT(complex(a[lane]), Identity()).jet(complex(z[lane]))
+        assert all(abs(f[lane] - g) <= 1e-15 * (1.0 + abs(g)) for f, g in zip(batch, scalar))
 
 
 def test_unimodular_point_renormalises():
@@ -125,6 +156,8 @@ def test_disk_contains_and_margin():
         d.contains(0.0, tol=-1e-9)
     with pytest.raises(DomainError):
         d.contains(0.0, tol=float("nan"))
+    with pytest.raises(DomainError, match="tol must be a real number"):
+        d.contains(0.0, tol="0.1")
     assert d.margin(1.0) == pytest.approx(2.0 / 3.0)
     assert d.margin(3.0) == pytest.approx(0.0, abs=1e-15)
     assert d.boundary_distance(3.5) == pytest.approx(0.5)
@@ -137,6 +170,9 @@ def test_disk_degenerate_radius():
     assert not d.contains(0.2j + 1e-6)
     with pytest.raises(DomainError):
         Disk(0.0, -1e-3)
+    for bad in ("0.5", True, float("inf")):
+        with pytest.raises(DomainError, match="radius must be a finite real number"):
+            Disk(0.0, bad)
 
 
 def test_degeneracy_error_is_distinct():
@@ -172,6 +208,10 @@ def test_jet_div_quotient_rule():
 def test_jet_div_by_zero_value():
     with pytest.raises(PoleError):
         jet_div(Jet2(1.0 + 0j, 1.0 + 0j, 0j), Jet2(0j, 0j, 0j))
+    # one vanishing lane of a batch is a pole, too
+    ones = np.ones(3, dtype=complex)
+    with pytest.raises(PoleError):
+        jet_div(Jet2(ones, ones, ones), Jet2(np.array([1.0, 0.0, 2.0]), ones, ones))
 
 
 def test_jet_compose_chain_rule():

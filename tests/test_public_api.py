@@ -2,7 +2,10 @@
 and the README's library example."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,13 @@ def test_readme_library_example_runs():
     section = text.split("## Library example", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("module", ["diskvar", "diskvar.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    """The closed forms and the CLI run without numpy; only sampling loads it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
