@@ -8,8 +8,9 @@ R = |delta0|.  Every region below is sharp.  The harness in
 constructors in ``diskvar.extremal`` land on the boundary of each region
 except the Rogosinski and Mercer disks, which have no extremal kind yet.
 ``dieudonne_disk``, ``mercer_disk`` and ``second_derivative_disk`` also take
-batches (see ``diskvar.moebius``) and return one disk per lane, which is how
-the harness checks a whole block of samples at once.
+batches (see ``diskvar.moebius``) and return one disk per lane, and
+``max_attaining_alpha`` one parameter per lane, which is how the harness
+checks a whole block of samples at once.
 """
 
 from typing import NamedTuple
@@ -20,6 +21,7 @@ from .moebius import (
     Disk,
     DomainError,
     _any_lane,
+    _is_batch,
     closed_disk_point,
     mobius_T,
     require_finite,
@@ -135,12 +137,16 @@ def max_attaining_alpha(data):
     """Boundary parameter alpha at which |g''(z0)| is maximal.
 
     Returns None when the center vanishes (delta1 = 0 or the centered case):
-    then every unimodular alpha attains the maximum.
+    then every unimodular alpha attains the maximum.  For a batch, the lanes
+    where the center vanishes hold NaN.
     """
-    d = second_derivative_disk(data)
-    if d.center == 0:
-        return None
-    return d.center / abs(d.center)
+    center = second_derivative_disk(data).center
+    if not _is_batch(center):
+        return None if center == 0 else center / abs(center)
+    import numpy as np  # a batch is a numpy array, so numpy is loaded already
+
+    with np.errstate(invalid="ignore"):  # 0/0 gives the NaN lanes
+        return center / abs(center)
 
 
 class SecondOrderDisk(NamedTuple):

@@ -10,14 +10,14 @@ Three suites back the closed-form results numerically:
 * tightness: coarse maximisation of |g''(z0)| over sampled parameters must
   approach the sharp bound from below and never cross it.
 
-Sampling is deterministic.  Membership draws its random parameters in blocks
-of ``_BLOCK`` samples, from an independent RNG substream keyed by (seed,
-family tag, block); a block always draws in full and is then sliced.  The
-samples of a block are checked together, as a batch (numpy arrays, one lane
-per sample), through the same trees, parametrizations and closed forms that
-evaluate a single sample.  Tightness draws one substream per (seed, suite tag,
-index).  So any split of the indices, serial or parallel, aggregates to the
-same report (violation counts sum, margins reduce by min).
+Sampling is deterministic.  Membership and tightness draw their random
+parameters in blocks of ``_BLOCK`` samples, from an independent RNG substream
+keyed by (seed, family or suite tag, block); a block always draws in full and
+is then sliced.  The samples of a block are checked together, as a batch
+(numpy arrays, one lane per sample), through the same trees, parametrizations
+and closed forms that evaluate a single sample.  So any split of the indices,
+serial or parallel, aggregates to the same report (violation counts sum,
+margins reduce by min).
 """
 
 import math
@@ -77,8 +77,11 @@ __all__ = [
 MEMBERSHIP_FAMILIES = ("second", "dieudonne", "mercer")
 _FAMILY_TAGS = {"second": 11, "dieudonne": 12, "mercer": 13}
 _TIGHTNESS_TAG = 31
-# membership samples per random block
+# samples per random block
 _BLOCK = 1024
+# the largest stratified |delta1|: 8 ulps below 1, so that |delta1| < 1 holds
+# after the rounding of the modulus, of e^{i phase} and of their product
+_DELTA1_CAP = 1.0 - 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -165,18 +168,6 @@ def _map_chunks(fn, n, parallel):
         return list(pool.map(fn, ranges))
 
 
-def _tally(part, margin, tol, value=None):
-    """Add one sample to a chunk tally (count, violations, worst margin, best
-    value); a NaN margin counts as a violation."""
-    n, violations, worst, best = part
-    return (
-        n + 1,
-        violations + (not margin >= -tol),
-        margin if worst is None or margin < worst else worst,
-        value if best is None or (value is not None and value > best) else best,
-    )
-
-
 def _merge(parts):
     """Combine chunk tallies: counts sum, worst margins reduce by min and best
     values by max, so the result does not depend on how the indices were split."""
@@ -185,9 +176,21 @@ def _merge(parts):
     return sum(p[0] for p in parts), sum(p[1] for p in parts), min(worsts, default=None), max(bests, default=None)
 
 
-def _batch_tally(margins, tol):
-    """The chunk tally of a batch of margins; a NaN margin counts as a violation."""
-    return margins.size, int(np.count_nonzero(~(margins >= -tol))), float(margins.min()), None
+def _batch_tally(margins, tol, values=None):
+    """The chunk tally of a batch of margins, with the largest of its values
+    when given; a NaN margin counts as a violation."""
+    best = None if values is None else float(values.max())
+    return margins.size, int(np.count_nonzero(~(margins >= -tol))), float(margins.min()), best
+
+
+def _blocks(rg):
+    """(block, lanes) for each block of ``_BLOCK`` samples that the indices
+    lo..hi-1 touch, lanes slicing the block to them.  Each block is drawn in
+    full and sliced, so any split of the indices sees the same lanes."""
+    lo, hi = rg
+    for block in range(lo // _BLOCK, (hi + _BLOCK - 1) // _BLOCK):
+        first = block * _BLOCK
+        yield block, slice(max(lo - first, 0), min(hi - first, _BLOCK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,13 +281,9 @@ def _block_margins(family, p):
 
 
 def _membership_chunk(cfg, families, rg):
-    """Tally of samples lo..hi-1 of every family.  Each block they touch is
-    drawn in full and sliced, so any split of the indices sees the same lanes."""
-    lo, hi = rg
+    """Tally of samples lo..hi-1 of every family."""
     parts = []
-    for block in range(lo // _BLOCK, (hi + _BLOCK - 1) // _BLOCK):
-        first = block * _BLOCK
-        lanes = slice(max(lo - first, 0), min(hi - first, _BLOCK))
+    for block, lanes in _blocks(rg):
         for family in families:
             p = _draw_block(family, substream(cfg.seed, _FAMILY_TAGS[family], block))
             margins = _block_margins(family, {name: v[..., lanes] for name, v in p.items()})
@@ -372,28 +371,28 @@ def run_attainment_suite(cfg, kinds=None):
 
 
 def _tightness_chunk(cfg, r, R, bound, rg):
-    lo, hi = rg
+    """Tally of samples lo..hi-1, with the largest |g''(z0)| among them.
+
+    Sample i has |delta1| stratified into [i, i + 1) / samples, a uniform
+    phase and a random unimodular alpha; where the center of its g''(z0) disk
+    is nonzero it is checked at the aligned alpha as well.
+    """
     z0 = complex(r)
     d0 = complex(R)
-    part = (0, 0, None, None)
     total = max(1, cfg.samples)
     tol = cfg.tol * (1.0 + bound)
-    for index in range(lo, hi):
-        rng = substream(cfg.seed, _TIGHTNESS_TAG, index)
-        # stratify the delta1 modulus by index; phases stay uniform
-        m = (index + rng.random()) / total
-        phase = 2.0 * math.pi * rng.random()
-        d1 = m * complex(math.cos(phase), math.sin(phase))
-        data = PrescribedData(z0, d0, d1)
-        alphas = [complex(math.cos(a), math.sin(a)) for a in (2.0 * math.pi * rng.random(),)]
-        aligned = max_attaining_alpha(data)
-        if aligned is not None:
-            alphas.append(aligned)
-        for alpha in alphas:
-            g = schur_parametrize(data, Constant(alpha))
-            second = abs(g.jet(z0).f2)
-            part = _tally(part, bound - second, tol, second)
-    return part
+    parts = []
+    for block, lanes in _blocks(rg):
+        u, phase, angle = substream(cfg.seed, _TIGHTNESS_TAG, block).random((3, _BLOCK))[:, lanes]
+        index = np.arange(block * _BLOCK, (block + 1) * _BLOCK)[lanes]
+        d1 = np.minimum((index + u) / total, _DELTA1_CAP) * np.exp(2j * math.pi * phase)
+        aligned = max_attaining_alpha(PrescribedData(z0, d0, d1))
+        has = ~np.isnan(aligned)
+        data = PrescribedData(z0, d0, np.concatenate([d1, d1[has]]))
+        alpha = np.concatenate([np.exp(2j * math.pi * angle), aligned[has]])
+        second = abs(schur_parametrize(data, Constant(alpha)).jet(z0).f2)
+        parts.append(_batch_tally(bound - second, tol, second))
+    return _merge(parts)
 
 
 def run_tightness_search(cfg, r, R):
@@ -402,15 +401,17 @@ def run_tightness_search(cfg, r, R):
     The sample set is stratified over the delta1 modulus, includes the
     aligned boundary parameter for each sample, and always contains the
     closed-form extremal of the active branch, so the supremum is reached up
-    to sampling resolution.  No sample may exceed the bound by more than
-    cfg.tol * (1 + bound): the bound grows like (1 - r^2)^-2, and a fixed
-    slack would count rounding error near the boundary as a violation.
+    to sampling resolution.  The random samples are drawn and checked per
+    block of ``_BLOCK``, as batches; the deterministic candidates (the branch
+    extremal and the unimodular delta1 grid) are checked one by one.  No
+    sample may exceed the bound by more than cfg.tol * (1 + bound): the bound
+    grows like (1 - r^2)^-2, and a fixed slack would count rounding error
+    near the boundary as a violation.
     """
     result = theorem31_bound(r, R)
     bound = result.value
     start = time.perf_counter()
     parts = _map_chunks(partial(_tightness_chunk, cfg, float(r), float(R), bound), cfg.samples, cfg.parallel)
-    part = _merge(parts)
 
     # deterministic candidates: the branch extremal and unimodular delta1
     z0 = complex(float(r))
@@ -419,10 +420,9 @@ def run_tightness_search(cfg, r, R):
     if abs(z0) > 0:
         for d1 in _UNIMODULAR_GRID:
             candidates.append(make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=d0, delta1=d1))
-    for g in candidates:
-        second = abs(g.jet(z0).f2)
-        part = _tally(part, bound - second, cfg.tol * (1.0 + bound), second)
-    n, violations, worst, best = part
+    second = np.array([abs(g.jet(z0).f2) for g in candidates])
+    parts.append(_batch_tally(bound - second, cfg.tol * (1.0 + bound), second))
+    n, violations, worst, best = _merge(parts)
 
     return HarnessReport(
         suite="tightness",

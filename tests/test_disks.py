@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,18 @@ def test_attaining_alpha_is_free_when_center_vanishes():
         g = schur_parametrize(data, Constant(alpha))
         second = eval_jet(g, 0.4 + 0j).f2
         assert abs(abs(second) - modulus_max_second_derivative(data)) < 1e-12
+
+
+def test_attaining_alpha_per_lane():
+    d1 = [0.5j, 0.0, -0.3 + 0.2j, 0.9]
+    batch = max_attaining_alpha(PrescribedData(0.4, 0.3, np.array(d1)))
+    assert batch.shape == (4,)
+    for lane, delta1 in enumerate(d1):
+        scalar = max_attaining_alpha(PrescribedData(0.4, 0.3, delta1))
+        if scalar is None:
+            assert cmath.isnan(batch[lane])
+        else:
+            assert abs(batch[lane] - scalar) <= 1e-15
 
 
 def test_second_order_dieudonne_spot_values():

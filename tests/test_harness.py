@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from diskvar import harness
-from diskvar.disks import dieudonne_disk, mercer_disk, second_derivative_disk
+from diskvar.bounds import theorem31_bound
+from diskvar.disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_derivative_disk
 from diskvar.extremal import ExtremalKind
 from diskvar.functions import (
     Bracket,
@@ -27,7 +28,7 @@ from diskvar.harness import (
     run_membership_suite,
     run_tightness_search,
 )
-from diskvar.moebius import Disk, DomainError
+from diskvar.moebius import Disk, DomainError, Jet2
 
 
 def small(n=200, **kw):
@@ -252,6 +253,115 @@ def test_tightness_tolerance_scales_with_the_bound():
     assert report.details["bound"] > 1e5
     assert -1e-6 < report.worst_margin < 0.0
     assert report.violations == 0
+
+
+# -- the batched tightness path ----------------------------------------------
+
+
+def test_batched_tightness_matches_scalar_trees(monkeypatch):
+    r, R = 0.3, 0.5
+    trees = []
+    tallies = []
+    parametrize = harness.schur_parametrize
+    tally = harness._batch_tally
+
+    def recorded_tree(data, gstar):
+        trees.append((data.delta1, gstar.c))
+        return parametrize(data, gstar)
+
+    def recorded_tally(margins, tol, values=None):
+        tallies.append(values)
+        return tally(margins, tol, values)
+
+    monkeypatch.setattr(harness, "schur_parametrize", recorded_tree)
+    monkeypatch.setattr(harness, "_batch_tally", recorded_tally)
+    run_tightness_search(small(300), r=r, R=R)
+    [(d1, alpha)] = trees
+    second = tallies[0]  # the random lanes; tallies[1] holds the deterministic candidates
+    # one lane per sample at a random alpha, then one per sample at its aligned alpha
+    assert second.shape == d1.shape == alpha.shape == (600,)
+    for lane in range(600):
+        data = PrescribedData(r, R, complex(d1[lane]))
+        if lane >= 300:
+            assert d1[lane] == d1[lane - 300]
+            assert abs(alpha[lane] - max_attaining_alpha(data)) <= 1e-15
+        scalar = abs(schur_parametrize(data, Constant(complex(alpha[lane]))).jet(complex(r)).f2)
+        assert abs(second[lane] - scalar) <= 1e-12 * scalar
+
+
+def test_tightness_any_split_gives_the_same_tally():
+    cfg = small(2500)
+    bound = theorem31_bound(0.4, 0.3).value
+    whole = harness._tightness_chunk(cfg, 0.4, 0.3, bound, (0, 2500))
+    # splits that cut blocks (1024 samples) in the middle, and a one-sample chunk
+    bounds = (0, 1, 700, 1030, 2047, 2500)
+    parts = [harness._tightness_chunk(cfg, 0.4, 0.3, bound, rg) for rg in zip(bounds, bounds[1:])]
+    assert harness._merge(parts) == whole
+    assert whole[0] == 2 * 2500 and whole[1] == 0
+
+
+def test_tightness_draws_one_substream_per_block(monkeypatch):
+    keys = []
+
+    def counted(seed, *key):
+        keys.append(key)
+        return substream(seed, *key)
+
+    monkeypatch.setattr(harness, "substream", counted)
+    run_tightness_search(small(500), r=0.5, R=0.25)
+    assert keys == [(31, 0)]
+    keys.clear()
+    run_tightness_search(small(1025), r=0.5, R=0.25)
+    assert keys == [(31, 0), (31, 1)]
+
+
+def test_tightness_nan_lane_is_a_violation(monkeypatch):
+    parametrize = harness.schur_parametrize
+
+    class Poisoned:
+        def __init__(self, g):
+            self.g = g
+
+        def jet(self, z0):
+            jet = self.g.jet(z0)
+            f2 = jet.f2.copy()
+            f2[3] = complex(float("nan"), 0.0)
+            return Jet2(jet.f0, jet.f1, f2)
+
+    monkeypatch.setattr(harness, "schur_parametrize", lambda data, gstar: Poisoned(parametrize(data, gstar)))
+    report = run_tightness_search(small(10), r=0.5, R=0.25)
+    assert report.violations == 1
+
+
+def test_tightness_checks_no_aligned_alpha_where_the_center_vanishes():
+    # at z0 = 0 and delta0 = 0 every center is 0: one random alpha per sample,
+    # plus the branch extremal
+    report = run_tightness_search(small(100), r=0.0, R=0.0)
+    assert report.samples == 101
+    assert report.violations == 0
+
+
+class _TopOfRange:
+    """An RNG whose every draw is the largest double below 1."""
+
+    def random(self, size=None):
+        top = 1.0 - 2.0**-53
+        return top if size is None else np.full(size, top)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 500, 10**4])
+def test_stratified_delta1_stays_inside_the_disk(monkeypatch, samples):
+    # (index + u) / samples rounds to exactly 1 for the last index, which
+    # schur_parametrize refuses
+    monkeypatch.setattr(harness, "substream", lambda seed, *key: _TopOfRange())
+    report = run_tightness_search(small(samples), r=0.5, R=0.25)
+    assert report.violations == 0
+    assert report.samples == 2 * samples + 9
+
+
+def test_delta1_cap_survives_the_phase_rounding():
+    d1 = harness._DELTA1_CAP * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 10**5))
+    assert abs(d1).max() < 1.0
 
 
 def test_tightness_rejects_bad_grid_point():
