@@ -42,6 +42,7 @@ from .functions import (
 from .moebius import (
     Disk,
     DomainError,
+    _any_lane,
     closed_disk_point,
     require_finite,
     require_real,
@@ -157,8 +158,9 @@ class GridPoint(NamedTuple):
 
     ``rows`` holds ``(free, pins)`` pairs.  The extremal built from ``data``
     and the ``free`` values must put its probe on ``target`` (strictly inside
-    the target disk when ``inside``), and each pin maps the same jet to a
-    distance that must vanish as well.
+    the target disk when ``inside``).  Each pin is a ``(component, disk)``
+    pair: that component of the same jet must land on the disk's boundary as
+    well.
     """
 
     data: dict
@@ -223,7 +225,7 @@ def _dieudonne2_grid(d1_grid, frees):
         w0 = u0 * z0
         w1, disk = second_order_dieudonne_disk(z0, w0, d1)
         # f'(z0) = w1 whatever the free values: checked once, on the last extremal
-        pinned = (lambda jet, w1=w1: abs(jet.f1 - w1),)
+        pinned = (("f1", Disk(w1, 0.0)),)
         rows = tuple((free, ()) for free in frees[:-1]) + ((frees[-1], pinned),)
         yield GridPoint({"z0": z0, "w0": w0, "delta1": d1}, disk, rows)
 
@@ -237,7 +239,7 @@ def _sharp_points(pairs):
 
 def _sharp_deg1_grid():
     for z0, d0 in _sharp_points(product(_RR_GRID, _RR_GRID)):
-        pinned = (lambda jet, d0=d0: abs(jet.f0 - d0),)
+        pinned = (("f0", Disk(d0, 0.0)),)
         bound = branch_bound_for(ExtremalKind.SHARP_DEG1, z0, d0)
         yield GridPoint({"z0": z0, "delta0": d0}, bound, (({}, pinned),))
 
@@ -245,7 +247,7 @@ def _sharp_deg1_grid():
 def _sharp_deg2_grid():
     pairs = ((r, R) for r, R in product(_RR_GRID, (0.0,) + _RR_GRID) if r + 2.0 * R < 2.0)
     for z0, d0 in _sharp_points(pairs):
-        pinned = (lambda jet, R=abs(d0): abs(abs(jet.f0) - R),)
+        pinned = (("f0", Disk(0j, abs(d0))),)
         bound = branch_bound_for(ExtremalKind.SHARP_DEG2, z0, d0)
         yield GridPoint({"z0": z0, "delta0": d0}, bound, (({}, pinned),))
     for R in (0.35, 0.6):
@@ -258,7 +260,7 @@ def _sharp_deg2_grid():
 def _szasz_grid():
     for r in (0.0, 0.25, 0.5, 0.75, 0.9):
         z0 = r * complex(math.cos(0.4), math.sin(0.4)) if r else 0j
-        pinned = (lambda jet, R=r * r / 8.0: abs(abs(jet.f0) - R),)
+        pinned = (("f0", Disk(0j, r * r / 8.0)),)
         rows = (({"theta": 0.0}, pinned), ({"theta": 1.1}, pinned))
         yield GridPoint({"z0": z0}, branch_bound_for(ExtremalKind.SZASZ, z0), rows)
 
@@ -387,7 +389,7 @@ def make_extremal(kind, *, z0=None, delta0=None, delta1=None, alpha=None, w0=Non
         values.append(validate(given[name], name))
         # f(0) = 0 bounds |f(z0)| by |z0| (always the first value): the one
         # domain that depends on another parameter
-        if name == "w0" and abs(values[-1]) >= abs(values[0]):
+        if name == "w0" and _any_lane(abs(values[-1]) >= abs(values[0])):
             raise DomainError(f"{spec.kind.value} requires |w0| < |z0|")
     return spec.build(*values)
 

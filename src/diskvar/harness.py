@@ -18,6 +18,10 @@ is then sliced.  The samples of a block are checked together, as a batch
 and closed forms that evaluate a single sample.  So any split of the indices,
 serial or parallel, aggregates to the same report (violation counts sum,
 margins reduce by min).
+
+The attainment grids are fixed, not sampled.  Each disk kind's grid is checked
+as one batch, one lane per row, through one extremal tree; the three sharp
+kinds, whose trees change shape with the data, are checked row by row.
 """
 
 import math
@@ -56,7 +60,7 @@ from .functions import (
     schur_parametrize,
     substream,
 )
-from .moebius import DomainError, Jet2, require_int, require_real
+from .moebius import Disk, DomainError, Jet2, require_int, require_real
 
 # not called here since the kind table computes the attainment targets and
 # membership draws whole blocks; kept bound because bench/tracing.py wraps
@@ -170,17 +174,30 @@ def _map_chunks(fn, n, parallel):
 
 def _merge(parts):
     """Combine chunk tallies: counts sum, worst margins reduce by min and best
-    values by max, so the result does not depend on how the indices were split."""
-    worsts = [p[2] for p in parts if p[2] is not None]
-    bests = [p[3] for p in parts if p[3] is not None]
+    values by max, so the result does not depend on how the indices were split.
+    NaN takes no part in a min or max; its sample counts as a violation."""
+    worsts = [p[2] for p in parts if p[2] is not None and not math.isnan(p[2])]
+    bests = [p[3] for p in parts if p[3] is not None and not math.isnan(p[3])]
     return sum(p[0] for p in parts), sum(p[1] for p in parts), min(worsts, default=None), max(bests, default=None)
 
 
 def _batch_tally(margins, tol, values=None):
     """The chunk tally of a batch of margins, with the largest of its values
-    when given; a NaN margin counts as a violation."""
-    best = None if values is None else float(values.max())
-    return margins.size, int(np.count_nonzero(~(margins >= -tol))), float(margins.min()), best
+    when given.  A margin below -tol (tol may be one slack per lane) or NaN
+    counts as a violation; the worst margin and the best value skip NaN, and
+    are None when nothing else is left."""
+    return (
+        margins.size,
+        int(np.count_nonzero(~(margins >= -tol))),
+        _reduce(np.min, margins),
+        None if values is None else _reduce(np.max, values),
+    )
+
+
+def _reduce(fn, a):
+    """fn over the non-NaN entries of a as a float, or None when there are none."""
+    a = a[~np.isnan(a)]
+    return float(fn(a)) if a.size else None
 
 
 def _blocks(rg):
@@ -314,56 +331,63 @@ def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
 
 
 def _attainment_margins(spec, tol):
-    """Yield (margin, ok) for every row of one kind's attainment grid.
+    """The margins of every row of one kind's attainment grid, each with the
+    slack by which it may fall below zero: the rows' probes in grid order,
+    then their pins in grid order.
 
-    A distance d gives margin -d and passes when d <= tol; an ``inside`` row
-    gives the disk inclusion margin and passes when that is positive.
+    A row at distance d from its target's boundary gives margin -d and slack
+    tol; an ``inside`` row gives its disk inclusion margin, which must be
+    positive.  A disk kind's rows are evaluated as one batch, one lane per
+    row.  The sharp kinds (``params`` set) are evaluated row by row: their
+    trees change shape with the data, and numpy's complex arithmetic rounds
+    differently from Python's, which would move the report's worst row.
     """
-    for point in spec.grid():
-        z0 = point.data["z0"]
-        for free, pins in point.rows:
-            jet = make_extremal(spec.kind, **point.data, **free).jet(z0)
-            probe = getattr(jet, spec.probe)
-            if point.inside:
-                margin = point.target.margin(probe)
-                yield margin, margin > 0.0
-            else:
-                distance = attainment_distance(point.target, probe)
-                yield -distance, distance <= tol
-            for pin in pins:
-                distance = pin(jet)
-                yield -distance, distance <= tol
+    rows = [(point, free, pins) for point in spec.grid() for free, pins in point.rows]
+    if spec.params is not None:
+        probes, pinned = [], []
+        for point, free, pins in rows:
+            jet = make_extremal(spec.kind, **point.data, **free).jet(point.data["z0"])
+            probes.append(-attainment_distance(point.target, getattr(jet, spec.probe)))
+            pinned += [-disk.boundary_distance(getattr(jet, part)) for part, disk in pins]
+        margins = np.array(probes + pinned)
+        return margins, np.full(margins.size, tol)
+
+    given = [{**point.data, **free} for point, free, _ in rows]
+    lanes = {name: np.array([values[name] for values in given]) for name in given[0]}
+    jet = np.stack(make_extremal(spec.kind, **lanes).jet(lanes["z0"]))
+    checks = [(lane, spec.probe, point.target, point.inside) for lane, (point, _, _) in enumerate(rows)]
+    checks += [(lane, part, disk, False) for lane, (_, _, pins) in enumerate(rows) for part, disk in pins]
+    at, parts, targets, inside = zip(*checks)
+    probe = jet[[Jet2._fields.index(part) for part in parts], list(at)]
+    target = Disk(np.array([t.center for t in targets]), np.array([t.radius for t in targets]))
+    inside = np.array(inside)
+    margins = np.where(inside, target.margin(probe), -target.boundary_distance(probe))
+    # margin >= 5e-324, the smallest positive double, exactly when margin > 0
+    return margins, np.where(inside, -5e-324, tol)
 
 
 def run_attainment_suite(cfg, kinds=None):
     """Sweep extremal kinds over deterministic grids.
 
-    Rows are deterministic (no sampling), so cfg.seed and cfg.parallel do not
-    change the report.
+    Each disk kind's grid is checked as one batch; the sharp kinds' grids
+    (``sharp-deg1``, ``sharp-deg2``, ``szasz``) row by row.  Rows are
+    deterministic (no sampling), so cfg.seed and cfg.parallel do not change
+    the report.
     """
     specs = [kind_spec(kind) for kind in (ExtremalKind if kinds is None else kinds)]
     start = time.perf_counter()
-    n = 0
-    violations = 0
-    worst = None
-    per_kind = {}
-    for spec in specs:
-        kind_violations = 0
-        for margin, ok in _attainment_margins(spec, cfg.tol):
-            n += 1
-            if not ok:
-                kind_violations += 1
-            if worst is None or margin < worst:
-                worst = margin
-        violations += kind_violations
-        per_kind[spec.kind.value] = kind_violations
+    parts = [_batch_tally(*_attainment_margins(spec, cfg.tol)) for spec in specs]
+    n, violations, worst, _ = _merge(parts)
     return HarnessReport(
         suite="attainment",
         samples=n,
         violations=violations,
         worst_margin=worst,
         wall_time=time.perf_counter() - start,
-        details={"kinds": [spec.kind.value for spec in specs], "violations_by_kind": per_kind},
+        details={
+            "kinds": [spec.kind.value for spec in specs],
+            "violations_by_kind": {spec.kind.value: part[1] for spec, part in zip(specs, parts)},
+        },
     )
 
 

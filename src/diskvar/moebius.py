@@ -139,8 +139,9 @@ def unimodular_point(z, name="alpha"):
     """Validate |z| = 1 (within 1e-9) and renormalise exactly onto the circle."""
     z = require_finite(z, name)
     m = abs(z)
-    if abs(m - 1.0) > 1e-9:
-        raise DomainError(f"{name} must be unimodular, |{name}| = {m}")
+    off = abs(m - 1.0) > 1e-9
+    if _any_lane(off):
+        raise DomainError(f"{name} must be unimodular, |{name}| = {m[off][0] if _is_batch(m) else m}")
     return z / m
 
 

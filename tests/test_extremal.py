@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,22 @@ def test_parameters_the_kind_does_not_take_are_refused():
         make_extremal(ExtremalKind.SCHWARZ_PICK, z0=0.3, delta0=0.1, alpha=1.0, theta=0.0)
     # theta defaults to 0 for the kinds that take it
     assert make_extremal(ExtremalKind.SZASZ, z0=0.5) == make_extremal(ExtremalKind.SZASZ, z0=0.5, theta=0.0)
+
+
+def test_batched_parameters_are_checked_per_lane():
+    z0 = np.array([0.5, 0.4j])
+    w0 = np.array([0.25, 0.1j])
+    delta1 = np.array([1, 1j])
+    batch = make_extremal(ExtremalKind.DIEUDONNE2_DEGENERATE, z0=z0, w0=w0, delta1=delta1).jet(z0)
+    for lane in range(2):
+        scalar = make_extremal(
+            ExtremalKind.DIEUDONNE2_DEGENERATE, z0=complex(z0[lane]), w0=complex(w0[lane]), delta1=complex(delta1[lane])
+        ).jet(complex(z0[lane]))
+        assert all(abs(f[lane] - g) <= 1e-15 * (1.0 + abs(g)) for f, g in zip(batch, scalar))
+    with pytest.raises(DomainError, match=r"requires \|w0\| < \|z0\|"):
+        make_extremal(ExtremalKind.DIEUDONNE, z0=z0, w0=np.array([0.25, 0.5]), alpha=np.ones(2))
+    with pytest.raises(DomainError, match="delta1 must be unimodular"):
+        make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=np.zeros(2), delta1=np.array([1, 0.5]))
 
 
 def test_kind_accepts_plain_strings():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from functools import reduce
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from diskvar import harness
 from diskvar.bounds import theorem31_bound
 from diskvar.disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_derivative_disk
-from diskvar.extremal import ExtremalKind
+from diskvar.extremal import KINDS, ExtremalKind, attainment_distance, make_extremal
 from diskvar.functions import (
     Bracket,
     Constant,
@@ -229,6 +231,107 @@ def test_attainment_kind_filter():
     assert report.samples < full.samples
 
 
+# -- the batched attainment path ---------------------------------------------
+
+
+def _scalar_attainment_rows(spec, tol):
+    """(margin, passed, scale) of every row of one kind's grid, each extremal
+    built and checked as a scalar tree, in the order of
+    ``harness._attainment_margins``: the rows' probes, then their pins."""
+    probes, pins = [], []
+    for point in spec.grid():
+        z0 = point.data["z0"]
+        for free, pinned in point.rows:
+            jet = make_extremal(spec.kind, **point.data, **free).jet(z0)
+            probe = getattr(jet, spec.probe)
+            scale = abs(point.target.center) + point.target.radius if isinstance(point.target, Disk) else 0.0
+            if point.inside:
+                margin = point.target.margin(probe)
+                probes.append((margin, margin > 0.0, scale))
+            else:
+                distance = attainment_distance(point.target, probe)
+                probes.append((-distance, distance <= tol, scale))
+            for part, disk in pinned:
+                distance = disk.boundary_distance(getattr(jet, part))
+                pins.append((-distance, distance <= tol, abs(disk.center) + disk.radius))
+    return probes + pins
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_batched_attainment_matches_scalar_rows(kind):
+    spec = KINDS[kind]
+    for tol in (1e-8, 1e-9):
+        margins, slack = harness._attainment_margins(spec, tol)
+        scalar = _scalar_attainment_rows(spec, tol)
+        assert margins.shape == slack.shape == (len(scalar),)
+        for margin, passed, (expected, expected_passed, scale) in zip(margins, margins >= -slack, scalar):
+            assert abs(margin - expected) <= 1e-13 * (1.0 + scale)
+            assert passed == expected_passed
+        if spec.params is not None:
+            # the sharp kinds are evaluated in Python scalars, bit for bit
+            assert margins.tolist() == [margin for margin, _, _ in scalar]
+
+
+@pytest.mark.parametrize(
+    "kind, inside",
+    [(kind, False) for kind, spec in KINDS.items() if spec.params is None] + [(ExtremalKind.SECOND_BOUNDARY, True)],
+)
+def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, inside):
+    spec = KINDS[kind]
+    points = list(spec.grid())
+    at = next(i for i, point in enumerate(points) if point.inside == inside)
+    point = points[at]
+    (free, pins), *others = point.rows
+    target = point.target
+    probe = getattr(make_extremal(kind, **point.data, **free).jet(point.data["z0"]), spec.probe)
+    # move the center away from the probe until the probe lies 1e-6 outside
+    # the disk: a shift of ~1e-6 for a boundary row
+    away = target.center - probe
+    shift = (target.radius + 1e-6 - abs(away)) * (away / abs(away) if away else 1.0)
+    points[at : at + 1] = [
+        point._replace(target=Disk(target.center + shift, target.radius), rows=((free, pins),)),
+        point._replace(rows=tuple(others)),
+    ]
+    monkeypatch.setitem(KINDS, kind, dataclasses.replace(spec, grid=lambda: iter(points)))
+    report = run_attainment_suite(HarnessConfig())
+    assert report.samples == 1969
+    assert report.violations == 1
+    assert report.details["violations_by_kind"] == {k.value: int(k is kind) for k in ExtremalKind}
+
+
+def test_nan_is_a_violation_and_never_the_worst():
+    nan = float("nan")
+    parts = [(1, 1, nan, None), (1, 0, 0.5, None)]
+    assert harness._merge(parts) == harness._merge(parts[::-1]) == (2, 1, 0.5, None)
+    assert harness._batch_tally(np.array([nan, nan]), 1e-8) == (2, 2, None, None)
+    assert harness._batch_tally(np.array([nan, -0.5]), 1e-8, np.array([nan, 2.0])) == (2, 2, -0.5, 2.0)
+
+
+def test_a_nan_lane_leaves_the_report_valid_json(monkeypatch):
+    block_margins = harness._block_margins
+    attainment_margins = harness._attainment_margins
+
+    def poisoned_block(family, p):
+        margins = block_margins(family, p)
+        margins[3] = float("nan")
+        return margins
+
+    def poisoned_grid(spec, tol):
+        margins, slack = attainment_margins(spec, tol)
+        margins[3] = float("nan")
+        return margins, slack
+
+    monkeypatch.setattr(harness, "_block_margins", poisoned_block)
+    monkeypatch.setattr(harness, "_attainment_margins", poisoned_grid)
+    membership = run_membership_suite(small(10), families=("second",))
+    attainment = run_attainment_suite(small())
+    assert membership.violations == 1
+    assert attainment.violations == len(KINDS)
+    for report in (membership, attainment):
+        assert math.isfinite(report.worst_margin)
+        json.dumps(report.to_obj(), allow_nan=False)
+
+
 def test_tightness_search_closes_the_gap():
     for (r, R) in ((0.5, 0.0), (0.5, 0.9), (0.3, 0.5)):
         report = run_tightness_search(small(400), r=r, R=R)
@@ -331,6 +434,7 @@ def test_tightness_nan_lane_is_a_violation(monkeypatch):
     monkeypatch.setattr(harness, "schur_parametrize", lambda data, gstar: Poisoned(parametrize(data, gstar)))
     report = run_tightness_search(small(10), r=0.5, R=0.25)
     assert report.violations == 1
+    json.dumps(report.to_obj(), allow_nan=False)
 
 
 def test_tightness_checks_no_aligned_alpha_where_the_center_vanishes():

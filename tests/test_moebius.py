@@ -86,6 +86,9 @@ def test_batches_are_checked_in_every_lane():
         Bracket(np.array([0.5, 1.2]), Identity())
     with pytest.raises(DomainError):
         Disk(np.zeros(2), np.array([1.0, -1e-3]))
+    assert (unimodular_point(np.array([1, 1j])) == [1, 1j]).all()
+    with pytest.raises(DomainError, match=r"\|alpha\| = 0.5"):
+        unimodular_point(np.array([1, 0.5]))
 
 
 def test_batch_jets_match_scalar_jets():
