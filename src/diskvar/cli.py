@@ -198,10 +198,8 @@ def _report_exit(args, report):
 def _harness_config(args):
     from .harness import HarnessConfig
 
-    kwargs = {"seed": args.seed, "samples": args.samples, "parallel": args.parallel}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    return HarnessConfig(**kwargs)
+    given = {name: getattr(args, name, None) for name in ("seed", "samples", "parallel", "tol")}
+    return HarnessConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _cmd_verify_membership(args):
@@ -305,10 +303,11 @@ def _parser():
         ("tightness", _cmd_verify_tightness),
     ):
         p = verify_sub.add_parser(suite)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--samples", type=int, default=10000)
+        if suite != "attainment":  # the attainment grids are fixed, not sampled
+            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--samples", type=int, default=10000)
+            p.add_argument("--parallel", action="store_true")
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--parallel", action="store_true")
         if suite == "membership":
             p.add_argument("--families", help="comma-separated subset of second,dieudonne,mercer")
         elif suite == "attainment":

@@ -13,6 +13,7 @@ batches (see ``diskvar.moebius``) and return one disk per lane, and
 checks a whole block of samples at once.
 """
 
+import sys
 from typing import NamedTuple
 
 from .functions import eval_jet
@@ -70,7 +71,8 @@ def dieudonne_disk(z0, w0):
 
     center = w0/z0, radius = (|z0|^2 - |w0|^2) / (|z0| (1 - |z0|^2)).
     Writing f = z h with h(z0) = w0/z0, this is w0/z0 plus z0 times the
-    Schwarz-Pick disk of h'(z0).
+    Schwarz-Pick disk of h'(z0).  A z0 with |z0|^2 below the smallest normal
+    double is refused: the radius would lose its accuracy or divide by 0.
     """
     z0 = require_finite(z0, "z0")
     w0 = require_finite(w0, "w0")
@@ -80,6 +82,9 @@ def dieudonne_disk(z0, w0):
         raise DomainError("z0 must lie in the open unit disk")
     if _any_lane(s >= r):
         raise DomainError("dieudonne_disk requires |w0| < |z0|")
+    if _any_lane(r * r < sys.float_info.min):
+        # |z0|^2 would be subnormal or 0, and the closed forms divide by it
+        raise DomainError(f"dieudonne_disk requires |z0|^2 >= {sys.float_info.min} (a normal double)")
     return Disk(w0 / z0, (r * r - s * s) / (r * (1.0 - r * r)))
 
 

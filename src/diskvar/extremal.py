@@ -157,16 +157,15 @@ class GridPoint(NamedTuple):
     """One data point of an attainment grid, with its target computed once.
 
     ``rows`` holds ``(free, pins)`` pairs.  The extremal built from ``data``
-    and the ``free`` values must put its probe on ``target`` (strictly inside
-    the target disk when ``inside``).  Each pin is a ``(component, disk)``
-    pair: that component of the same jet must land on the disk's boundary as
-    well.
+    and the ``free`` values must put its probe on ``target``: on the boundary
+    of a Disk, or at the modulus of a positive bound.  Each pin is a
+    ``(component, disk)`` pair: that component of the same jet must land on
+    the disk's boundary as well.
     """
 
     data: dict
     target: object
     rows: tuple
-    inside: bool = False
 
 
 _Z0_GRID = (0j, 0.4 + 0j, 0.3 + 0.45j, -0.62 + 0.1j)
@@ -217,7 +216,9 @@ def _second_boundary_grid():
             # the aligned alpha puts g''(z0) on the circle |w| = max |g''(z0)|
             top = Disk(0j, abs(disk.center) + disk.radius)
             yield GridPoint(data, top, (({"alpha": best}, ()),))
-        yield GridPoint(data, disk, (({"alpha": _INTERIOR_ALPHA}, ()),), inside=True)
+        # g''(z0) = c2 + rho2 alpha: an interior alpha lands on the circle of radius |alpha| rho2
+        interior = Disk(disk.center, abs(_INTERIOR_ALPHA) * disk.radius)
+        yield GridPoint(data, interior, (({"alpha": _INTERIOR_ALPHA}, ()),))
 
 
 def _dieudonne2_grid(d1_grid, frees):

@@ -28,6 +28,7 @@ from .moebius import (
     Jet2,
     _any_lane,
     _is_batch,
+    _mobius,
     closed_disk_point,
     jet_compose,
     jet_div,
@@ -63,11 +64,20 @@ __all__ = [
 ]
 
 
+# evaluating or serialising a tree recurses once per level, so deeper trees
+# are refused, when built or read, well inside Python's default recursion
+# limit (1000)
+_MAX_TREE_DEPTH = 500
+
+
 class FunctionExpr:
     """Base class for expression nodes.  Nodes are frozen and hashable."""
 
     __slots__ = ()
     TAG = None
+    # levels from this node down to its deepest leaf; ``_nest`` sets it on
+    # every node with children
+    _depth = 1
 
     def value(self, z):
         raise NotImplementedError
@@ -87,6 +97,15 @@ class FunctionExpr:
                 value = complex_to_pair(value)
             obj[f.name] = value
         return obj
+
+
+def _nest(node, child, other=None):
+    """Give ``node`` one level more than its deepest child, refusing trees
+    deeper than ``_MAX_TREE_DEPTH`` levels."""
+    depth = child._depth if other is None or child._depth >= other._depth else other._depth
+    if depth >= _MAX_TREE_DEPTH:
+        raise DomainError(f"function tree is deeper than {_MAX_TREE_DEPTH} levels")
+    object.__setattr__(node, "_depth", depth + 1)
 
 
 @dataclass(frozen=True)
@@ -125,12 +144,21 @@ class Rotation(FunctionExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "theta", require_real(self.theta, "theta"))
+        _nest(self, self.child)
 
     def value(self, z):
         return _unimodular(self.theta) * self.child.value(z)
 
     def jet(self, z0):
         return jet_scale(_unimodular(self.theta), self.child.jet(z0))
+
+
+def _mobius_jet(a, x):
+    """Jet of T_a(w) = (w + a) / (1 + conj(a) w) at the jet x of w."""
+    ac = a.conjugate()
+    num = Jet2(x.f0 + a, x.f1, x.f2)
+    den = Jet2(1.0 + ac * x.f0, ac * x.f1, ac * x.f2)
+    return jet_div(num, den)
 
 
 def _unimodular(theta):
@@ -152,17 +180,13 @@ class MobiusT(FunctionExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "a", unit_disk_point(self.a, "a"))
+        _nest(self, self.child)
 
     def value(self, z):
-        v = self.child.value(z)
-        return (v + self.a) / (1.0 + self.a.conjugate() * v)
+        return _mobius(self.a, self.child.value(z))
 
     def jet(self, z0):
-        x = self.child.jet(z0)
-        ac = self.a.conjugate()
-        num = Jet2(x.f0 + self.a, x.f1, x.f2)
-        den = Jet2(1.0 + ac * x.f0, ac * x.f1, ac * x.f2)
-        return jet_div(num, den)
+        return _mobius_jet(self.a, self.child.jet(z0))
 
 
 @dataclass(frozen=True)
@@ -170,6 +194,9 @@ class Product(FunctionExpr):
     TAG = "product"
     left: FunctionExpr
     right: FunctionExpr
+
+    def __post_init__(self):
+        _nest(self, self.left, self.right)
 
     def value(self, z):
         return self.left.value(z) * self.right.value(z)
@@ -184,6 +211,9 @@ class Compose(FunctionExpr):
     outer: FunctionExpr
     inner: FunctionExpr
 
+    def __post_init__(self):
+        _nest(self, self.outer, self.inner)
+
     def value(self, z):
         return self.outer.value(self.inner.value(z))
 
@@ -195,7 +225,8 @@ class Compose(FunctionExpr):
 
 @dataclass(frozen=True)
 class Bracket(FunctionExpr):
-    """[child(z), w] = (child(z) - w) / (1 - conj(w) child(z))."""
+    """[child(z), w] = (child(z) - w) / (1 - conj(w) child(z)), which is
+    T_{-w}(child(z))."""
 
     TAG = "bracket"
     w: complex
@@ -203,17 +234,13 @@ class Bracket(FunctionExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "w", unit_disk_point(self.w, "w"))
+        _nest(self, self.child)
 
     def value(self, z):
-        v = self.child.value(z)
-        return (v - self.w) / (1.0 - self.w.conjugate() * v)
+        return _mobius(-self.w, self.child.value(z))
 
     def jet(self, z0):
-        x = self.child.jet(z0)
-        wc = self.w.conjugate()
-        num = Jet2(x.f0 - self.w, x.f1, x.f2)
-        den = Jet2(1.0 - wc * x.f0, -wc * x.f1, -wc * x.f2)
-        return jet_div(num, den)
+        return _mobius_jet(-self.w, self.child.jet(z0))
 
 
 def evaluate(f, z):
@@ -353,10 +380,6 @@ def pair_to_complex(p):
 
 
 _NODES = {cls.TAG: cls for cls in (Identity, Constant, Rotation, MobiusT, Product, Compose, Bracket)}
-
-# evaluating or serialising a tree recurses once per level, so deeper
-# documents are refused well inside Python's default recursion limit (1000)
-_MAX_TREE_DEPTH = 500
 
 
 def expr_from_obj(obj):

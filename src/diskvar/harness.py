@@ -6,7 +6,8 @@ Three suites back the closed-form results numerically:
   pushed through the parametrizations; the predicted derivative must land in
   the predicted disk, every time;
 * attainment: extremal functions are swept over parameter grids and must land
-  on the predicted disk boundaries / bound values;
+  on their targets: the predicted disk boundaries (a smaller concentric circle
+  for an interior parameter) and bound values;
 * tightness: coarse maximisation of |g''(z0)| over sampled parameters must
   approach the sharp bound from below and never cross it.
 
@@ -55,6 +56,7 @@ from .functions import (
     PrescribedData,
     Product,
     Rotation,
+    _nest,
     dieudonne_parametrize,
     disk_sample,
     schur_parametrize,
@@ -183,9 +185,9 @@ def _merge(parts):
 
 def _batch_tally(margins, tol, values=None):
     """The chunk tally of a batch of margins, with the largest of its values
-    when given.  A margin below -tol (tol may be one slack per lane) or NaN
-    counts as a violation; the worst margin and the best value skip NaN, and
-    are None when nothing else is left."""
+    when given.  A margin below -tol or NaN counts as a violation; the worst
+    margin and the best value skip NaN, and are None when nothing else is
+    left."""
     return (
         margins.size,
         int(np.count_nonzero(~(margins >= -tol))),
@@ -219,6 +221,9 @@ class _Select(FunctionExpr):
     mask: object
     then: FunctionExpr
     other: FunctionExpr
+
+    def __post_init__(self):
+        _nest(self, self.then, self.other)
 
     def value(self, z):
         return np.where(self.mask, self.then.value(z), self.other.value(z))
@@ -330,53 +335,43 @@ def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
 # -- attainment ---------------------------------------------------------------
 
 
-def _attainment_margins(spec, tol):
-    """The margins of every row of one kind's attainment grid, each with the
-    slack by which it may fall below zero: the rows' probes in grid order,
-    then their pins in grid order.
+def _attainment_margins(spec):
+    """Minus the distance of every check of one kind's attainment grid from
+    its target: each row's probe in grid order, then each row's pins.
 
-    A row at distance d from its target's boundary gives margin -d and slack
-    tol; an ``inside`` row gives its disk inclusion margin, which must be
-    positive.  A disk kind's rows are evaluated as one batch, one lane per
-    row.  The sharp kinds (``params`` set) are evaluated row by row: their
-    trees change shape with the data, and numpy's complex arithmetic rounds
-    differently from Python's, which would move the report's worst row.
+    A disk kind's rows are evaluated as one batch, one lane per row.  The
+    sharp kinds (``params`` set) are evaluated row by row: their trees change
+    shape with the data, and numpy's complex arithmetic rounds differently
+    from Python's, which would move the report's worst row.
     """
-    rows = [(point, free, pins) for point in spec.grid() for free, pins in point.rows]
+    rows = [({**point.data, **free}, point.target, pins) for point in spec.grid() for free, pins in point.rows]
+    checks = [(lane, spec.probe, target) for lane, (_, target, _) in enumerate(rows)]
+    checks += [(lane, part, disk) for lane, (_, _, pins) in enumerate(rows) for part, disk in pins]
     if spec.params is not None:
-        probes, pinned = [], []
-        for point, free, pins in rows:
-            jet = make_extremal(spec.kind, **point.data, **free).jet(point.data["z0"])
-            probes.append(-attainment_distance(point.target, getattr(jet, spec.probe)))
-            pinned += [-disk.boundary_distance(getattr(jet, part)) for part, disk in pins]
-        margins = np.array(probes + pinned)
-        return margins, np.full(margins.size, tol)
+        jets = [make_extremal(spec.kind, **given).jet(given["z0"]) for given, _, _ in rows]
+        return np.array([-attainment_distance(target, getattr(jets[lane], part)) for lane, part, target in checks])
 
-    given = [{**point.data, **free} for point, free, _ in rows]
-    lanes = {name: np.array([values[name] for values in given]) for name in given[0]}
+    lanes = {name: np.array([given[name] for given, _, _ in rows]) for name in rows[0][0]}
     jet = np.stack(make_extremal(spec.kind, **lanes).jet(lanes["z0"]))
-    checks = [(lane, spec.probe, point.target, point.inside) for lane, (point, _, _) in enumerate(rows)]
-    checks += [(lane, part, disk, False) for lane, (_, _, pins) in enumerate(rows) for part, disk in pins]
-    at, parts, targets, inside = zip(*checks)
+    at, parts, targets = zip(*checks)
     probe = jet[[Jet2._fields.index(part) for part in parts], list(at)]
     target = Disk(np.array([t.center for t in targets]), np.array([t.radius for t in targets]))
-    inside = np.array(inside)
-    margins = np.where(inside, target.margin(probe), -target.boundary_distance(probe))
-    # margin >= 5e-324, the smallest positive double, exactly when margin > 0
-    return margins, np.where(inside, -5e-324, tol)
+    return -target.boundary_distance(probe)
 
 
 def run_attainment_suite(cfg, kinds=None):
     """Sweep extremal kinds over deterministic grids.
 
-    Each disk kind's grid is checked as one batch; the sharp kinds' grids
-    (``sharp-deg1``, ``sharp-deg2``, ``szasz``) row by row.  Rows are
-    deterministic (no sampling), so cfg.seed and cfg.parallel do not change
-    the report.
+    Every check is the distance of a jet component from its target (a disk
+    boundary or a bound), and fails beyond cfg.tol.  Each disk kind's grid is
+    checked as one batch; the sharp kinds' grids (``sharp-deg1``,
+    ``sharp-deg2``, ``szasz``) row by row.  Rows are deterministic (no
+    sampling), so cfg.seed, cfg.samples and cfg.parallel do not change the
+    report.
     """
     specs = [kind_spec(kind) for kind in (ExtremalKind if kinds is None else kinds)]
     start = time.perf_counter()
-    parts = [_batch_tally(*_attainment_margins(spec, cfg.tol)) for spec in specs]
+    parts = [_batch_tally(_attainment_margins(spec), cfg.tol) for spec in specs]
     n, violations, worst, _ = _merge(parts)
     return HarnessReport(
         suite="attainment",

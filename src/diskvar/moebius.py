@@ -145,15 +145,22 @@ def unimodular_point(z, name="alpha"):
     return z / m
 
 
+def _mobius(a, z):
+    """T_a(z) = (z + a) / (1 + conj(a) z), unchecked: the one formula of the
+    Moebius maps, T_a nodes and brackets alike."""
+    return (z + a) / (1.0 + a.conjugate() * z)
+
+
 def mobius_T(a, z):
     """Disk automorphism T_a(z) = (z + a) / (1 + conj(a) z)."""
     a = unit_disk_point(a, "a")
     z = closed_disk_point(z, "z")
-    return (z + a) / (1.0 + a.conjugate() * z)
+    return _mobius(a, z)
 
 
 def hyperbolic_bracket(z, w):
-    """Pseudo-hyperbolic difference [z, w] = (z - w) / (1 - conj(w) z).
+    """Pseudo-hyperbolic difference [z, w] = (z - w) / (1 - conj(w) z), which
+    is T_{-w}(z).
 
     [z, z] = 0 even for |z| = 1.  For z != w the base point must satisfy
     |w| < 1; a unimodular w with z != w is refused rather than guessed at.
@@ -164,7 +171,7 @@ def hyperbolic_bracket(z, w):
         return 0j
     if abs(w) >= 1.0:
         raise DomainError("bracket base point must satisfy |w| < 1 when z != w")
-    return (z - w) / (1.0 - w.conjugate() * z)
+    return _mobius(-w, z)
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,26 @@ def test_verify_attainment_kinds_filter(capsys):
     assert doc["violations"] == 0
 
 
+def test_verify_attainment_takes_no_sampling_options(capsys):
+    # the grids are fixed: --seed, --samples and --parallel would change nothing
+    for option in (("--seed", "3"), ("--samples", "100"), ("--parallel",)):
+        code, out, err = run(capsys, "verify", "attainment", "--kinds", "szasz", *option)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+def test_tiny_z0_in_the_dieudonne_forms_is_an_input_error(capsys):
+    for argv in (
+        ("disk", "dieudonne", "--z0", "1e-200,0", "--w0", "0,0"),
+        ("disk", "dieudonne2", "--z0", "1e-200,0", "--w0", "0,0", "--delta1", "0.5,0"),
+        ("extremal", "verify", "--kind", "dieudonne2-boundary", "--z0", "1e-200,0", "--w0", "0,0",
+         "--delta1", "0.5,0", "--alpha", "1,0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: dieudonne_disk requires") and err.count("\n") == 1
+
+
 def test_verify_tol_must_be_positive(capsys):
     code, out, err = run(capsys, "verify", "tightness", "--r", "0.5", "--R", "0.25", "--tol", "0")
     assert (code, out, err) == (2, "", "error: tol must be positive\n")

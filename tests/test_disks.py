@@ -123,6 +123,15 @@ def test_dieudonne_rejects_bad_data():
         dieudonne_disk(0.5, 0.5)
     with pytest.raises(DomainError):
         dieudonne_disk(0.0, 0.0)
+    # |z0|^2 below the smallest normal double: the closed forms divide by it
+    for z0 in (1e-200, 1e-160j, 1.4e-154):
+        with pytest.raises(DomainError, match="normal double"):
+            dieudonne_disk(z0, 0.0)
+        with pytest.raises(DomainError, match="normal double"):
+            second_order_dieudonne_disk(z0, 0.0, 0.5)
+    with pytest.raises(DomainError, match="normal double"):
+        dieudonne_disk(np.array([0.5, 1e-200]), np.array([0.25, 0.0]))
+    assert dieudonne_disk(1.5e-154, 0.0).radius == pytest.approx(1.5e-154, rel=1e-15)
 
 
 def test_second_derivative_disk_spot_values():

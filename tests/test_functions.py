@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from diskvar.functions import (
     schur_parametrize,
     substream,
 )
-from diskvar.moebius import DomainError
+from diskvar.moebius import DomainError, Jet2, jet_div
 
 from oracles import fd_jet, rel_err
 
@@ -245,6 +246,71 @@ def test_expr_from_obj_errors():
     for _ in range(499):
         shallow = {"node": "rotation", "theta": 0.1, "child": shallow}
     assert eval_jet(function_from_json(json.dumps(shallow)), 0.2).f0 == pytest.approx(0.2 * cmath.exp(49.9j))
+
+
+def test_trees_deeper_than_the_cap_are_refused_when_built():
+    # a chain 3,000 deep would raise RecursionError in jet and to_obj
+    g = Identity()
+    with pytest.raises(DomainError, match="deeper than 500 levels"):
+        for _ in range(3000):
+            g = Rotation(0.1, g)
+    # the last tree built has 500 levels: it evaluates and serialises
+    assert eval_jet(g, 0.2).f0 == pytest.approx(0.2 * cmath.exp(49.9j))
+    assert function_to_json(function_from_json(function_to_json(g))) == function_to_json(g)
+    # every node is one level deeper than its deepest child
+    parents = (
+        lambda c: Rotation(0.1, c),
+        lambda c: MobiusT(0.1, c),
+        lambda c: Bracket(0.1, c),
+        lambda c: Product(Identity(), c),
+        lambda c: Product(c, Identity()),
+        lambda c: Compose(Identity(), c),
+        lambda c: Compose(c, Identity()),
+    )
+    for parent in parents:
+        parent(g.child)
+        with pytest.raises(DomainError, match="deeper"):
+            parent(g)
+
+
+class _FixedJet(FunctionExpr):
+    """A leaf with a given value and jet."""
+
+    def __init__(self, jet):
+        self.fixed = jet
+
+    def value(self, z):
+        return self.fixed.f0
+
+    def jet(self, z0):
+        return self.fixed
+
+
+def _bracket_in_w(w, x):
+    """The bracket's value and jet at x, in the (v - w) / (1 - conj(w) v) form."""
+    wc = w.conjugate()
+    value = (x.f0 - w) / (1.0 - wc * x.f0)
+    return value, jet_div(Jet2(x.f0 - w, x.f1, x.f2), Jet2(1.0 - wc * x.f0, -wc * x.f1, -wc * x.f2))
+
+
+def _bits(*values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def test_bracket_is_the_mobius_formula_bit_for_bit():
+    # Bracket(w, .) evaluates T_{-w}; written in w it gives the same bits
+    rng = substream(SEED, 3)
+    w, f0 = disk_sample(rng, 0.95, 4096), disk_sample(rng, 1.0, 4096)
+    f1, f2 = (4.0 * disk_sample(rng, 1.0, 4096) for _ in range(2))
+    lanes = Jet2(f0, f1, f2)
+    node = Bracket(w, _FixedJet(lanes))
+    value, jet = _bracket_in_w(w, lanes)
+    assert _bits(node.value(0.0), *node.jet(0.0)) == _bits(value, *jet)
+    for i in range(0, 4096, 4):
+        x = Jet2(*(complex(part[i]) for part in lanes))
+        node = Bracket(complex(w[i]), _FixedJet(x))
+        value, jet = _bracket_in_w(complex(w[i]), x)
+        assert _bits(node.value(0.0), *node.jet(0.0)) == _bits(value, *jet)
 
 
 def test_substream_independence():

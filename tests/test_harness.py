@@ -9,7 +9,7 @@ import pytest
 from diskvar import harness
 from diskvar.bounds import theorem31_bound
 from diskvar.disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_derivative_disk
-from diskvar.extremal import KINDS, ExtremalKind, attainment_distance, make_extremal
+from diskvar.extremal import _INTERIOR_ALPHA, KINDS, ExtremalKind, attainment_distance, make_extremal
 from diskvar.functions import (
     Bracket,
     Constant,
@@ -234,58 +234,70 @@ def test_attainment_kind_filter():
 # -- the batched attainment path ---------------------------------------------
 
 
-def _scalar_attainment_rows(spec, tol):
-    """(margin, passed, scale) of every row of one kind's grid, each extremal
-    built and checked as a scalar tree, in the order of
+def _scalar_attainment_rows(spec):
+    """(margin, scale) of every check of one kind's grid, each extremal built
+    and checked as a scalar tree, in the order of
     ``harness._attainment_margins``: the rows' probes, then their pins."""
     probes, pins = [], []
     for point in spec.grid():
         z0 = point.data["z0"]
         for free, pinned in point.rows:
             jet = make_extremal(spec.kind, **point.data, **free).jet(z0)
-            probe = getattr(jet, spec.probe)
-            scale = abs(point.target.center) + point.target.radius if isinstance(point.target, Disk) else 0.0
-            if point.inside:
-                margin = point.target.margin(probe)
-                probes.append((margin, margin > 0.0, scale))
-            else:
-                distance = attainment_distance(point.target, probe)
-                probes.append((-distance, distance <= tol, scale))
+            target = point.target
+            scale = abs(target.center) + target.radius if isinstance(target, Disk) else 0.0
+            probes.append((-attainment_distance(target, getattr(jet, spec.probe)), scale))
             for part, disk in pinned:
-                distance = disk.boundary_distance(getattr(jet, part))
-                pins.append((-distance, distance <= tol, abs(disk.center) + disk.radius))
+                pins.append((-disk.boundary_distance(getattr(jet, part)), abs(disk.center) + disk.radius))
     return probes + pins
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_batched_attainment_matches_scalar_rows(kind):
     spec = KINDS[kind]
-    for tol in (1e-8, 1e-9):
-        margins, slack = harness._attainment_margins(spec, tol)
-        scalar = _scalar_attainment_rows(spec, tol)
-        assert margins.shape == slack.shape == (len(scalar),)
-        for margin, passed, (expected, expected_passed, scale) in zip(margins, margins >= -slack, scalar):
-            assert abs(margin - expected) <= 1e-13 * (1.0 + scale)
-            assert passed == expected_passed
-        if spec.params is not None:
-            # the sharp kinds are evaluated in Python scalars, bit for bit
-            assert margins.tolist() == [margin for margin, _, _ in scalar]
+    margins = harness._attainment_margins(spec)
+    scalar = _scalar_attainment_rows(spec)
+    assert margins.shape == (len(scalar),)
+    for margin, (expected, scale) in zip(margins, scalar):
+        assert abs(margin - expected) <= 1e-13 * (1.0 + scale)
+        for tol in (1e-8, 1e-9):
+            assert (margin >= -tol) == (expected >= -tol)
+    if spec.params is not None:
+        # the sharp kinds are evaluated in Python scalars, bit for bit
+        assert margins.tolist() == [margin for margin, _ in scalar]
+
+
+def _is_interior(free):
+    return free.get("alpha") == _INTERIOR_ALPHA
+
+
+def test_an_interior_alpha_lands_on_its_circle():
+    # g''(z0) = c2 + rho2 alpha: |alpha| < 1 fixes one interior point, on the
+    # circle of radius |alpha| rho2 that the grid targets
+    spec = KINDS[ExtremalKind.SECOND_BOUNDARY]
+    rows = [(point, free) for point in spec.grid() for free, _ in point.rows if _is_interior(free)]
+    assert len(rows) == 48
+    for point, free in rows:
+        disk = second_derivative_disk(PrescribedData(**point.data))
+        assert point.target == Disk(disk.center, abs(_INTERIOR_ALPHA) * disk.radius)
+        f2 = make_extremal(spec.kind, **point.data, **free).jet(point.data["z0"]).f2
+        assert abs(f2 - (disk.center + disk.radius * _INTERIOR_ALPHA)) <= 1e-13 * (1.0 + disk.radius)
+        assert point.target.boundary_distance(f2) <= 1e-13 * (1.0 + disk.radius)
 
 
 @pytest.mark.parametrize(
-    "kind, inside",
+    "kind, interior",
     [(kind, False) for kind, spec in KINDS.items() if spec.params is None] + [(ExtremalKind.SECOND_BOUNDARY, True)],
 )
-def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, inside):
+def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interior):
     spec = KINDS[kind]
     points = list(spec.grid())
-    at = next(i for i, point in enumerate(points) if point.inside == inside)
+    at = next(i for i, point in enumerate(points) if _is_interior(point.rows[0][0]) == interior)
     point = points[at]
     (free, pins), *others = point.rows
     target = point.target
     probe = getattr(make_extremal(kind, **point.data, **free).jet(point.data["z0"]), spec.probe)
     # move the center away from the probe until the probe lies 1e-6 outside
-    # the disk: a shift of ~1e-6 for a boundary row
+    # the target circle: a shift of ~1e-6
     away = target.center - probe
     shift = (target.radius + 1e-6 - abs(away)) * (away / abs(away) if away else 1.0)
     points[at : at + 1] = [
@@ -316,10 +328,10 @@ def test_a_nan_lane_leaves_the_report_valid_json(monkeypatch):
         margins[3] = float("nan")
         return margins
 
-    def poisoned_grid(spec, tol):
-        margins, slack = attainment_margins(spec, tol)
+    def poisoned_grid(spec):
+        margins = attainment_margins(spec)
         margins[3] = float("nan")
-        return margins, slack
+        return margins
 
     monkeypatch.setattr(harness, "_block_margins", poisoned_block)
     monkeypatch.setattr(harness, "_attainment_margins", poisoned_grid)
