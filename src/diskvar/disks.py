@@ -7,10 +7,11 @@ R = |delta0|.  Every region below is sharp.  The harness in
 ``diskvar.harness`` checks membership on random samples, and the extremal
 constructors in ``diskvar.extremal`` land on the boundary of each region
 except the Rogosinski and Mercer disks, which have no extremal kind yet.
-``dieudonne_disk``, ``mercer_disk`` and ``second_derivative_disk`` also take
+``schwarz_pick_disk``, ``dieudonne_disk``, ``mercer_disk``,
+``second_derivative_disk`` and ``second_order_dieudonne_disk`` also take
 batches (see ``diskvar.moebius``) and return one disk per lane, and
 ``max_attaining_alpha`` one parameter per lane, which is how the harness
-checks a whole block of samples at once.
+checks a whole block of samples, or a whole attainment grid, at once.
 """
 
 import sys
@@ -44,6 +45,13 @@ __all__ = [
     "hyperbolic_h2",
     "H2_DEGENERACY_THRESHOLD",
 ]
+
+
+def _unit_gap(delta1):
+    """1 - |delta1|^2, clamped at +0.0 lane-wise: a closed-disk delta1 may
+    lie up to 1e-12 outside the circle, or its modulus may round there."""
+    gap = 1.0 - abs(delta1) ** 2
+    return gap.clip(0.0) if _is_batch(gap) else max(gap, 0.0)
 
 
 def schwarz_pick_disk(z0, delta0):
@@ -128,7 +136,7 @@ def second_derivative_disk(data):
     z0, d0, d1 = data.z0, data.delta0, data.delta1
     lead = 2.0 * (1.0 - abs(d0) ** 2) / (1.0 - abs(z0) ** 2) ** 2
     center = lead * (z0.conjugate() - d0.conjugate() * d1) * d1
-    radius = lead * (1.0 - abs(d1) ** 2)
+    radius = lead * _unit_gap(d1)
     return Disk(center, radius)
 
 
@@ -178,7 +186,7 @@ def second_order_dieudonne_disk(z0, w0, delta1):
     s = abs(w0)
     lead = 2.0 * (r * r - s * s) / (1.0 - r * r) ** 2
     center = (lead / (r * r)) * d1 * (1.0 - (z0 * w0.conjugate() / z0.conjugate()) * d1)
-    radius = (lead / r) * (1.0 - abs(d1) ** 2)
+    radius = (lead / r) * _unit_gap(d1)
     return SecondOrderDisk(w1, Disk(center, radius))
 
 

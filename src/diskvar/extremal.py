@@ -154,13 +154,16 @@ def _deg2_bound(z0, delta0):
 
 
 class GridPoint(NamedTuple):
-    """One data point of an attainment grid, with its target computed once.
+    """Data points of an attainment grid, with their target computed once.
 
-    ``rows`` holds ``(free, pins)`` pairs.  The extremal built from ``data``
-    and the ``free`` values must put its probe on ``target``: on the boundary
-    of a Disk, or at the modulus of a positive bound.  Each pin is a
-    ``(component, disk)`` pair: that component of the same jet must land on
-    the disk's boundary as well.
+    ``data`` maps each name to one scalar, or in a lane grid to a numpy array
+    with one data point per lane; ``target`` is then a Disk with one center
+    and radius per lane (or one for all lanes).  ``rows`` holds ``(free,
+    pins)`` pairs, each applying to every lane.  The extremal built from
+    ``data`` and the ``free`` values (a scalar, or one value per lane) must
+    put its probe on ``target``: on the boundary of a Disk, or at the modulus
+    of a positive bound.  Each pin is a ``(component, disk)`` pair: that
+    component of the same jet must land on the disk's boundary as well.
     """
 
     data: dict
@@ -188,41 +191,59 @@ _Z0_TURN = complex(math.cos(0.6), math.sin(0.6))
 _D0_TURN = complex(math.cos(-1.2), math.sin(-1.2))
 
 
-def _schwarz_pick_grid():
-    for z0, d0 in product(_Z0_GRID, _D0_GRID):
+def _combos(lanes, *grids):
+    """Every combination of the grids' values, in ``itertools.product``
+    order: one tuple of scalars per combination, or with ``lanes`` a single
+    tuple of numpy arrays holding one combination per lane."""
+    if not lanes:
+        return product(*grids)
+    import numpy as np  # only a lane grid needs numpy: the CLI never loads it
+
+    return [np.array(list(product(*grids)), dtype=complex).T]
+
+
+def _schwarz_pick_grid(lanes=False):
+    for z0, d0 in _combos(lanes, _Z0_GRID, _D0_GRID):
         yield GridPoint({"z0": z0, "delta0": d0}, schwarz_pick_disk(z0, d0), _ALPHA_ROWS)
 
 
-def _dieudonne_grid():
-    for z0, u0 in product(_Z0_GRID[1:], _U0_GRID):
+def _dieudonne_grid(lanes=False):
+    for z0, u0 in _combos(lanes, _Z0_GRID[1:], _U0_GRID):
         w0 = u0 * z0
         yield GridPoint({"z0": z0, "w0": w0}, dieudonne_disk(z0, w0), _ALPHA_ROWS)
 
 
-def _second_degenerate_grid():
-    for z0, d0, d1 in product(_Z0_GRID, _D0_GRID, _UNIMODULAR_GRID):
+def _second_degenerate_grid(lanes=False):
+    for z0, d0, d1 in _combos(lanes, _Z0_GRID, _D0_GRID, _UNIMODULAR_GRID):
         data = {"z0": z0, "delta0": d0, "delta1": d1}
         yield GridPoint(data, _second_disk(z0, d0, d1), (({}, ()),))
 
 
-def _second_boundary_grid():
-    for z0, d0, d1 in product(_Z0_GRID, _D0_GRID, _D1_GRID):
+def _second_boundary_grid(lanes=False):
+    for z0, d0, d1 in _combos(lanes, _Z0_GRID, _D0_GRID, _D1_GRID):
         data = {"z0": z0, "delta0": d0, "delta1": d1}
         prescribed = PrescribedData(z0, d0, d1)
         disk = second_derivative_disk(prescribed)
         yield GridPoint(data, disk, _ALPHA_ROWS)
+        # the aligned alpha puts g''(z0) on the circle |w| = max |g''(z0)|; it is
+        # None (NaN in a lane) where the center vanishes and every alpha is aligned
         best = max_attaining_alpha(prescribed)
-        if best is not None:
-            # the aligned alpha puts g''(z0) on the circle |w| = max |g''(z0)|
-            top = Disk(0j, abs(disk.center) + disk.radius)
-            yield GridPoint(data, top, (({"alpha": best}, ()),))
+        top = abs(disk.center) + disk.radius
+        if lanes:
+            import numpy as np
+
+            has = ~np.isnan(best)
+            aligned = {name: v[has] for name, v in data.items()}
+            yield GridPoint(aligned, Disk(0j, top[has]), (({"alpha": best[has]}, ()),))
+        elif best is not None:
+            yield GridPoint(data, Disk(0j, top), (({"alpha": best}, ()),))
         # g''(z0) = c2 + rho2 alpha: an interior alpha lands on the circle of radius |alpha| rho2
         interior = Disk(disk.center, abs(_INTERIOR_ALPHA) * disk.radius)
         yield GridPoint(data, interior, (({"alpha": _INTERIOR_ALPHA}, ()),))
 
 
-def _dieudonne2_grid(d1_grid, frees):
-    for z0, u0, d1 in product(_Z0_GRID[1:], _U0_GRID, d1_grid):
+def _dieudonne2_grid(d1_grid, frees, lanes=False):
+    for z0, u0, d1 in _combos(lanes, _Z0_GRID[1:], _U0_GRID, d1_grid):
         w0 = u0 * z0
         w1, disk = second_order_dieudonne_disk(z0, w0, d1)
         # f'(z0) = w1 whatever the free values: checked once, on the last extremal
@@ -277,10 +298,12 @@ class KindSpec:
     values by name and returns a Disk or a positive bound.  ``probe`` names
     the jet component that lands on the target, ``branches`` the bound
     branches a sharp kind attains, and ``grid()`` yields the GridPoints the
-    attainment suite checks.  A sharp kind's ``params`` takes its data (and
-    optionally its free value) and returns ``(values, free)``: the named
-    parameters its tree is built from, and the names among them that any
-    choice of the free value moves.
+    attainment suite checks, one per data point; a disk kind's
+    ``grid(lanes=True)`` yields the same rows as a few lane-array GridPoints,
+    their targets from one lane-wise call of the closed form.  A sharp kind's
+    ``params`` takes its data (and optionally its free value) and returns
+    ``(values, free)``: the named parameters its tree is built from, and the
+    names among them that any choice of the free value moves.
     """
 
     kind: ExtremalKind

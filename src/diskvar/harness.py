@@ -20,9 +20,11 @@ and closed forms that evaluate a single sample.  So any split of the indices,
 serial or parallel, aggregates to the same report (violation counts sum,
 margins reduce by min).
 
-The attainment grids are fixed, not sampled.  Each disk kind's grid is checked
-as one batch, one lane per row, through one extremal tree; the three sharp
-kinds, whose trees change shape with the data, are checked row by row.
+The attainment grids are fixed, not sampled.  Each disk kind's grid comes as a
+few lane-array grid points, their targets from one lane-wise call of the closed
+form, and is checked as one batch, one lane per row, through one extremal
+tree; the three sharp kinds, whose trees change shape with the data, are
+checked row by row.
 """
 
 import math
@@ -335,28 +337,49 @@ def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
 # -- attainment ---------------------------------------------------------------
 
 
+def _tile(value, rows, n):
+    """A scalar, n lanes, or one of either per row (shape (rows, 1) or (rows,
+    n)) as rows * n lanes, row by row."""
+    return np.broadcast_to(value, (rows, n)).ravel()
+
+
 def _attainment_margins(spec):
     """Minus the distance of every check of one kind's attainment grid from
     its target: each row's probe in grid order, then each row's pins.
 
-    A disk kind's rows are evaluated as one batch, one lane per row.  The
-    sharp kinds (``params`` set) are evaluated row by row: their trees change
-    shape with the data, and numpy's complex arithmetic rounds differently
-    from Python's, which would move the report's worst row.
+    A disk kind's grid points hold lane arrays.  Each point's data, free
+    values and target are tiled once per row, so the kind's rows are the
+    lanes of one extremal tree and one jet, and a check is a slice of those
+    lanes.  The sharp kinds (``params`` set) are evaluated row by row: their
+    trees change shape with the data, and numpy's complex arithmetic rounds
+    differently from Python's, which would move the report's worst row.
     """
-    rows = [({**point.data, **free}, point.target, pins) for point in spec.grid() for free, pins in point.rows]
-    checks = [(lane, spec.probe, target) for lane, (_, target, _) in enumerate(rows)]
-    checks += [(lane, part, disk) for lane, (_, _, pins) in enumerate(rows) for part, disk in pins]
     if spec.params is not None:
+        rows = [({**point.data, **free}, point.target, pins) for point in spec.grid() for free, pins in point.rows]
+        checks = [(lane, spec.probe, target) for lane, (_, target, _) in enumerate(rows)]
+        checks += [(lane, part, disk) for lane, (_, _, pins) in enumerate(rows) for part, disk in pins]
         jets = [make_extremal(spec.kind, **given).jet(given["z0"]) for given, _, _ in rows]
         return np.array([-attainment_distance(target, getattr(jets[lane], part)) for lane, part, target in checks])
 
-    lanes = {name: np.array([given[name] for given, _, _ in rows]) for name in rows[0][0]}
-    jet = np.stack(make_extremal(spec.kind, **lanes).jet(lanes["z0"]))
-    at, parts, targets = zip(*checks)
-    probe = jet[[Jet2._fields.index(part) for part in parts], list(at)]
-    target = Disk(np.array([t.center for t in targets]), np.array([t.radius for t in targets]))
-    return -target.boundary_distance(probe)
+    lanes, probes, pins = {}, [], []  # a check: (component, lanes, center, radius)
+    start = 0
+    for point in spec.grid(lanes=True):
+        k, n = len(point.rows), point.data["z0"].size
+        frees = {name: np.array([free[name] for free, _ in point.rows]).reshape(k, -1) for name in point.rows[0][0]}
+        for name, values in {**point.data, **frees}.items():
+            lanes.setdefault(name, []).append(_tile(values, k, n))
+        target = point.target
+        probes.append((spec.probe, slice(start, start + k * n), _tile(target.center, k, n), _tile(target.radius, k, n)))
+        for row, (_, pinned) in enumerate(point.rows):
+            at = slice(start + row * n, start + (row + 1) * n)
+            pins += [(part, at, _tile(disk.center, 1, n), _tile(disk.radius, 1, n)) for part, disk in pinned]
+        start += k * n
+
+    lanes = {name: np.concatenate(values) for name, values in lanes.items()}
+    jet = make_extremal(spec.kind, **lanes).jet(lanes["z0"])
+    parts, at, centers, radii = zip(*probes, *pins)
+    probe = np.concatenate([getattr(jet, part)[rows] for part, rows in zip(parts, at)])
+    return -Disk(np.concatenate(centers), np.concatenate(radii)).boundary_distance(probe)
 
 
 def run_attainment_suite(cfg, kinds=None):

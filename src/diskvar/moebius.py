@@ -164,14 +164,19 @@ def hyperbolic_bracket(z, w):
 
     [z, z] = 0 even for |z| = 1.  For z != w the base point must satisfy
     |w| < 1; a unimodular w with z != w is refused rather than guessed at.
+    On a batch both hold lane by lane.
     """
     z = closed_disk_point(z, "z")
     w = closed_disk_point(w, "w")
-    if z == w:
-        return 0j
-    if abs(w) >= 1.0:
+    if _any_lane((z != w) & (abs(w) >= 1.0)):
         raise DomainError("bracket base point must satisfy |w| < 1 when z != w")
-    return _mobius(-w, z)
+    same = z == w
+    if not _is_batch(same):
+        return 0j if same else _mobius(-w, z)
+    import numpy as np  # a batch is a numpy array, so numpy is loaded already
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # the z == w lanes are replaced
+        return np.where(same, 0j, _mobius(-w, z))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -263,6 +264,23 @@ def test_tiny_z0_in_the_dieudonne_forms_is_an_input_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: dieudonne_disk requires") and err.count("\n") == 1
+
+
+def test_a_delta1_rounded_past_the_circle_gives_radius_zero(capsys):
+    # |delta1| = 1 + 1e-13 is inside the closed disk's 1e-12 slack: 1 - |delta1|^2
+    # is clamped at 0 rather than giving a negative radius
+    delta1 = ("--delta1", "1.0000000000001,0")
+    for argv in (
+        ("disk", "second", "--z0", "0.3,0", "--delta0", "0.2,0", *delta1),
+        ("disk", "dieudonne2", "--z0", "0.3,0", "--w0", "0.1,0", *delta1),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["radius"] == 0.0 and math.copysign(1.0, doc["radius"]) == 1.0
+    argv = ("extremal", "verify", "--kind", "second-degenerate", "--z0", "0.3,0", "--delta0", "0.2,0", *delta1)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["passed"]
+    assert doc["target"].endswith(", radius=0.0)")
 
 
 def test_verify_tol_must_be_positive(capsys):

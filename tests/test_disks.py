@@ -235,6 +235,18 @@ def test_second_order_dieudonne_membership(z0, ratio, d1, alpha):
     assert region.margin(jet.f2) > -1e-9
 
 
+def test_a_delta1_lane_rounded_past_the_circle_gives_radius_zero():
+    # |delta1|^2 = 1 + 2^-51 in the first lane: the radius is +0.0, not negative
+    d1 = np.array([1.0 + 2.0**-52, 0.5j, cmath.exp(0.3j)])
+    batch = [second_derivative_disk(PrescribedData(0.3, 0.2, d1)), second_order_dieudonne_disk(0.3, 0.1, d1).region]
+    scalar = [second_derivative_disk(PrescribedData(0.3, 0.2, 1.0 + 2.0**-52)),
+              second_order_dieudonne_disk(0.3, 0.1, 1.0 + 2.0**-52).region]
+    for lanes, one in zip(batch, scalar):
+        assert lanes.radius[0] == one.radius == 0.0
+        assert not np.signbit(lanes.radius[0]) and math.copysign(1.0, one.radius) == 1.0
+        assert lanes.radius[1] > 0.0
+
+
 def test_second_order_data_validation():
     assert second_order_dieudonne_disk(0.5, 0.25, 0.3).w1 == pytest.approx(0.65, abs=TOL)
     with pytest.raises(DomainError):

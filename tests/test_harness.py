@@ -6,10 +6,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from diskvar import harness
+from diskvar import extremal, harness
 from diskvar.bounds import theorem31_bound
 from diskvar.disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_derivative_disk
-from diskvar.extremal import _INTERIOR_ALPHA, KINDS, ExtremalKind, attainment_distance, make_extremal
+from diskvar.extremal import _INTERIOR_ALPHA, KINDS, ExtremalKind, GridPoint, attainment_distance, make_extremal
 from diskvar.functions import (
     Bracket,
     Constant,
@@ -234,20 +234,56 @@ def test_attainment_kind_filter():
 # -- the batched attainment path ---------------------------------------------
 
 
+def _key(values):
+    """The (data, free) values of a row, each rounded to 12 decimals: a lane
+    and its scalar reference differ at most in their last bits (numpy's
+    complex product and modulus round differently from Python's)."""
+    return tuple((name, round(v.real, 12), round(v.imag, 12)) for name, v in sorted(values.items()))
+
+
 def _scalar_attainment_rows(spec):
-    """(margin, scale) of every check of one kind's grid, each extremal built
-    and checked as a scalar tree, in the order of
-    ``harness._attainment_margins``: the rows' probes, then their pins."""
+    """(key, component, margin, target) of every check of one kind's grid,
+    from the scalar grid ``spec.grid()`` (one point per data point, each
+    target a scalar closed form), each extremal built and checked as a scalar
+    tree, in grid order: the rows' probes, then their pins (the order of
+    ``harness._attainment_margins`` for a sharp kind)."""
     probes, pins = [], []
     for point in spec.grid():
         z0 = point.data["z0"]
         for free, pinned in point.rows:
+            key = _key({**point.data, **free})
             jet = make_extremal(spec.kind, **point.data, **free).jet(z0)
             target = point.target
-            scale = abs(target.center) + target.radius if isinstance(target, Disk) else 0.0
-            probes.append((-attainment_distance(target, getattr(jet, spec.probe)), scale))
+            probes.append((key, spec.probe, -attainment_distance(target, getattr(jet, spec.probe)), target))
             for part, disk in pinned:
-                pins.append((-disk.boundary_distance(getattr(jet, part)), abs(disk.center) + disk.radius))
+                pins.append((key, part, -disk.boundary_distance(getattr(jet, part)), disk))
+    return probes + pins
+
+
+def _lane_rows(point, i):
+    """The data and free values of lane i of a lane grid point, one dict per row."""
+    n = point.data["z0"].size
+    data = {name: v[i] for name, v in point.data.items()}
+    return [{**data, **{name: np.broadcast_to(v, n)[i] for name, v in free.items()}} for free, _ in point.rows]
+
+
+def _disk_lanes(disk, n):
+    """(center, radius) of each of the n lanes of a Disk."""
+    return zip(np.broadcast_to(disk.center, n), np.broadcast_to(disk.radius, n))
+
+
+def _lane_checks(spec):
+    """(key, component, center, radius) of every check of one disk kind's
+    lane grid, in the order of ``harness._attainment_margins``: each row's
+    probe, lane by lane, then each row's pins."""
+    probes, pins = [], []
+    for point in spec.grid(lanes=True):
+        n = point.data["z0"].size
+        by_row = zip(*(_lane_rows(point, i) for i in range(n)))
+        for given, (_, pinned) in zip(by_row, point.rows):
+            keys = [_key(values) for values in given]
+            probes += [(key, spec.probe, *target) for key, target in zip(keys, _disk_lanes(point.target, n))]
+            pins += [(key, part, *target) for part, disk in pinned for key, target in zip(keys, _disk_lanes(disk, n))]
     return probes + pins
 
 
@@ -257,31 +293,100 @@ def test_batched_attainment_matches_scalar_rows(kind):
     margins = harness._attainment_margins(spec)
     scalar = _scalar_attainment_rows(spec)
     assert margins.shape == (len(scalar),)
-    for margin, (expected, scale) in zip(margins, scalar):
+    if spec.params is not None:
+        # the sharp kinds are evaluated in Python scalars, bit for bit, in grid order
+        assert margins.tolist() == [margin for _, _, margin, _ in scalar]
+        return
+    # every lane check is one scalar check, matched by its (data, free) values;
+    # an aligned alpha can equal a root of unity of the same data point, so a
+    # key may hold two checks, told apart by their targets
+    reference = {}
+    for key, part, margin, target in scalar:
+        reference.setdefault((key, part), []).append((margin, target))
+    for margin, (key, part, center, radius) in zip(margins, _lane_checks(spec)):
+        candidates = reference[key, part]
+        nearest = min(candidates, key=lambda c: abs(c[1].center - center) + abs(c[1].radius - radius))
+        candidates.remove(nearest)
+        expected, target = nearest
+        scale = abs(target.center) + target.radius
+        # the lane's target is the scalar closed form at the same data
+        assert abs(center - target.center) + abs(radius - target.radius) <= 1e-15 * (1.0 + scale)
         assert abs(margin - expected) <= 1e-13 * (1.0 + scale)
         for tol in (1e-8, 1e-9):
             assert (margin >= -tol) == (expected >= -tol)
-    if spec.params is not None:
-        # the sharp kinds are evaluated in Python scalars, bit for bit
-        assert margins.tolist() == [margin for margin, _ in scalar]
+    assert not any(reference.values())
+
+
+_CLOSED_FORMS = (
+    "schwarz_pick_disk",
+    "dieudonne_disk",
+    "second_derivative_disk",
+    "second_order_dieudonne_disk",
+    "max_attaining_alpha",
+)
+
+
+@pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if spec.params is None])
+def test_each_disk_kind_calls_its_closed_form_once(monkeypatch, kind):
+    calls = []
+
+    def counted(name, form):
+        def call(*args):
+            calls.append((name, all(np.ndim(arg) == 1 for arg in args if not isinstance(arg, PrescribedData))))
+            return form(*args)
+
+        return call
+
+    for name in _CLOSED_FORMS:
+        monkeypatch.setattr(extremal, name, counted(name, getattr(extremal, name)))
+    harness._attainment_margins(KINDS[kind])
+    # one lane-wise call per closed form, every argument a lane array
+    expected = {
+        ExtremalKind.SCHWARZ_PICK: ["schwarz_pick_disk"],
+        ExtremalKind.DIEUDONNE: ["dieudonne_disk"],
+        ExtremalKind.SECOND_DEGENERATE: ["second_derivative_disk"],
+        ExtremalKind.SECOND_BOUNDARY: ["second_derivative_disk", "max_attaining_alpha"],
+        ExtremalKind.DIEUDONNE2_DEGENERATE: ["second_order_dieudonne_disk"],
+        ExtremalKind.DIEUDONNE2_BOUNDARY: ["second_order_dieudonne_disk"],
+    }[kind]
+    assert calls == [(name, True) for name in expected]
 
 
 def _is_interior(free):
-    return free.get("alpha") == _INTERIOR_ALPHA
+    # by identity: a lane grid's aligned alpha is an array, which == compares lane by lane
+    return free.get("alpha") is _INTERIOR_ALPHA
 
 
 def test_an_interior_alpha_lands_on_its_circle():
     # g''(z0) = c2 + rho2 alpha: |alpha| < 1 fixes one interior point, on the
-    # circle of radius |alpha| rho2 that the grid targets
+    # circle of radius |alpha| rho2 that the grid targets, in the scalar grid
+    # and in the lane grid alike
     spec = KINDS[ExtremalKind.SECOND_BOUNDARY]
-    rows = [(point, free) for point in spec.grid() for free, _ in point.rows if _is_interior(free)]
-    assert len(rows) == 48
-    for point, free in rows:
-        disk = second_derivative_disk(PrescribedData(**point.data))
-        assert point.target == Disk(disk.center, abs(_INTERIOR_ALPHA) * disk.radius)
-        f2 = make_extremal(spec.kind, **point.data, **free).jet(point.data["z0"]).f2
-        assert abs(f2 - (disk.center + disk.radius * _INTERIOR_ALPHA)) <= 1e-13 * (1.0 + disk.radius)
-        assert point.target.boundary_distance(f2) <= 1e-13 * (1.0 + disk.radius)
+    for lanes in (False, True):
+        rows = [(point, free) for point in spec.grid(lanes=lanes) for free, _ in point.rows if _is_interior(free)]
+        assert sum(np.size(point.data["z0"]) for point, _ in rows) == 48
+        for point, free in rows:
+            disk = second_derivative_disk(PrescribedData(**point.data))
+            assert np.array_equal(point.target.center, disk.center)
+            assert np.array_equal(point.target.radius, abs(_INTERIOR_ALPHA) * disk.radius)
+            f2 = make_extremal(spec.kind, **point.data, **free).jet(point.data["z0"]).f2
+            tol = 1e-13 * (1.0 + disk.radius)
+            assert np.all(abs(f2 - (disk.center + disk.radius * _INTERIOR_ALPHA)) <= tol)
+            assert np.all(point.target.boundary_distance(f2) <= tol)
+
+
+def _take(point, lanes, rows):
+    """The lane grid point holding ``lanes`` of ``point`` and the given rows."""
+    n = point.data["z0"].size
+
+    def cut(v):
+        return np.broadcast_to(v, n)[lanes]
+
+    def disk(d):
+        return Disk(cut(d.center), cut(d.radius))
+
+    rows = tuple(({name: cut(v) for name, v in free.items()}, tuple((p, disk(d)) for p, d in ps)) for free, ps in rows)
+    return GridPoint({name: v[lanes] for name, v in point.data.items()}, disk(point.target), rows)
 
 
 @pytest.mark.parametrize(
@@ -290,21 +395,26 @@ def test_an_interior_alpha_lands_on_its_circle():
 )
 def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interior):
     spec = KINDS[kind]
-    points = list(spec.grid())
+    points = list(spec.grid(lanes=True))
     at = next(i for i, point in enumerate(points) if _is_interior(point.rows[0][0]) == interior)
     point = points[at]
-    (free, pins), *others = point.rows
-    target = point.target
-    probe = getattr(make_extremal(kind, **point.data, **free).jet(point.data["z0"]), spec.probe)
+    first, *others = point.rows
+    # lane 0 of the first row, alone in its grid point
+    one = _take(point, slice(0, 1), (first,))
+    [given] = _lane_rows(one, 0)
+    probe = getattr(make_extremal(kind, **given).jet(given["z0"]), spec.probe)
+    center, radius = complex(one.target.center[0]), float(one.target.radius[0])
     # move the center away from the probe until the probe lies 1e-6 outside
     # the target circle: a shift of ~1e-6
-    away = target.center - probe
-    shift = (target.radius + 1e-6 - abs(away)) * (away / abs(away) if away else 1.0)
+    away = center - probe
+    shift = (radius + 1e-6 - abs(away)) * (away / abs(away) if away else 1.0)
+    rest = [_take(point, slice(0, 1), others)] if others else []
     points[at : at + 1] = [
-        point._replace(target=Disk(target.center + shift, target.radius), rows=((free, pins),)),
-        point._replace(rows=tuple(others)),
+        one._replace(target=Disk(one.target.center + shift, one.target.radius)),
+        *rest,
+        _take(point, slice(1, None), point.rows),
     ]
-    monkeypatch.setitem(KINDS, kind, dataclasses.replace(spec, grid=lambda: iter(points)))
+    monkeypatch.setitem(KINDS, kind, dataclasses.replace(spec, grid=lambda lanes=False: iter(points)))
     report = run_attainment_suite(HarnessConfig())
     assert report.samples == 1969
     assert report.violations == 1

@@ -136,6 +136,20 @@ def test_bracket_refuses_unimodular_base():
         hyperbolic_bracket(0.2, cmath.exp(0.3j))
 
 
+def test_bracket_per_lane():
+    # z == w gives 0 in its lane, on the circle too; other lanes are T_{-w}(z)
+    z = np.array([0.3 + 0.4j, cmath.exp(1j), 0.5, 0.0, 1j])
+    w = np.array([0.3 + 0.4j, cmath.exp(1j), 0.0, 0.5, 0.2 - 0.1j])
+    batch = hyperbolic_bracket(z, w)
+    assert batch.shape == (5,)
+    for lane in range(5):
+        assert batch[lane] == hyperbolic_bracket(complex(z[lane]), complex(w[lane]))
+    assert hyperbolic_bracket(0.5, w[2:]).tolist() == [hyperbolic_bracket(0.5, complex(v)) for v in w[2:]]
+    # a unimodular base point with z != w in any one lane is refused
+    with pytest.raises(DomainError):
+        hyperbolic_bracket(np.array([0.3 + 0.4j, 0.2]), np.array([0.3 + 0.4j, 1j]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(z=disk_pts, w=disk_pts)
 def test_bracket_symmetric_modulus_and_contraction(z, w):
