@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .moebius import DomainError, require_real
+from .moebius import DomainError, _any_lane, _is_batch, require_real
 
 __all__ = [
     "Branch",
@@ -51,17 +51,22 @@ class BoundResult:
 
 
 def _check_rR(r, R):
-    r = require_real(r, "r")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r must lie in [0, 1), got {r}")
-    R = require_real(R, "R")
-    if not 0.0 <= R < 1.0:
-        raise DomainError(f"R must lie in [0, 1), got {R}")
-    return r, R
+    """r and R as floats, each in [0, 1); lane-wise for a batch."""
+    return _unit_interval(r, "r"), _unit_interval(R, "R")
+
+
+def _unit_interval(x, name):
+    """x as a float in [0, 1), or as floats in [0, 1) for a batch."""
+    x = require_real(x, name)
+    out = (x < 0.0) | (x >= 1.0)
+    if _any_lane(out):
+        raise DomainError(f"{name} must lie in [0, 1), got {x[out][0] if _is_batch(x) else x}")
+    return x
 
 
 def branch_value(branch, r, R=0.0):
-    """Closed-form value of one branch, ignoring which branch is active."""
+    """Closed-form value of one branch, ignoring which branch is active; one
+    value per lane when r or R is a batch."""
     r, R = _check_rR(r, R)
     one = (1.0 - r * r) ** 2
     if branch is Branch.DEG1:

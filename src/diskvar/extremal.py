@@ -37,12 +37,14 @@ from .functions import (
     PrescribedData,
     Product,
     Rotation,
+    _unimodular,
     eval_jet,
 )
 from .moebius import (
     Disk,
     DomainError,
     _any_lane,
+    _is_batch,
     closed_disk_point,
     require_finite,
     require_real,
@@ -84,14 +86,45 @@ def _two_step(z0, delta0, delta1, alpha):
     return MobiusT(delta0, Product(u, MobiusT(delta1, Product(Constant(alpha), u))))
 
 
+def _phase(z):
+    """arg z, lane-wise for a batch."""
+    if _is_batch(z):
+        import numpy as np  # a batch is a numpy array, so numpy is loaded already
+
+        return np.angle(z)
+    return cmath.phase(z)
+
+
+def _where(cond, then, other):
+    """``then`` where ``cond`` holds, ``other`` elsewhere: one choice for a
+    scalar condition, lane by lane for a batch."""
+    if _is_batch(cond):
+        import numpy as np
+
+        return np.where(cond, then, other)
+    return then if cond else other
+
+
+def _real_quotient(z, x):
+    """z / x for a real x, each part rounded once, as CPython divides.  numpy
+    multiplies a complex lane by 1/x, which rounds twice; the deg1 extremal
+    amplifies a last-bit error in its zero a by 1/(1 - |a|^2), ~1e10 at
+    r = R = 0.99999."""
+    if not _is_batch(z):
+        return z / x
+    import numpy as np
+
+    return np.divide(z.real, x) + 1j * np.divide(z.imag, x)
+
+
 def _deg1_params(z0, delta0):
     """Rotation theta and zero a of the deg1 extremal e^{i theta} [a, z];
-    none of its values is free."""
+    none of its values is free.  Lane-wise for a batch."""
     r, R = abs(z0), abs(delta0)
-    if r == 0.0:
+    if _any_lane(r == 0.0):
         raise DomainError("sharp-deg1 requires z0 != 0")
-    theta = cmath.phase(-z0.conjugate() * delta0) if delta0 != 0 else 0.0
-    return {"theta": theta, "a": (r + R) * z0 / (r * (1.0 + r * R))}, ()
+    theta = _where(delta0 != 0, _phase(-z0.conjugate() * delta0), 0.0)
+    return {"theta": theta, "a": _real_quotient((r + R) * z0, r * (1.0 + r * R))}, ()
 
 
 def _sharp_deg1(z0, delta0):
@@ -101,22 +134,31 @@ def _sharp_deg1(z0, delta0):
 
 def _deg2_params(z0, delta0, theta=0.0):
     """delta1 and alpha of the deg2 extremal T_{delta0}(u T_{delta1}(alpha u)),
-    with the names of the values a free rotation ``theta`` moves."""
+    with the names of the values a free rotation ``theta`` moves.
+
+    Where z0 and delta0 are both nonzero the values are fixed.  At z0 = 0
+    the extremal is T_{delta0}(alpha z^2) with alpha = e^{i theta}; at
+    delta0 = 0 any |delta1| = r/2 with the phase-matched alpha attains the
+    bound.  Each lane of a batch takes its own case, and the batch's free
+    names are those of any of its lanes; a scalar delta0 = 0 reports no
+    theta.
+    """
     r, R = abs(z0), abs(delta0)
-    if r + 2.0 * R >= 2.0:
+    if _any_lane(r + 2.0 * R >= 2.0):
         raise DomainError("sharp-deg2 requires |z0| + 2|delta0| < 2")
-    if R > 0.0 and r > 0.0:
-        # phase-wise: the product forms underflow for tiny r, R
-        rel = cmath.phase(delta0) - cmath.phase(z0)
-        delta1 = -(r / (2.0 * (1.0 - R))) * cmath.exp(1j * rel)
-        alpha = -cmath.exp(1j * (rel - cmath.phase(z0)))
-        return {"theta": cmath.phase(alpha), "delta1": delta1, "alpha": alpha}, ()
-    alpha = cmath.exp(1j * theta)
-    if R > 0.0:
-        # z0 = 0: T_{delta0}(alpha z^2) with a free rotation
-        return {"theta": theta, "delta1": 0j, "alpha": alpha}, ("theta", "alpha")
-    # delta0 = 0: any |delta1| = r/2 with the phase-matched alpha
-    return {"delta1": alpha * z0 / 2.0, "alpha": alpha}, ("alpha",)
+    free = (r == 0.0) | (R == 0.0)
+    # phase-wise: the product forms underflow for tiny r, R
+    rel = _phase(delta0) - _phase(z0)
+    rotation = _unimodular(theta)
+    alpha = _where(free, rotation, -_unimodular(rel - _phase(z0)))
+    delta1 = _where(free, _where(R > 0.0, 0j, rotation * z0 / 2.0), -(r / (2.0 * (1.0 - R))) * _unimodular(rel))
+    params = {"theta": _where(free, theta, _phase(alpha)), "delta1": delta1, "alpha": alpha}
+    if not _any_lane(free):
+        return params, ()
+    if _is_batch(free) or R > 0.0:
+        return params, ("theta", "alpha")
+    del params["theta"]
+    return params, ("alpha",)
 
 
 def _sharp_deg2(z0, delta0, theta):
@@ -134,11 +176,14 @@ def _szasz_params(z0, theta=0.0):
 
 
 def _szasz(z0, theta):
+    """The deg2 extremal at |delta0| = r^2/8, rotated by theta; e^{i theta} z^2
+    when z0 = 0 (in every lane of a batch: the deg2 tree is the same function
+    at z0 = 0, so a batch that mixes z0 = 0 with other lanes takes that tree)."""
     r = abs(z0)
-    if r == 0.0:
+    if not _any_lane(r != 0.0):
         return Rotation(theta, Product(Identity(), Identity()))
     R = r * r / 8.0
-    delta0 = R * cmath.exp(1j * (theta - cmath.phase(-z0.conjugate() ** 2)))
+    delta0 = R * _unimodular(theta - _phase(-z0.conjugate() ** 2))
     return _sharp_deg2(z0, delta0, theta)
 
 
@@ -146,24 +191,18 @@ def _second_disk(z0, delta0, delta1):
     return second_derivative_disk(PrescribedData(z0, delta0, delta1))
 
 
-def _deg2_bound(z0, delta0):
-    r, R = abs(z0), abs(delta0)
-    if R == 0.0:
-        return branch_value(Branch.DEG2_ZERO, r)
-    return branch_value(Branch.DEG2, r, R)
-
-
 class GridPoint(NamedTuple):
     """Data points of an attainment grid, with their target computed once.
 
     ``data`` maps each name to one scalar, or in a lane grid to a numpy array
     with one data point per lane; ``target`` is then a Disk with one center
-    and radius per lane (or one for all lanes).  ``rows`` holds ``(free,
-    pins)`` pairs, each applying to every lane.  The extremal built from
-    ``data`` and the ``free`` values (a scalar, or one value per lane) must
-    put its probe on ``target``: on the boundary of a Disk, or at the modulus
-    of a positive bound.  Each pin is a ``(component, disk)`` pair: that
-    component of the same jet must land on the disk's boundary as well.
+    and radius per lane (or one for all lanes), or one bound per lane.
+    ``rows`` holds ``(free, pins)`` pairs, each applying to every lane.  The
+    extremal built from ``data`` and the ``free`` values (a scalar, or one
+    value per lane) must put its probe on ``target``: on the boundary of a
+    Disk, or at the modulus of a positive bound.  Each pin is a ``(component,
+    disk)`` pair: that component of the same jet must land on the disk's
+    boundary as well.
     """
 
     data: dict
@@ -259,32 +298,63 @@ def _sharp_points(pairs):
         yield r * _Z0_TURN, R * _D0_TURN
 
 
-def _sharp_deg1_grid():
-    for z0, d0 in _sharp_points(product(_RR_GRID, _RR_GRID)):
-        pinned = (("f0", Disk(d0, 0.0)),)
-        bound = branch_bound_for(ExtremalKind.SHARP_DEG1, z0, d0)
-        yield GridPoint({"z0": z0, "delta0": d0}, bound, (({}, pinned),))
+def _sharp_grid(kind, groups, lanes):
+    """The grid of a sharp kind.  ``groups`` lists ``(points, rows)`` pairs:
+    data points (tuples of the kind's data values, in order), and the
+    function that gives a point's rows from its data values.  The scalar grid
+    holds one GridPoint per data point; the lane grid one per group, their
+    targets sliced from one lane-wise call over every data point."""
+    names = [name for name, _ in kind_spec(kind).data]
+    if not lanes:
+        for points, rows in groups:
+            for values in points:
+                yield GridPoint(dict(zip(names, values)), branch_bound_for(kind, *values), rows(*values))
+        return
+    import numpy as np
+
+    groups = [(list(points), rows) for points, rows in groups]
+    data = np.array([values for points, _ in groups for values in points], dtype=complex).T
+    bounds = branch_bound_for(kind, *data)
+    start = 0
+    for points, rows in groups:
+        at = slice(start, start + len(points))
+        values = [v[at] for v in data]
+        yield GridPoint(dict(zip(names, values)), bounds[at], rows(*values))
+        start = at.stop
 
 
-def _sharp_deg2_grid():
-    pairs = ((r, R) for r, R in product(_RR_GRID, (0.0,) + _RR_GRID) if r + 2.0 * R < 2.0)
-    for z0, d0 in _sharp_points(pairs):
-        pinned = (("f0", Disk(0j, abs(d0))),)
-        bound = branch_bound_for(ExtremalKind.SHARP_DEG2, z0, d0)
-        yield GridPoint({"z0": z0, "delta0": d0}, bound, (({}, pinned),))
-    for R in (0.35, 0.6):
+def _sharp_deg1_grid(lanes=False):
+    def rows(z0, d0):
+        return (({}, (("f0", Disk(d0, 0.0)),)),)
+
+    return _sharp_grid(ExtremalKind.SHARP_DEG1, [(_sharp_points(product(_RR_GRID, _RR_GRID)), rows)], lanes)
+
+
+def _sharp_deg2_grid(lanes=False):
+    def rows(z0, d0):
+        # theta = 0 is the default; it is named because the z0 = 0 rows name
+        # theta, and a kind's lane points must have the same free values
+        return (({"theta": 0.0}, (("f0", Disk(0j, abs(d0))),)),)
+
+    def free_rows(z0, d0):
         # z0 = 0: the rotation theta is free
-        bound = branch_bound_for(ExtremalKind.SHARP_DEG2, 0j, complex(R))
-        rows = (({"theta": 0.0}, ()), ({"theta": 1.3}, ()))
-        yield GridPoint({"z0": 0j, "delta0": complex(R)}, bound, rows)
+        return ({"theta": 0.0}, ()), ({"theta": 1.3}, ())
+
+    pairs = ((r, R) for r, R in product(_RR_GRID, (0.0,) + _RR_GRID) if r + 2.0 * R < 2.0)
+    at_zero = ((0j, complex(R)) for R in (0.35, 0.6))
+    return _sharp_grid(ExtremalKind.SHARP_DEG2, [(_sharp_points(pairs), rows), (at_zero, free_rows)], lanes)
 
 
-def _szasz_grid():
-    for r in (0.0, 0.25, 0.5, 0.75, 0.9):
-        z0 = r * complex(math.cos(0.4), math.sin(0.4)) if r else 0j
+def _szasz_grid(lanes=False):
+    def rows(z0):
+        r = abs(z0)
         pinned = (("f0", Disk(0j, r * r / 8.0)),)
-        rows = (({"theta": 0.0}, pinned), ({"theta": 1.1}, pinned))
-        yield GridPoint({"z0": z0}, branch_bound_for(ExtremalKind.SZASZ, z0), rows)
+        return ({"theta": 0.0}, pinned), ({"theta": 1.1}, pinned)
+
+    # r = 0 too: in a lane it is checked in the deg2 tree, which there is e^{i theta} z^2
+    turn = complex(math.cos(0.4), math.sin(0.4))
+    points = [(r * turn,) for r in (0.0, 0.25, 0.5, 0.75, 0.9)]
+    return _sharp_grid(ExtremalKind.SZASZ, [(points, rows)], lanes)
 
 
 @dataclass(frozen=True)
@@ -298,12 +368,13 @@ class KindSpec:
     values by name and returns a Disk or a positive bound.  ``probe`` names
     the jet component that lands on the target, ``branches`` the bound
     branches a sharp kind attains, and ``grid()`` yields the GridPoints the
-    attainment suite checks, one per data point; a disk kind's
-    ``grid(lanes=True)`` yields the same rows as a few lane-array GridPoints,
-    their targets from one lane-wise call of the closed form.  A sharp kind's
-    ``params`` takes its data (and optionally its free value) and returns
-    ``(values, free)``: the named parameters its tree is built from, and the
-    names among them that any choice of the free value moves.
+    attainment suite checks, one per data point; ``grid(lanes=True)`` yields
+    the same rows as a few lane-array GridPoints, their targets from one
+    lane-wise call of the closed form or bound.  ``build``, ``target`` and a
+    sharp kind's ``params`` take lanes as well as scalars.  ``params`` takes
+    the data (and optionally the free value) and returns ``(values, free)``:
+    the named parameters the tree is built from, and the names among them
+    that any choice of the free value moves.
     """
 
     kind: ExtremalKind
@@ -364,7 +435,9 @@ KINDS = {
         ),
         KindSpec(
             ExtremalKind.SHARP_DEG2, (_Z0, _DELTA0), (_THETA,), _sharp_deg2,
-            _deg2_bound, "f2", _sharp_deg2_grid, (Branch.DEG2, Branch.DEG2_ZERO), _deg2_params,
+            # at delta0 = 0 the deg2 value is the deg2-zero value, bit for bit
+            lambda z0, delta0: branch_value(Branch.DEG2, abs(z0), abs(delta0)),
+            "f2", _sharp_deg2_grid, (Branch.DEG2, Branch.DEG2_ZERO), _deg2_params,
         ),
         KindSpec(
             ExtremalKind.SZASZ, (_Z0,), (_THETA,), _szasz,
@@ -437,12 +510,20 @@ class AttainmentReport:
     passed: bool
 
 
+def _target_circle(target):
+    """A target as (center, radius, scale): the distance of a probe from that
+    circle, divided by scale, is its distance from the target, absolute from
+    the boundary of a Disk and relative to a positive bound."""
+    if isinstance(target, Disk):
+        return target.center, target.radius, 1.0
+    return 0j, target, target
+
+
 def attainment_distance(target, probe):
     """Distance of ``probe`` from the boundary of a Disk ``target``, or the
     relative gap of |probe| to a positive bound ``target``."""
-    if isinstance(target, Disk):
-        return target.boundary_distance(probe)
-    return abs(abs(probe) - target) / target
+    center, radius, scale = _target_circle(target)
+    return Disk(center, radius).boundary_distance(probe) / scale
 
 
 def verify_attainment(kind, params, tol):

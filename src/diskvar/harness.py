@@ -20,11 +20,11 @@ and closed forms that evaluate a single sample.  So any split of the indices,
 serial or parallel, aggregates to the same report (violation counts sum,
 margins reduce by min).
 
-The attainment grids are fixed, not sampled.  Each disk kind's grid comes as a
-few lane-array grid points, their targets from one lane-wise call of the closed
-form, and is checked as one batch, one lane per row, through one extremal
-tree; the three sharp kinds, whose trees change shape with the data, are
-checked row by row.
+The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
+sharp kind, comes as a few lane-array grid points, their targets from one
+lane-wise call of the closed form or bound, and is checked as one batch, one
+lane per row, through one extremal tree.  The tightness search's deterministic
+candidates are lanes as well.
 """
 
 import math
@@ -42,7 +42,7 @@ from .disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_deri
 from .extremal import (
     _UNIMODULAR_GRID,
     ExtremalKind,
-    attainment_distance,
+    _target_circle,
     kind_for_branch,
     kind_spec,
     make_extremal,
@@ -339,57 +339,49 @@ def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
 
 def _tile(value, rows, n):
     """A scalar, n lanes, or one of either per row (shape (rows, 1) or (rows,
-    n)) as rows * n lanes, row by row."""
-    return np.broadcast_to(value, (rows, n)).ravel()
+    n)) as rows * n lanes, in row order."""
+    out = np.empty((rows, n), np.asarray(value).dtype)  # a third of np.broadcast_to's cost
+    out[...] = value
+    return out.ravel()
 
 
 def _attainment_margins(spec):
     """Minus the distance of every check of one kind's attainment grid from
-    its target: each row's probe in grid order, then each row's pins.
+    its target: each grid point's probes, then each row's pins.
 
-    A disk kind's grid points hold lane arrays.  Each point's data, free
-    values and target are tiled once per row, so the kind's rows are the
-    lanes of one extremal tree and one jet, and a check is a slice of those
-    lanes.  The sharp kinds (``params`` set) are evaluated row by row: their
-    trees change shape with the data, and numpy's complex arithmetic rounds
-    differently from Python's, which would move the report's worst row.
+    The grid points hold lane arrays.  Each point's data, free values and
+    target are tiled once per row, so the kind's rows are the lanes of one
+    extremal tree and one jet, and a check is a slice of those lanes.
     """
-    if spec.params is not None:
-        rows = [({**point.data, **free}, point.target, pins) for point in spec.grid() for free, pins in point.rows]
-        checks = [(lane, spec.probe, target) for lane, (_, target, _) in enumerate(rows)]
-        checks += [(lane, part, disk) for lane, (_, _, pins) in enumerate(rows) for part, disk in pins]
-        jets = [make_extremal(spec.kind, **given).jet(given["z0"]) for given, _, _ in rows]
-        return np.array([-attainment_distance(target, getattr(jets[lane], part)) for lane, part, target in checks])
-
-    lanes, probes, pins = {}, [], []  # a check: (component, lanes, center, radius)
+    lanes, probes, pins = {}, [], []  # a check: (component, lanes, center, radius, scale)
     start = 0
     for point in spec.grid(lanes=True):
         k, n = len(point.rows), point.data["z0"].size
         frees = {name: np.array([free[name] for free, _ in point.rows]).reshape(k, -1) for name in point.rows[0][0]}
         for name, values in {**point.data, **frees}.items():
             lanes.setdefault(name, []).append(_tile(values, k, n))
-        target = point.target
-        probes.append((spec.probe, slice(start, start + k * n), _tile(target.center, k, n), _tile(target.radius, k, n)))
+        target = _target_circle(point.target)
+        probes.append((spec.probe, slice(start, start + k * n), *(_tile(v, k, n) for v in target)))
         for row, (_, pinned) in enumerate(point.rows):
             at = slice(start + row * n, start + (row + 1) * n)
-            pins += [(part, at, _tile(disk.center, 1, n), _tile(disk.radius, 1, n)) for part, disk in pinned]
+            pins += [(part, at, *(_tile(v, 1, n) for v in _target_circle(disk))) for part, disk in pinned]
         start += k * n
 
     lanes = {name: np.concatenate(values) for name, values in lanes.items()}
     jet = make_extremal(spec.kind, **lanes).jet(lanes["z0"])
-    parts, at, centers, radii = zip(*probes, *pins)
+    parts, at, centers, radii, scales = zip(*probes, *pins)
     probe = np.concatenate([getattr(jet, part)[rows] for part, rows in zip(parts, at)])
-    return -Disk(np.concatenate(centers), np.concatenate(radii)).boundary_distance(probe)
+    distance = Disk(np.concatenate(centers), np.concatenate(radii)).boundary_distance(probe)
+    return -distance / np.concatenate(scales)
 
 
 def run_attainment_suite(cfg, kinds=None):
     """Sweep extremal kinds over deterministic grids.
 
     Every check is the distance of a jet component from its target (a disk
-    boundary or a bound), and fails beyond cfg.tol.  Each disk kind's grid is
-    checked as one batch; the sharp kinds' grids (``sharp-deg1``,
-    ``sharp-deg2``, ``szasz``) row by row.  Rows are deterministic (no
-    sampling), so cfg.seed, cfg.samples and cfg.parallel do not change the
+    boundary or a bound), and fails beyond cfg.tol.  Each kind's grid is
+    checked as one batch, through one extremal tree.  Rows are deterministic
+    (no sampling), so cfg.seed, cfg.samples and cfg.parallel do not change the
     report.
     """
     specs = [kind_spec(kind) for kind in (ExtremalKind if kinds is None else kinds)]
@@ -444,25 +436,26 @@ def run_tightness_search(cfg, r, R):
     aligned boundary parameter for each sample, and always contains the
     closed-form extremal of the active branch, so the supremum is reached up
     to sampling resolution.  The random samples are drawn and checked per
-    block of ``_BLOCK``, as batches; the deterministic candidates (the branch
-    extremal and the unimodular delta1 grid) are checked one by one.  No
-    sample may exceed the bound by more than cfg.tol * (1 + bound): the bound
-    grows like (1 - r^2)^-2, and a fixed slack would count rounding error
-    near the boundary as a violation.
+    block of ``_BLOCK``, as batches; the deterministic candidates are lanes
+    too, one tree for the branch extremal and one for the unimodular delta1
+    grid.  No sample may exceed the bound by more than cfg.tol * (1 + bound):
+    the bound grows like (1 - r^2)^-2, and a fixed slack would count rounding
+    error near the boundary as a violation.
     """
     result = theorem31_bound(r, R)
     bound = result.value
     start = time.perf_counter()
     parts = _map_chunks(partial(_tightness_chunk, cfg, float(r), float(R), bound), cfg.samples, cfg.parallel)
 
-    # deterministic candidates: the branch extremal and unimodular delta1
-    z0 = complex(float(r))
-    d0 = complex(float(R))
+    # deterministic candidates, as lanes: the branch extremal, and one
+    # second-degenerate lane per unimodular delta1 where z0 != 0
+    z0 = np.array([complex(float(r))])
+    d0 = np.array([complex(float(R))])
     candidates = [make_extremal(kind_for_branch(result.branch), z0=z0, delta0=d0)]
-    if abs(z0) > 0:
-        for d1 in _UNIMODULAR_GRID:
-            candidates.append(make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=d0, delta1=d1))
-    second = np.array([abs(g.jet(z0).f2) for g in candidates])
+    if float(r) > 0.0:
+        d1 = np.array(_UNIMODULAR_GRID)
+        candidates.append(make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=d0, delta1=d1))
+    second = np.concatenate([abs(g.jet(z0).f2) for g in candidates])
     parts.append(_batch_tally(bound - second, cfg.tol * (1.0 + bound), second))
     n, violations, worst, best = _merge(parts)
 

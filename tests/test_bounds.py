@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,24 @@ def test_out_of_range_inputs():
         theorem31_bound(1.5, 0.25)
     with pytest.raises(DomainError):
         ruscheweyh_bound(3, 0.5, 0.0)
+
+
+def test_branch_values_per_lane():
+    r = np.array([0.0, 0.1, 0.5, 0.9, 0.99999])
+    R = np.array([0.0, 0.9, 0.25, 0.5, 0.99999])
+    for branch in (Branch.DEG1, Branch.DEG2, Branch.DEG2_ZERO, Branch.SZASZ):
+        # elementwise float arithmetic: every lane is its scalar value, bit for bit
+        assert branch_value(branch, r, R).tolist() == [branch_value(branch, a, b) for a, b in zip(r, R)]
+    with pytest.raises(DomainError, match=r"R must lie in \[0, 1\), got 1.5"):
+        branch_value(Branch.DEG1, r[:2], np.array([0.5, 1.5]))
+    with pytest.raises(DomainError, match=r"r must lie in \[0, 1\), got -0.1"):
+        branch_value(Branch.SZASZ, np.array([0.5, -0.1]))
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-300, 0.3, 0.9, 0.99999])
+def test_deg2_at_zero_R_is_the_deg2_zero_value(r):
+    # the sharp-deg2 kind targets the deg2 formula at every R, and relies on this
+    assert branch_value(Branch.DEG2, r, 0.0) == branch_value(Branch.DEG2_ZERO, r)
 
 
 @settings(max_examples=300, deadline=None)

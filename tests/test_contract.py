@@ -1,12 +1,14 @@
 """The reference behaviour, pinned exactly.
 
-The seed-42 attainment report, one ``extremal verify --emit-function``
-document per extremal kind and the JSON text of thousands of trees must stay
-byte-identical: a dropped, added or changed attainment row, or a changed
-extremal tree, jet or serialization, fails here.
+The seed-42 reports of the three suites, one ``extremal verify
+--emit-function`` document per extremal kind and the JSON text of thousands
+of trees must stay byte-identical: a changed sample stream, a dropped, added
+or changed attainment row, or a changed extremal tree, jet or serialization,
+fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -18,7 +20,7 @@ from diskvar.functions import (
     random_blaschke_product,
     random_schur_function,
 )
-from diskvar.harness import HarnessConfig, run_attainment_suite
+from diskvar.harness import HarnessConfig, run_attainment_suite, run_membership_suite, run_tightness_search
 
 ROWS_BY_KIND = {
     "schwarz-pick": 192,
@@ -40,9 +42,25 @@ def test_seed42_attainment_report():
         "suite": "attainment",
         "samples": 1969,
         "violations": 0,
-        "worst_margin": -1.5562859642967747e-14,
+        "worst_margin": -6.601255489947691e-15,
         "details": {"kinds": kinds, "violations_by_kind": dict.fromkeys(kinds, 0)},
     }
+
+
+# sha256 of the seed-42 membership, attainment and tightness (r = 0.5,
+# R = 0.25) reports, as json.dumps({...}, sort_keys=True)
+SEED42_REPORT_SHA256 = "f9fdd0593f8dd65c88841bd381a83c7625963326e76a352ff323d32629a02d48"
+
+
+def test_seed42_report_hash():
+    cfg = HarnessConfig(seed=42, samples=10000)
+    reports = {
+        "membership": run_membership_suite(cfg).to_obj(),
+        "attainment": run_attainment_suite(cfg).to_obj(),
+        "tightness": run_tightness_search(cfg, 0.5, 0.25).to_obj(),
+    }
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEED42_REPORT_SHA256
 
 
 def test_attainment_rows_per_kind():

@@ -17,6 +17,7 @@ from diskvar.extremal import (
     AttainmentReport,
     ExtremalKind,
     branch_bound_for,
+    kind_spec,
     make_extremal,
     verify_attainment,
 )
@@ -226,6 +227,54 @@ def test_szasz_extremal_at_origin():
     jet = eval_jet(g, 0j)
     assert jet.f0 == 0j and abs(jet.f1) < TOL
     assert abs(jet.f2 - 2.0 * cmath.exp(0.3j)) < TOL
+
+
+_SHARP_DATA = {
+    ExtremalKind.SHARP_DEG1: [(0.5, 0.9), (0.9, 0.55), (0.3 * cmath.exp(1.1j), 0.9 * cmath.exp(-0.4j)), (0.4, 0.0)],
+    # generic, z0 = 0, delta0 = 0 and both 0: the three cases of the parameters
+    ExtremalKind.SHARP_DEG2: [(0.5, 0.25), (0.3 * cmath.exp(1.1j), -0.2 + 0.4j), (0.0, 0.35), (0.5j, 0.0), (0.0, 0.0)],
+    ExtremalKind.SZASZ: [(0.0, None), (0.5 * cmath.exp(0.4j), None), (0.9, None)],
+}
+
+
+@pytest.mark.parametrize("kind", list(_SHARP_DATA))
+def test_sharp_kinds_per_lane(kind):
+    spec = kind_spec(kind)
+    points = [{"z0": complex(z0)} | ({} if d0 is None else {"delta0": complex(d0)}) for z0, d0 in _SHARP_DATA[kind]]
+    lanes = {name: np.array([point[name] for point in points]) for name in points[0]}
+    free = {"theta": np.linspace(0.0, 2.0, len(points))} if spec.free else {}
+    # a batch mixing every case gives each lane its scalar extremal's jet and bound
+    jet = make_extremal(kind, **lanes, **free).jet(lanes["z0"])
+    bounds = spec.target(**lanes)
+    values, _ = spec.params(**lanes, **free)
+    for lane, point in enumerate(points):
+        given = point | {name: float(v[lane]) for name, v in free.items()}
+        scalar = make_extremal(kind, **given).jet(point["z0"])
+        assert all(abs(f[lane] - g) <= 1e-14 * (1.0 + abs(g)) for f, g in zip(jet, scalar))
+        assert bounds[lane] == spec.target(**point)
+        expected, _ = spec.params(**given)
+        for name, value in expected.items():
+            assert abs(values[name][lane] - value) <= 1e-15 * (1.0 + abs(value))
+
+
+def test_sharp_params_keep_their_free_names():
+    deg2 = kind_spec(ExtremalKind.SHARP_DEG2).params
+    assert deg2(0.5 + 0j, 0.25 + 0j)[1] == ()
+    assert deg2(0j, 0.25 + 0j)[1] == ("theta", "alpha")
+    # a scalar delta0 = 0 reports alpha alone, as the CLI prints it
+    values, free = deg2(0.5 + 0j, 0j)
+    assert free == ("alpha",) and "theta" not in values
+    # a batch reports the free names of any of its lanes
+    assert deg2(np.array([0.5, 0.3]), np.array([0.25, 0.1]))[1] == ()
+    assert deg2(np.array([0.5, 0.3]), np.array([0.25, 0.0]))[1] == ("theta", "alpha")
+
+
+def test_the_deg1_zero_is_rounded_once_in_a_lane():
+    # a last-bit error in a moves |g''| by ~1e10 times as much at r = R = 0.99999
+    z0, d0 = complex(0.99999), complex(0.99999)
+    a = kind_spec(ExtremalKind.SHARP_DEG1).params(z0, d0)[0]["a"]
+    lanes = kind_spec(ExtremalKind.SHARP_DEG1).params(np.array([z0]), np.array([d0]))[0]["a"]
+    assert lanes[0] == a
 
 
 def test_branch_bound_for():

@@ -7,9 +7,18 @@ import numpy as np
 import pytest
 
 from diskvar import extremal, harness
-from diskvar.bounds import theorem31_bound
+from diskvar.bounds import Branch, theorem31_bound
 from diskvar.disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_derivative_disk
-from diskvar.extremal import _INTERIOR_ALPHA, KINDS, ExtremalKind, GridPoint, attainment_distance, make_extremal
+from diskvar.extremal import (
+    _INTERIOR_ALPHA,
+    _UNIMODULAR_GRID,
+    KINDS,
+    ExtremalKind,
+    GridPoint,
+    attainment_distance,
+    kind_for_branch,
+    make_extremal,
+)
 from diskvar.functions import (
     Bracket,
     Constant,
@@ -245,8 +254,7 @@ def _scalar_attainment_rows(spec):
     """(key, component, margin, target) of every check of one kind's grid,
     from the scalar grid ``spec.grid()`` (one point per data point, each
     target a scalar closed form), each extremal built and checked as a scalar
-    tree, in grid order: the rows' probes, then their pins (the order of
-    ``harness._attainment_margins`` for a sharp kind)."""
+    tree, in grid order: the rows' probes, then their pins."""
     probes, pins = [], []
     for point in spec.grid():
         z0 = point.data["z0"]
@@ -267,23 +275,28 @@ def _lane_rows(point, i):
     return [{**data, **{name: np.broadcast_to(v, n)[i] for name, v in free.items()}} for free, _ in point.rows]
 
 
-def _disk_lanes(disk, n):
-    """(center, radius) of each of the n lanes of a Disk."""
-    return zip(np.broadcast_to(disk.center, n), np.broadcast_to(disk.radius, n))
+def _circle(target):
+    """(center, radius) of a Disk target, or (0, bound) of a bound target."""
+    return extremal._target_circle(target)[:2]
+
+
+def _target_lanes(target, n):
+    """(center, radius) of each of the n lanes of a target."""
+    return zip(*(np.broadcast_to(v, n) for v in _circle(target)))
 
 
 def _lane_checks(spec):
-    """(key, component, center, radius) of every check of one disk kind's
-    lane grid, in the order of ``harness._attainment_margins``: each row's
-    probe, lane by lane, then each row's pins."""
+    """(key, component, center, radius) of every check of one kind's lane
+    grid, in the order of ``harness._attainment_margins``: each row's probe,
+    lane by lane, then each row's pins."""
     probes, pins = [], []
     for point in spec.grid(lanes=True):
         n = point.data["z0"].size
         by_row = zip(*(_lane_rows(point, i) for i in range(n)))
         for given, (_, pinned) in zip(by_row, point.rows):
             keys = [_key(values) for values in given]
-            probes += [(key, spec.probe, *target) for key, target in zip(keys, _disk_lanes(point.target, n))]
-            pins += [(key, part, *target) for part, disk in pinned for key, target in zip(keys, _disk_lanes(disk, n))]
+            probes += [(key, spec.probe, *target) for key, target in zip(keys, _target_lanes(point.target, n))]
+            pins += [(key, part, *target) for part, disk in pinned for key, target in zip(keys, _target_lanes(disk, n))]
     return probes + pins
 
 
@@ -293,24 +306,24 @@ def test_batched_attainment_matches_scalar_rows(kind):
     margins = harness._attainment_margins(spec)
     scalar = _scalar_attainment_rows(spec)
     assert margins.shape == (len(scalar),)
-    if spec.params is not None:
-        # the sharp kinds are evaluated in Python scalars, bit for bit, in grid order
-        assert margins.tolist() == [margin for _, _, margin, _ in scalar]
-        return
     # every lane check is one scalar check, matched by its (data, free) values;
     # an aligned alpha can equal a root of unity of the same data point, so a
     # key may hold two checks, told apart by their targets
     reference = {}
     for key, part, margin, target in scalar:
-        reference.setdefault((key, part), []).append((margin, target))
+        # a bound target takes |z0| and |delta0| from numpy, which can round
+        # them apart from CPython by one bit; 1/(1 - r^2)^2 amplifies that by
+        # up to 4r/(1 - r^2) ~ 19 on these grids
+        near = 1e-15 if isinstance(target, Disk) else 1e-14
+        reference.setdefault((key, part), []).append((margin, _circle(target), near))
     for margin, (key, part, center, radius) in zip(margins, _lane_checks(spec)):
         candidates = reference[key, part]
-        nearest = min(candidates, key=lambda c: abs(c[1].center - center) + abs(c[1].radius - radius))
+        nearest = min(candidates, key=lambda c: abs(c[1][0] - center) + abs(c[1][1] - radius))
         candidates.remove(nearest)
-        expected, target = nearest
-        scale = abs(target.center) + target.radius
+        expected, (target_center, target_radius), near = nearest
+        scale = abs(target_center) + target_radius
         # the lane's target is the scalar closed form at the same data
-        assert abs(center - target.center) + abs(radius - target.radius) <= 1e-15 * (1.0 + scale)
+        assert abs(center - target_center) + abs(radius - target_radius) <= near * (1.0 + scale)
         assert abs(margin - expected) <= 1e-13 * (1.0 + scale)
         for tol in (1e-8, 1e-9):
             assert (margin >= -tol) == (expected >= -tol)
@@ -323,16 +336,19 @@ _CLOSED_FORMS = (
     "second_derivative_disk",
     "second_order_dieudonne_disk",
     "max_attaining_alpha",
+    "branch_value",
 )
 
 
-@pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if spec.params is None])
-def test_each_disk_kind_calls_its_closed_form_once(monkeypatch, kind):
+def _closed_form_calls(monkeypatch, kind):
+    """The closed forms one kind's attainment check calls, in order, each
+    with whether every numeric argument was a lane array."""
     calls = []
 
     def counted(name, form):
         def call(*args):
-            calls.append((name, all(np.ndim(arg) == 1 for arg in args if not isinstance(arg, PrescribedData))))
+            numeric = [arg for arg in args if not isinstance(arg, (PrescribedData, Branch))]
+            calls.append((name, all(np.ndim(arg) == 1 for arg in numeric)))
             return form(*args)
 
         return call
@@ -340,6 +356,11 @@ def test_each_disk_kind_calls_its_closed_form_once(monkeypatch, kind):
     for name in _CLOSED_FORMS:
         monkeypatch.setattr(extremal, name, counted(name, getattr(extremal, name)))
     harness._attainment_margins(KINDS[kind])
+    return calls
+
+
+@pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if not spec.branches])
+def test_each_disk_kind_calls_its_closed_form_once(monkeypatch, kind):
     # one lane-wise call per closed form, every argument a lane array
     expected = {
         ExtremalKind.SCHWARZ_PICK: ["schwarz_pick_disk"],
@@ -349,7 +370,15 @@ def test_each_disk_kind_calls_its_closed_form_once(monkeypatch, kind):
         ExtremalKind.DIEUDONNE2_DEGENERATE: ["second_order_dieudonne_disk"],
         ExtremalKind.DIEUDONNE2_BOUNDARY: ["second_order_dieudonne_disk"],
     }[kind]
-    assert calls == [(name, True) for name in expected]
+    assert _closed_form_calls(monkeypatch, kind) == [(name, True) for name in expected]
+
+
+@pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if spec.branches])
+def test_each_sharp_kind_calls_its_bound_once(monkeypatch, kind):
+    # one lane-wise bound over every row, though sharp-deg2 splits its grid
+    # into two lane points
+    assert _closed_form_calls(monkeypatch, kind) == [("branch_value", True)]
+    assert len(list(KINDS[kind].grid(lanes=True))) == (2 if kind is ExtremalKind.SHARP_DEG2 else 1)
 
 
 def _is_interior(free):
@@ -386,12 +415,12 @@ def _take(point, lanes, rows):
         return Disk(cut(d.center), cut(d.radius))
 
     rows = tuple(({name: cut(v) for name, v in free.items()}, tuple((p, disk(d)) for p, d in ps)) for free, ps in rows)
-    return GridPoint({name: v[lanes] for name, v in point.data.items()}, disk(point.target), rows)
+    target = disk(point.target) if isinstance(point.target, Disk) else cut(point.target)
+    return GridPoint({name: v[lanes] for name, v in point.data.items()}, target, rows)
 
 
 @pytest.mark.parametrize(
-    "kind, interior",
-    [(kind, False) for kind, spec in KINDS.items() if spec.params is None] + [(ExtremalKind.SECOND_BOUNDARY, True)],
+    "kind, interior", [(kind, False) for kind in KINDS] + [(ExtremalKind.SECOND_BOUNDARY, True)]
 )
 def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interior):
     spec = KINDS[kind]
@@ -403,14 +432,19 @@ def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interio
     one = _take(point, slice(0, 1), (first,))
     [given] = _lane_rows(one, 0)
     probe = getattr(make_extremal(kind, **given).jet(given["z0"]), spec.probe)
-    center, radius = complex(one.target.center[0]), float(one.target.radius[0])
-    # move the center away from the probe until the probe lies 1e-6 outside
-    # the target circle: a shift of ~1e-6
-    away = center - probe
-    shift = (radius + 1e-6 - abs(away)) * (away / abs(away) if away else 1.0)
+    if isinstance(one.target, Disk):
+        center, radius = complex(one.target.center[0]), float(one.target.radius[0])
+        # move the center away from the probe until the probe lies 1e-6 outside
+        # the target circle: a shift of ~1e-6
+        away = center - probe
+        shift = (radius + 1e-6 - abs(away)) * (away / abs(away) if away else 1.0)
+        moved = Disk(one.target.center + shift, one.target.radius)
+    else:
+        # raise the bound until |probe| lies 1e-6 below it, relative
+        moved = np.array([abs(probe) * (1.0 + 1e-6)])
     rest = [_take(point, slice(0, 1), others)] if others else []
     points[at : at + 1] = [
-        one._replace(target=Disk(one.target.center + shift, one.target.radius)),
+        one._replace(target=moved),
         *rest,
         _take(point, slice(1, None), point.rows),
     ]
@@ -419,6 +453,8 @@ def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interio
     assert report.samples == 1969
     assert report.violations == 1
     assert report.details["violations_by_kind"] == {k.value: int(k is kind) for k in ExtremalKind}
+    # 1e-6 from a disk's boundary, and 1e-6 relative to a bound
+    assert report.worst_margin == pytest.approx(-1e-6, rel=1e-3)
 
 
 def test_nan_is_a_violation_and_never_the_worst():
@@ -512,6 +548,31 @@ def test_batched_tightness_matches_scalar_trees(monkeypatch):
             assert abs(alpha[lane] - max_attaining_alpha(data)) <= 1e-15
         scalar = abs(schur_parametrize(data, Constant(complex(alpha[lane]))).jet(complex(r)).f2)
         assert abs(second[lane] - scalar) <= 1e-12 * scalar
+
+
+_CANDIDATE_GRID = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99999)
+
+
+@pytest.mark.parametrize("r", _CANDIDATE_GRID)
+def test_batched_candidates_match_scalar_trees(r):
+    # samples=0 leaves only the deterministic candidates, which the reference
+    # builds as one scalar tree each
+    for R in _CANDIDATE_GRID:
+        report = run_tightness_search(small(0), r=r, R=R)
+        result = theorem31_bound(r, R)
+        bound, branch = result.value, result.branch
+        z0, d0 = complex(r), complex(R)
+        trees = [make_extremal(kind_for_branch(branch), z0=z0, delta0=d0)]
+        if r > 0.0:
+            trees += [make_extremal("second-degenerate", z0=z0, delta0=d0, delta1=d1) for d1 in _UNIMODULAR_GRID]
+        second = [abs(g.jet(z0).f2) for g in trees]
+        tol = small(0).tol * (1.0 + bound)
+        details = report.details
+        assert details["branch"] == branch.value
+        assert report.samples == len(second)
+        assert report.violations == sum(not bound - v >= -tol for v in second)
+        assert abs(details["best"] - max(second)) <= 1e-13 * (1.0 + bound)
+        assert abs(details["gap"] - (bound - max(second))) <= 1e-13 * (1.0 + bound)
 
 
 def test_tightness_any_split_gives_the_same_tally():

@@ -150,6 +150,45 @@ def test_bracket_per_lane():
         hyperbolic_bracket(np.array([0.3 + 0.4j, 0.2]), np.array([0.3 + 0.4j, 1j]))
 
 
+def _refused(fn, *args):
+    try:
+        fn(*args)
+    except DomainError:
+        return True
+    return False
+
+
+# points within a few ulps of the unit circle and of the closed disk's slack,
+# where CPython's and numpy's moduli can round apart
+near_circle = st.builds(
+    lambda radius, ulps, phase: (radius + ulps * 2.0**-52) * complex(math.cos(phase), math.sin(phase)),
+    st.sampled_from([1.0, 1.0 + 1e-12]),
+    st.integers(-4, 4),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(z=near_circle, w=disk_pts)
+def test_scalar_and_lane_get_the_same_domain_verdict(z, w):
+    # the checks decide from x*x + y*y, which CPython and numpy round alike;
+    # the moduli disagree on about a quarter of these points
+    for fn, args in (
+        (unit_disk_point, (z,)),
+        (closed_disk_point, (z,)),
+        (hyperbolic_bracket, (w, z)),
+        (hyperbolic_bracket, (z, w)),
+    ):
+        assert _refused(fn, *args) == _refused(fn, *(np.array([a]) for a in args))
+
+
+def test_bracket_base_on_the_circle_is_refused_in_a_lane_too():
+    # CPython's |e^{0.3i}| is 1.0 and numpy's 1 - 1.1e-16: both are refused
+    for w in (cmath.exp(0.3j), np.array([cmath.exp(0.3j)])):
+        with pytest.raises(DomainError, match="bracket base point must satisfy"):
+            hyperbolic_bracket(0.2, w)
+
+
 @settings(max_examples=200, deadline=None)
 @given(z=disk_pts, w=disk_pts)
 def test_bracket_symmetric_modulus_and_contraction(z, w):
