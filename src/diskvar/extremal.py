@@ -192,17 +192,17 @@ def _second_disk(z0, delta0, delta1):
 
 
 class GridPoint(NamedTuple):
-    """Data points of an attainment grid, with their target computed once.
+    """Data points of an attainment grid as lanes, with their targets
+    computed once.
 
-    ``data`` maps each name to one scalar, or in a lane grid to a numpy array
-    with one data point per lane; ``target`` is then a Disk with one center
-    and radius per lane (or one for all lanes), or one bound per lane.
-    ``rows`` holds ``(free, pins)`` pairs, each applying to every lane.  The
-    extremal built from ``data`` and the ``free`` values (a scalar, or one
-    value per lane) must put its probe on ``target``: on the boundary of a
-    Disk, or at the modulus of a positive bound.  Each pin is a ``(component,
-    disk)`` pair: that component of the same jet must land on the disk's
-    boundary as well.
+    ``data`` maps each name to a numpy array with one data point per lane;
+    ``target`` is a Disk with one center and radius per lane (or one for all
+    lanes), or one bound per lane.  ``rows`` holds ``(free, pins)`` pairs,
+    each applying to every lane.  The extremal built from ``data`` and the
+    ``free`` values (one for every lane, or one per lane) must put its probe
+    on ``target``: on the boundary of a Disk, or at the modulus of a positive
+    bound.  Each pin is a ``(component, disk)`` pair: that component of the
+    same jet must land on the disk's boundary as well.
     """
 
     data: dict
@@ -230,65 +230,59 @@ _Z0_TURN = complex(math.cos(0.6), math.sin(0.6))
 _D0_TURN = complex(math.cos(-1.2), math.sin(-1.2))
 
 
-def _combos(lanes, *grids):
-    """Every combination of the grids' values, in ``itertools.product``
-    order: one tuple of scalars per combination, or with ``lanes`` a single
-    tuple of numpy arrays holding one combination per lane."""
-    if not lanes:
-        return product(*grids)
-    import numpy as np  # only a lane grid needs numpy: the CLI never loads it
+def _lanes(points):
+    """The points (tuples of data values) as one numpy array per value,
+    holding one point per lane."""
+    import numpy as np  # only the attainment grids need numpy: the CLI never loads it
 
-    return [np.array(list(product(*grids)), dtype=complex).T]
+    return np.array(list(points), dtype=complex).T
 
 
-def _schwarz_pick_grid(lanes=False):
-    for z0, d0 in _combos(lanes, _Z0_GRID, _D0_GRID):
-        yield GridPoint({"z0": z0, "delta0": d0}, schwarz_pick_disk(z0, d0), _ALPHA_ROWS)
+def _schwarz_pick_grid():
+    z0, d0 = _lanes(product(_Z0_GRID, _D0_GRID))
+    yield GridPoint({"z0": z0, "delta0": d0}, schwarz_pick_disk(z0, d0), _ALPHA_ROWS)
 
 
-def _dieudonne_grid(lanes=False):
-    for z0, u0 in _combos(lanes, _Z0_GRID[1:], _U0_GRID):
-        w0 = u0 * z0
-        yield GridPoint({"z0": z0, "w0": w0}, dieudonne_disk(z0, w0), _ALPHA_ROWS)
+def _dieudonne_grid():
+    z0, u0 = _lanes(product(_Z0_GRID[1:], _U0_GRID))
+    w0 = u0 * z0
+    yield GridPoint({"z0": z0, "w0": w0}, dieudonne_disk(z0, w0), _ALPHA_ROWS)
 
 
-def _second_degenerate_grid(lanes=False):
-    for z0, d0, d1 in _combos(lanes, _Z0_GRID, _D0_GRID, _UNIMODULAR_GRID):
-        data = {"z0": z0, "delta0": d0, "delta1": d1}
-        yield GridPoint(data, _second_disk(z0, d0, d1), (({}, ()),))
+def _second_degenerate_grid():
+    z0, d0, d1 = _lanes(product(_Z0_GRID, _D0_GRID, _UNIMODULAR_GRID))
+    data = {"z0": z0, "delta0": d0, "delta1": d1}
+    yield GridPoint(data, _second_disk(z0, d0, d1), (({}, ()),))
 
 
-def _second_boundary_grid(lanes=False):
-    for z0, d0, d1 in _combos(lanes, _Z0_GRID, _D0_GRID, _D1_GRID):
-        data = {"z0": z0, "delta0": d0, "delta1": d1}
-        prescribed = PrescribedData(z0, d0, d1)
-        disk = second_derivative_disk(prescribed)
-        yield GridPoint(data, disk, _ALPHA_ROWS)
-        # the aligned alpha puts g''(z0) on the circle |w| = max |g''(z0)|; it is
-        # None (NaN in a lane) where the center vanishes and every alpha is aligned
-        best = max_attaining_alpha(prescribed)
-        top = abs(disk.center) + disk.radius
-        if lanes:
-            import numpy as np
+def _second_boundary_grid():
+    import numpy as np
 
-            has = ~np.isnan(best)
-            aligned = {name: v[has] for name, v in data.items()}
-            yield GridPoint(aligned, Disk(0j, top[has]), (({"alpha": best[has]}, ()),))
-        elif best is not None:
-            yield GridPoint(data, Disk(0j, top), (({"alpha": best}, ()),))
-        # g''(z0) = c2 + rho2 alpha: an interior alpha lands on the circle of radius |alpha| rho2
-        interior = Disk(disk.center, abs(_INTERIOR_ALPHA) * disk.radius)
-        yield GridPoint(data, interior, (({"alpha": _INTERIOR_ALPHA}, ()),))
+    z0, d0, d1 = _lanes(product(_Z0_GRID, _D0_GRID, _D1_GRID))
+    data = {"z0": z0, "delta0": d0, "delta1": d1}
+    prescribed = PrescribedData(z0, d0, d1)
+    disk = second_derivative_disk(prescribed)
+    yield GridPoint(data, disk, _ALPHA_ROWS)
+    # the aligned alpha puts g''(z0) on the circle |w| = max |g''(z0)|; it is
+    # NaN in the lanes where the center vanishes and every alpha is aligned
+    best = max_attaining_alpha(prescribed)
+    has = ~np.isnan(best)
+    aligned = {name: v[has] for name, v in data.items()}
+    top = abs(disk.center) + disk.radius
+    yield GridPoint(aligned, Disk(0j, top[has]), (({"alpha": best[has]}, ()),))
+    # g''(z0) = c2 + rho2 alpha: an interior alpha lands on the circle of radius |alpha| rho2
+    interior = Disk(disk.center, abs(_INTERIOR_ALPHA) * disk.radius)
+    yield GridPoint(data, interior, (({"alpha": _INTERIOR_ALPHA}, ()),))
 
 
-def _dieudonne2_grid(d1_grid, frees, lanes=False):
-    for z0, u0, d1 in _combos(lanes, _Z0_GRID[1:], _U0_GRID, d1_grid):
-        w0 = u0 * z0
-        w1, disk = second_order_dieudonne_disk(z0, w0, d1)
-        # f'(z0) = w1 whatever the free values: checked once, on the last extremal
-        pinned = (("f1", Disk(w1, 0.0)),)
-        rows = tuple((free, ()) for free in frees[:-1]) + ((frees[-1], pinned),)
-        yield GridPoint({"z0": z0, "w0": w0, "delta1": d1}, disk, rows)
+def _dieudonne2_grid(d1_grid, frees):
+    z0, u0, d1 = _lanes(product(_Z0_GRID[1:], _U0_GRID, d1_grid))
+    w0 = u0 * z0
+    w1, disk = second_order_dieudonne_disk(z0, w0, d1)
+    # f'(z0) = w1 whatever the free values: checked once, on the last extremal
+    pinned = (("f1", Disk(w1, 0.0)),)
+    rows = tuple((free, ()) for free in frees[:-1]) + ((frees[-1], pinned),)
+    yield GridPoint({"z0": z0, "w0": w0, "delta1": d1}, disk, rows)
 
 
 def _sharp_points(pairs):
@@ -298,22 +292,15 @@ def _sharp_points(pairs):
         yield r * _Z0_TURN, R * _D0_TURN
 
 
-def _sharp_grid(kind, groups, lanes):
+def _sharp_grid(kind, groups):
     """The grid of a sharp kind.  ``groups`` lists ``(points, rows)`` pairs:
     data points (tuples of the kind's data values, in order), and the
-    function that gives a point's rows from its data values.  The scalar grid
-    holds one GridPoint per data point; the lane grid one per group, their
-    targets sliced from one lane-wise call over every data point."""
+    function that gives a group's rows from its data lanes.  Each group is
+    one GridPoint, its targets sliced from one lane-wise bound over every
+    data point."""
     names = [name for name, _ in kind_spec(kind).data]
-    if not lanes:
-        for points, rows in groups:
-            for values in points:
-                yield GridPoint(dict(zip(names, values)), branch_bound_for(kind, *values), rows(*values))
-        return
-    import numpy as np
-
     groups = [(list(points), rows) for points, rows in groups]
-    data = np.array([values for points, _ in groups for values in points], dtype=complex).T
+    data = _lanes(values for points, _ in groups for values in points)
     bounds = branch_bound_for(kind, *data)
     start = 0
     for points, rows in groups:
@@ -323,14 +310,14 @@ def _sharp_grid(kind, groups, lanes):
         start = at.stop
 
 
-def _sharp_deg1_grid(lanes=False):
+def _sharp_deg1_grid():
     def rows(z0, d0):
         return (({}, (("f0", Disk(d0, 0.0)),)),)
 
-    return _sharp_grid(ExtremalKind.SHARP_DEG1, [(_sharp_points(product(_RR_GRID, _RR_GRID)), rows)], lanes)
+    return _sharp_grid(ExtremalKind.SHARP_DEG1, [(_sharp_points(product(_RR_GRID, _RR_GRID)), rows)])
 
 
-def _sharp_deg2_grid(lanes=False):
+def _sharp_deg2_grid():
     def rows(z0, d0):
         # theta = 0 is the default; it is named because the z0 = 0 rows name
         # theta, and a kind's lane points must have the same free values
@@ -342,19 +329,19 @@ def _sharp_deg2_grid(lanes=False):
 
     pairs = ((r, R) for r, R in product(_RR_GRID, (0.0,) + _RR_GRID) if r + 2.0 * R < 2.0)
     at_zero = ((0j, complex(R)) for R in (0.35, 0.6))
-    return _sharp_grid(ExtremalKind.SHARP_DEG2, [(_sharp_points(pairs), rows), (at_zero, free_rows)], lanes)
+    return _sharp_grid(ExtremalKind.SHARP_DEG2, [(_sharp_points(pairs), rows), (at_zero, free_rows)])
 
 
-def _szasz_grid(lanes=False):
+def _szasz_grid():
     def rows(z0):
         r = abs(z0)
         pinned = (("f0", Disk(0j, r * r / 8.0)),)
         return ({"theta": 0.0}, pinned), ({"theta": 1.1}, pinned)
 
-    # r = 0 too: in a lane it is checked in the deg2 tree, which there is e^{i theta} z^2
+    # r = 0 too: it is checked in the deg2 tree, which there is e^{i theta} z^2
     turn = complex(math.cos(0.4), math.sin(0.4))
     points = [(r * turn,) for r in (0.0, 0.25, 0.5, 0.75, 0.9)]
-    return _sharp_grid(ExtremalKind.SZASZ, [(points, rows)], lanes)
+    return _sharp_grid(ExtremalKind.SZASZ, [(points, rows)])
 
 
 @dataclass(frozen=True)
@@ -367,14 +354,13 @@ class KindSpec:
     in that order and returns the function tree; ``target`` takes the data
     values by name and returns a Disk or a positive bound.  ``probe`` names
     the jet component that lands on the target, ``branches`` the bound
-    branches a sharp kind attains, and ``grid()`` yields the GridPoints the
-    attainment suite checks, one per data point; ``grid(lanes=True)`` yields
-    the same rows as a few lane-array GridPoints, their targets from one
-    lane-wise call of the closed form or bound.  ``build``, ``target`` and a
-    sharp kind's ``params`` take lanes as well as scalars.  ``params`` takes
-    the data (and optionally the free value) and returns ``(values, free)``:
-    the named parameters the tree is built from, and the names among them
-    that any choice of the free value moves.
+    branches a sharp kind attains, and ``grid()`` yields the few GridPoints
+    the attainment suite checks, their targets from one lane-wise call of the
+    closed form or bound.  ``build``, ``target`` and a sharp kind's
+    ``params`` take lanes as well as scalars.  ``params`` takes the data
+    (and optionally the free value) and returns ``(values, free)``: the
+    named parameters the tree is built from, and the names among them that
+    any choice of the free value moves.
     """
 
     kind: ExtremalKind

@@ -355,7 +355,7 @@ def _attainment_margins(spec):
     """
     lanes, probes, pins = {}, [], []  # a check: (component, lanes, center, radius, scale)
     start = 0
-    for point in spec.grid(lanes=True):
+    for point in spec.grid():
         k, n = len(point.rows), point.data["z0"].size
         frees = {name: np.array([free[name] for free, _ in point.rows]).reshape(k, -1) for name in point.rows[0][0]}
         for name, values in {**point.data, **frees}.items():

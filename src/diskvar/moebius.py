@@ -175,10 +175,20 @@ def _mobius(a, z):
     return (z + a) / (1.0 + a.conjugate() * z)
 
 
+def _refuse_pole(a, z, where=True):
+    """PoleError where 1 + conj(a) z, the denominator of T_a(z), is 0 in a
+    lane where ``where`` holds.  Within the domains it rounds to 0 only for
+    |a| next to 1 and z on the circle or just beyond it, within the
+    closed-disk slack."""
+    if _any_lane((1.0 + a.conjugate() * z == 0) & where):
+        raise PoleError("T_a(z) has a pole: 1 + conj(a) z rounds to 0")
+
+
 def mobius_T(a, z):
     """Disk automorphism T_a(z) = (z + a) / (1 + conj(a) z)."""
     a = unit_disk_point(a, "a")
     z = closed_disk_point(z, "z")
+    _refuse_pole(a, z)
     return _mobius(a, z)
 
 
@@ -187,20 +197,22 @@ def hyperbolic_bracket(z, w):
     is T_{-w}(z).
 
     [z, z] = 0 even for |z| = 1.  For z != w the base point must satisfy
-    |w| < 1; a unimodular w with z != w is refused rather than guessed at.
-    On a batch both hold lane by lane.
+    |w| < 1; a unimodular w with z != w is refused rather than guessed at,
+    and so is a pole, where 1 - conj(w) z rounds to 0.  On a batch these
+    hold lane by lane.
     """
     z = closed_disk_point(z, "z")
     w = closed_disk_point(w, "w")
-    if _any_lane((z != w) & (_modulus2(w) >= 1.0)):
+    differ = z != w
+    if _any_lane(differ & (_modulus2(w) >= 1.0)):
         raise DomainError("bracket base point must satisfy |w| < 1 when z != w")
-    same = z == w
-    if not _is_batch(same):
-        return 0j if same else _mobius(-w, z)
+    _refuse_pole(-w, z, differ)
+    if not _is_batch(differ):
+        return _mobius(-w, z) if differ else 0j
     import numpy as np  # a batch is a numpy array, so numpy is loaded already
 
     with np.errstate(divide="ignore", invalid="ignore"):  # the z == w lanes are replaced
-        return np.where(same, 0j, _mobius(-w, z))
+        return np.where(differ, _mobius(-w, z), 0j)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -35,3 +36,10 @@ def rel_err(measured, reference):
 def unit_circle(n):
     """n-th roots of unity."""
     return [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+
+
+def lane_params(point, free, i):
+    """The data and ``free`` values of lane i of an attainment grid point, as
+    Python scalars: the parameters of that lane's scalar extremal."""
+    n = point.data["z0"].size
+    return {name: np.broadcast_to(v, n)[i].item() for name, v in {**point.data, **free}.items()}

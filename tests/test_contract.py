@@ -22,6 +22,8 @@ from diskvar.functions import (
 )
 from diskvar.harness import HarnessConfig, run_attainment_suite, run_membership_suite, run_tightness_search
 
+from oracles import lane_params
+
 ROWS_BY_KIND = {
     "schwarz-pick": 192,
     "dieudonne": 144,
@@ -180,17 +182,19 @@ def test_extremal_verify_golden(capsys, argv, expected):
 
 
 # sha256 over the concatenated function_to_json text of the trees below
-TREES_SHA256 = "a2df24b07b8a51e605b7590db7a61a9ecf592d2fef39e32e44cbb0059684b7e2"
+TREES_SHA256 = "46d886e5d1ef5d2a78568be80153fcd354850eca5dd00988ec18fcdc6b3ac149"
 
 
 def test_serialized_trees():
-    """Seed-9 random Schur and Blaschke trees for indices 0-2999, then every
-    attainment-grid extremal in ``KINDS`` order, serialize to pinned text and
-    read back as the same tree."""
+    """Seed-9 random Schur and Blaschke trees for indices 0-2999, then the
+    scalar extremal of every attainment-grid lane in ``KINDS`` order (each
+    grid point's rows, lane by lane), serialize to pinned text and read back
+    as the same tree."""
     trees = [f(9, index) for index in range(3000) for f in (random_schur_function, random_blaschke_product)]
     for spec in KINDS.values():
         for point in spec.grid():
-            trees += [make_extremal(spec.kind, **point.data, **free) for free, _ in point.rows]
+            n = point.data["z0"].size
+            trees += [make_extremal(spec.kind, **lane_params(point, free, i)) for free, _ in point.rows for i in range(n)]
     digest = hashlib.sha256()
     for f in trees:
         text = function_to_json(f)

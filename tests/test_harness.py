@@ -8,7 +8,13 @@ import pytest
 
 from diskvar import extremal, harness
 from diskvar.bounds import Branch, theorem31_bound
-from diskvar.disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_derivative_disk
+from diskvar.disks import (
+    dieudonne_disk,
+    max_attaining_alpha,
+    mercer_disk,
+    second_derivative_disk,
+    second_order_dieudonne_disk,
+)
 from diskvar.extremal import (
     _INTERIOR_ALPHA,
     _UNIMODULAR_GRID,
@@ -40,6 +46,8 @@ from diskvar.harness import (
     run_tightness_search,
 )
 from diskvar.moebius import Disk, DomainError, Jet2
+
+from oracles import lane_params
 
 
 def small(n=200, **kw):
@@ -243,60 +251,62 @@ def test_attainment_kind_filter():
 # -- the batched attainment path ---------------------------------------------
 
 
-def _key(values):
-    """The (data, free) values of a row, each rounded to 12 decimals: a lane
-    and its scalar reference differ at most in their last bits (numpy's
-    complex product and modulus round differently from Python's)."""
-    return tuple((name, round(v.real, 12), round(v.imag, 12)) for name, v in sorted(values.items()))
-
-
-def _scalar_attainment_rows(spec):
-    """(key, component, margin, target) of every check of one kind's grid,
-    from the scalar grid ``spec.grid()`` (one point per data point, each
-    target a scalar closed form), each extremal built and checked as a scalar
-    tree, in grid order: the rows' probes, then their pins."""
-    probes, pins = [], []
-    for point in spec.grid():
-        z0 = point.data["z0"]
-        for free, pinned in point.rows:
-            key = _key({**point.data, **free})
-            jet = make_extremal(spec.kind, **point.data, **free).jet(z0)
-            target = point.target
-            probes.append((key, spec.probe, -attainment_distance(target, getattr(jet, spec.probe)), target))
-            for part, disk in pinned:
-                pins.append((key, part, -disk.boundary_distance(getattr(jet, part)), disk))
-    return probes + pins
-
-
-def _lane_rows(point, i):
-    """The data and free values of lane i of a lane grid point, one dict per row."""
-    n = point.data["z0"].size
-    data = {name: v[i] for name, v in point.data.items()}
-    return [{**data, **{name: np.broadcast_to(v, n)[i] for name, v in free.items()}} for free, _ in point.rows]
-
-
 def _circle(target):
     """(center, radius) of a Disk target, or (0, bound) of a bound target."""
     return extremal._target_circle(target)[:2]
 
 
-def _target_lanes(target, n):
+def _lane_circles(target, n):
     """(center, radius) of each of the n lanes of a target."""
-    return zip(*(np.broadcast_to(v, n) for v in _circle(target)))
+    return zip(*(np.broadcast_to(v, n).tolist() for v in _circle(target)))
 
 
-def _lane_checks(spec):
-    """(key, component, center, radius) of every check of one kind's lane
-    grid, in the order of ``harness._attainment_margins``: each row's probe,
-    lane by lane, then each row's pins."""
+def _scalar_target(spec, data, alpha):
+    """The target of a row at scalar data, from the scalar closed form: the
+    kind's own, or the circle that a second-boundary grid's interior alpha,
+    or its aligned alpha (one per lane), puts g''(z0) on."""
+    target = spec.target(**data)
+    if alpha is _INTERIOR_ALPHA:
+        return Disk(target.center, abs(alpha) * target.radius)
+    if np.ndim(alpha):
+        return Disk(0j, abs(target.center) + target.radius)
+    return target
+
+
+def _scalar_w1(z0, w0, delta1):
+    return Disk(second_order_dieudonne_disk(z0, w0, delta1).w1, 0.0)
+
+
+# the disk each pinned component lands on, from the scalar data
+_SCALAR_PINS = {
+    ExtremalKind.DIEUDONNE2_DEGENERATE: _scalar_w1,
+    ExtremalKind.DIEUDONNE2_BOUNDARY: _scalar_w1,
+    ExtremalKind.SHARP_DEG1: lambda z0, delta0: Disk(delta0, 0.0),
+    ExtremalKind.SHARP_DEG2: lambda z0, delta0: Disk(0j, abs(delta0)),
+    ExtremalKind.SZASZ: lambda z0: Disk(0j, abs(z0) * abs(z0) / 8.0),
+}
+
+
+def _scalar_checks(spec):
+    """(margin, lane target, scalar target) of every check of one kind's
+    grid, in the order of ``harness._attainment_margins``: each grid point's
+    probes, row by row and lane by lane, then each row's pins.  Each check is
+    rebuilt from the scalars of its lane: the jet of a scalar extremal, and a
+    target from the scalar closed form; the lane target is the grid's."""
     probes, pins = [], []
-    for point in spec.grid(lanes=True):
+    for point in spec.grid():
         n = point.data["z0"].size
-        by_row = zip(*(_lane_rows(point, i) for i in range(n)))
-        for given, (_, pinned) in zip(by_row, point.rows):
-            keys = [_key(values) for values in given]
-            probes += [(key, spec.probe, *target) for key, target in zip(keys, _target_lanes(point.target, n))]
-            pins += [(key, part, *target) for part, disk in pinned for key, target in zip(keys, _target_lanes(disk, n))]
+        for free, pinned in point.rows:
+            lanes = [lane_params(point, free, i) for i in range(n)]
+            jets = [make_extremal(spec.kind, **given).jet(given["z0"]) for given in lanes]
+            data = [{name: given[name] for name in point.data} for given in lanes]
+            for jet, values, lane in zip(jets, data, _lane_circles(point.target, n)):
+                target = _scalar_target(spec, values, free.get("alpha"))
+                probes.append((-attainment_distance(target, getattr(jet, spec.probe)), lane, target))
+            for part, disk in pinned:
+                for jet, values, lane in zip(jets, data, _lane_circles(disk, n)):
+                    target = _SCALAR_PINS[spec.kind](**values)
+                    pins.append((-target.boundary_distance(getattr(jet, part)), lane, target))
     return probes + pins
 
 
@@ -304,30 +314,20 @@ def _lane_checks(spec):
 def test_batched_attainment_matches_scalar_rows(kind):
     spec = KINDS[kind]
     margins = harness._attainment_margins(spec)
-    scalar = _scalar_attainment_rows(spec)
-    assert margins.shape == (len(scalar),)
-    # every lane check is one scalar check, matched by its (data, free) values;
-    # an aligned alpha can equal a root of unity of the same data point, so a
-    # key may hold two checks, told apart by their targets
-    reference = {}
-    for key, part, margin, target in scalar:
+    checks = _scalar_checks(spec)
+    assert margins.shape == (len(checks),)
+    for margin, (expected, (center, radius), target) in zip(margins, checks):
         # a bound target takes |z0| and |delta0| from numpy, which can round
         # them apart from CPython by one bit; 1/(1 - r^2)^2 amplifies that by
         # up to 4r/(1 - r^2) ~ 19 on these grids
         near = 1e-15 if isinstance(target, Disk) else 1e-14
-        reference.setdefault((key, part), []).append((margin, _circle(target), near))
-    for margin, (key, part, center, radius) in zip(margins, _lane_checks(spec)):
-        candidates = reference[key, part]
-        nearest = min(candidates, key=lambda c: abs(c[1][0] - center) + abs(c[1][1] - radius))
-        candidates.remove(nearest)
-        expected, (target_center, target_radius), near = nearest
+        target_center, target_radius = _circle(target)
         scale = abs(target_center) + target_radius
         # the lane's target is the scalar closed form at the same data
         assert abs(center - target_center) + abs(radius - target_radius) <= near * (1.0 + scale)
         assert abs(margin - expected) <= 1e-13 * (1.0 + scale)
         for tol in (1e-8, 1e-9):
             assert (margin >= -tol) == (expected >= -tol)
-    assert not any(reference.values())
 
 
 _CLOSED_FORMS = (
@@ -378,34 +378,32 @@ def test_each_sharp_kind_calls_its_bound_once(monkeypatch, kind):
     # one lane-wise bound over every row, though sharp-deg2 splits its grid
     # into two lane points
     assert _closed_form_calls(monkeypatch, kind) == [("branch_value", True)]
-    assert len(list(KINDS[kind].grid(lanes=True))) == (2 if kind is ExtremalKind.SHARP_DEG2 else 1)
+    assert len(list(KINDS[kind].grid())) == (2 if kind is ExtremalKind.SHARP_DEG2 else 1)
 
 
 def _is_interior(free):
-    # by identity: a lane grid's aligned alpha is an array, which == compares lane by lane
+    # by identity: a grid's aligned alpha is an array, which == compares lane by lane
     return free.get("alpha") is _INTERIOR_ALPHA
 
 
 def test_an_interior_alpha_lands_on_its_circle():
     # g''(z0) = c2 + rho2 alpha: |alpha| < 1 fixes one interior point, on the
-    # circle of radius |alpha| rho2 that the grid targets, in the scalar grid
-    # and in the lane grid alike
+    # circle of radius |alpha| rho2 that the grid targets
     spec = KINDS[ExtremalKind.SECOND_BOUNDARY]
-    for lanes in (False, True):
-        rows = [(point, free) for point in spec.grid(lanes=lanes) for free, _ in point.rows if _is_interior(free)]
-        assert sum(np.size(point.data["z0"]) for point, _ in rows) == 48
-        for point, free in rows:
-            disk = second_derivative_disk(PrescribedData(**point.data))
-            assert np.array_equal(point.target.center, disk.center)
-            assert np.array_equal(point.target.radius, abs(_INTERIOR_ALPHA) * disk.radius)
-            f2 = make_extremal(spec.kind, **point.data, **free).jet(point.data["z0"]).f2
-            tol = 1e-13 * (1.0 + disk.radius)
-            assert np.all(abs(f2 - (disk.center + disk.radius * _INTERIOR_ALPHA)) <= tol)
-            assert np.all(point.target.boundary_distance(f2) <= tol)
+    rows = [(point, free) for point in spec.grid() for free, _ in point.rows if _is_interior(free)]
+    assert sum(point.data["z0"].size for point, _ in rows) == 48
+    for point, free in rows:
+        disk = second_derivative_disk(PrescribedData(**point.data))
+        assert np.array_equal(point.target.center, disk.center)
+        assert np.array_equal(point.target.radius, abs(_INTERIOR_ALPHA) * disk.radius)
+        f2 = make_extremal(spec.kind, **point.data, **free).jet(point.data["z0"]).f2
+        tol = 1e-13 * (1.0 + disk.radius)
+        assert np.all(abs(f2 - (disk.center + disk.radius * _INTERIOR_ALPHA)) <= tol)
+        assert np.all(point.target.boundary_distance(f2) <= tol)
 
 
 def _take(point, lanes, rows):
-    """The lane grid point holding ``lanes`` of ``point`` and the given rows."""
+    """The grid point holding ``lanes`` of ``point`` and the given rows."""
     n = point.data["z0"].size
 
     def cut(v):
@@ -424,13 +422,13 @@ def _take(point, lanes, rows):
 )
 def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interior):
     spec = KINDS[kind]
-    points = list(spec.grid(lanes=True))
+    points = list(spec.grid())
     at = next(i for i, point in enumerate(points) if _is_interior(point.rows[0][0]) == interior)
     point = points[at]
     first, *others = point.rows
     # lane 0 of the first row, alone in its grid point
     one = _take(point, slice(0, 1), (first,))
-    [given] = _lane_rows(one, 0)
+    given = lane_params(one, one.rows[0][0], 0)
     probe = getattr(make_extremal(kind, **given).jet(given["z0"]), spec.probe)
     if isinstance(one.target, Disk):
         center, radius = complex(one.target.center[0]), float(one.target.radius[0])
@@ -448,7 +446,7 @@ def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interio
         *rest,
         _take(point, slice(1, None), point.rows),
     ]
-    monkeypatch.setitem(KINDS, kind, dataclasses.replace(spec, grid=lambda lanes=False: iter(points)))
+    monkeypatch.setitem(KINDS, kind, dataclasses.replace(spec, grid=lambda: iter(points)))
     report = run_attainment_suite(HarnessConfig())
     assert report.samples == 1969
     assert report.violations == 1

@@ -150,6 +150,18 @@ def test_bracket_per_lane():
         hyperbolic_bracket(np.array([0.3 + 0.4j, 0.2]), np.array([0.3 + 0.4j, 1j]))
 
 
+@pytest.mark.parametrize(
+    "fn, z, w",
+    [(mobius_T, -0.9999999999999999, 1.0000000000000002), (hyperbolic_bracket, 1.0000000000000002, 0.9999999999999998)],
+)
+def test_a_rounded_pole_is_a_pole_error(fn, z, w):
+    # both arguments lie in their domains, yet 1 + conj(a) z rounds to 0
+    with pytest.raises(PoleError):
+        fn(z, w)
+    with pytest.raises(PoleError):
+        fn(np.array([z]), np.array([w]))
+
+
 def _refused(fn, *args):
     try:
         fn(*args)

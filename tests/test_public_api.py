@@ -75,11 +75,40 @@ def test_readme_library_example_runs():
     exec(compile(code, str(README), "exec"), {})
 
 
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter with this checkout's diskvar."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("module", ["diskvar", "diskvar.cli"])
 def test_import_leaves_numpy_unloaded(module):
     """The closed forms and the CLI run without numpy; only sampling loads it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = f"import sys, {module}; print('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh_python(f"import sys, {module}; print('numpy' in sys.modules)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+_CLOSED_FORM_COMMANDS = [
+    ["disk", "second", "--z0", "0.3,0.1", "--delta0", "0.2,0", "--delta1", "0.3,0"],
+    ["bound", "thm31", "--z0", "0.3,0.1", "--delta0=0.2,-0.4", "--emit-function"],
+    ["bound", "table"],
+    ["extremal", "verify", "--kind", "sharp-deg2", "--z0", "0.3,0.1", "--delta0=0.2,-0.4", "--emit-function"],
+    ["extremal", "emit", "--kind", "szasz", "--z0", "0.5,0"],
+]
+
+
+def test_closed_form_commands_leave_numpy_unloaded():
+    """Running the closed-form commands loads no numpy either: only the
+    sampling suites and the attainment grids need it."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from diskvar.cli import cli_main\n"
+        f"for argv in {_CLOSED_FORM_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli_main(argv)\n"
+        "    print(code, 'numpy' in sys.modules)\n"
+    )
+    proc = _fresh_python(code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["0 False"] * len(_CLOSED_FORM_COMMANDS)
