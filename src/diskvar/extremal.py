@@ -45,6 +45,8 @@ from .moebius import (
     DomainError,
     _any_lane,
     _is_batch,
+    _largest_modulus,
+    _largest_modulus2,
     closed_disk_point,
     require_finite,
     require_real,
@@ -129,7 +131,12 @@ def _deg1_params(z0, delta0):
 
 def _sharp_deg1(z0, delta0):
     params, _ = _deg1_params(z0, delta0)
-    return Rotation(params["theta"], Bracket(params["a"], Identity()))
+    a = params["a"]
+    # |a| = (r + R) / (1 + r R) < 1, but it rounds to 1 when r or R is within
+    # an ulp or so of 1
+    if _largest_modulus2(a) >= 1.0:
+        raise DomainError(f"sharp-deg1 zero a must lie in the open unit disk, |a| = {_largest_modulus(a)}")
+    return Rotation(params["theta"], Bracket(a, Identity()))
 
 
 def _deg2_params(z0, delta0, theta=0.0):
@@ -523,6 +530,8 @@ def verify_attainment(kind, params, tol):
     tol = require_real(tol, "tol", finite=False)
     if not tol >= 0.0:
         raise DomainError("tol must be non-negative")
+    if tol == math.inf:
+        raise DomainError("tol must be finite, got inf")
     j = eval_jet(g, complex(params["z0"]))
     if isinstance(target, Disk):
         text = f"boundary of disk(center={target.center!r}, radius={target.radius!r})"

@@ -16,9 +16,9 @@ parameters in blocks of ``_BLOCK`` samples, from an independent RNG substream
 keyed by (seed, family or suite tag, block); a block always draws in full and
 is then sliced.  The samples of a block are checked together, as a batch
 (numpy arrays, one lane per sample), through the same trees, parametrizations
-and closed forms that evaluate a single sample.  So any split of the indices,
-serial or parallel, aggregates to the same report (violation counts sum,
-margins reduce by min).
+and closed forms that evaluate a single sample.  Chunks of indices return
+their per-sample values in index order, so any split, serial or parallel,
+gives a suite the same values, from which it builds its report once.
 
 The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
 sharp kind, comes as a few lane-array grid points, their targets from one
@@ -111,6 +111,8 @@ class HarnessConfig:
         tol = require_real(self.tol, "tol", finite=False)
         if not tol > 0.0:
             raise DomainError("tol must be positive")
+        if tol == math.inf:
+            raise DomainError("tol must be finite, got inf")
         object.__setattr__(self, "tol", tol)
 
 
@@ -159,8 +161,8 @@ def _chunk_ranges(n, pieces):
 
 
 def _map_chunks(fn, n, parallel):
-    """Apply fn over index ranges; aggregation downstream must be
-    order-independent (sum / min), which keeps parallel == serial."""
+    """fn over index ranges that cover 0..n-1, its results in index order, so
+    that parallel == serial."""
     if n == 0:
         return []
     if not parallel:
@@ -176,26 +178,17 @@ def _map_chunks(fn, n, parallel):
         return list(pool.map(fn, ranges))
 
 
-def _merge(parts):
-    """Combine chunk tallies: counts sum, worst margins reduce by min and best
-    values by max, so the result does not depend on how the indices were split.
-    NaN takes no part in a min or max; its sample counts as a violation."""
-    worsts = [p[2] for p in parts if p[2] is not None and not math.isnan(p[2])]
-    bests = [p[3] for p in parts if p[3] is not None and not math.isnan(p[3])]
-    return sum(p[0] for p in parts), sum(p[1] for p in parts), min(worsts, default=None), max(bests, default=None)
+def _violations(margins, tol):
+    """The number of margins below -tol; a NaN margin is never a pass."""
+    return int(np.count_nonzero(~(margins >= -tol)))
 
 
-def _batch_tally(margins, tol, values=None):
-    """The chunk tally of a batch of margins, with the largest of its values
-    when given.  A margin below -tol or NaN counts as a violation; the worst
-    margin and the best value skip NaN, and are None when nothing else is
-    left."""
-    return (
-        margins.size,
-        int(np.count_nonzero(~(margins >= -tol))),
-        _reduce(np.min, margins),
-        None if values is None else _reduce(np.max, values),
-    )
+def _report(suite, margins, tol, start, details):
+    """The report of a suite from all of its margins: their number, the
+    violations, and the least margin other than NaN (None when there is
+    none); wall_time runs from ``start``."""
+    worst = _reduce(np.min, margins)
+    return HarnessReport(suite, margins.size, _violations(margins, tol), worst, time.perf_counter() - start, details)
 
 
 def _reduce(fn, a):
@@ -305,14 +298,13 @@ def _block_margins(family, p):
 
 
 def _membership_chunk(cfg, families, rg):
-    """Tally of samples lo..hi-1 of every family."""
-    parts = []
+    """The margins of samples lo..hi-1, one row per family."""
+    margins = [[] for _ in families]
     for block, lanes in _blocks(rg):
-        for family in families:
+        for row, family in zip(margins, families):
             p = _draw_block(family, substream(cfg.seed, _FAMILY_TAGS[family], block))
-            margins = _block_margins(family, {name: v[..., lanes] for name, v in p.items()})
-            parts.append(_batch_tally(margins, cfg.tol))
-    return _merge(parts)
+            row.append(_block_margins(family, {name: v[..., lanes] for name, v in p.items()}))
+    return np.array([np.concatenate(row) for row in margins])
 
 
 def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
@@ -321,17 +313,13 @@ def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
     for family in families:
         if family not in _FAMILY_TAGS:
             raise DomainError(f"unknown membership family {family!r}")
+    if not families or len(set(families)) < len(families):  # a repeated one would count twice
+        raise DomainError(f"membership needs one or more distinct families, got {','.join(families) or 'none'}")
     start = time.perf_counter()
     parts = _map_chunks(partial(_membership_chunk, cfg, families), cfg.samples, cfg.parallel)
-    samples, violations, worst, _ = _merge(parts)
-    return HarnessReport(
-        suite="membership:" + "+".join(families),
-        samples=samples,
-        violations=violations,
-        worst_margin=worst,
-        wall_time=time.perf_counter() - start,
-        details={"families": list(families), "per_family_samples": cfg.samples},
-    )
+    margins = np.concatenate([np.empty((len(families), 0)), *parts], axis=1)
+    details = {"families": list(families), "per_family_samples": cfg.samples}
+    return _report("membership:" + "+".join(families), margins, cfg.tol, start, details)
 
 
 # -- attainment ---------------------------------------------------------------
@@ -380,32 +368,28 @@ def run_attainment_suite(cfg, kinds=None):
 
     Every check is the distance of a jet component from its target (a disk
     boundary or a bound), and fails beyond cfg.tol.  Each kind's grid is
-    checked as one batch, through one extremal tree.  Rows are deterministic
-    (no sampling), so cfg.seed, cfg.samples and cfg.parallel do not change the
-    report.
+    checked as one batch, through one extremal tree, and keeps its margins
+    for its violation count.  Rows are deterministic (no sampling), so
+    cfg.seed, cfg.samples and cfg.parallel do not change the report.
     """
     specs = [kind_spec(kind) for kind in (ExtremalKind if kinds is None else kinds)]
+    names = [spec.kind.value for spec in specs]
+    if not names or len(set(names)) < len(names):  # a repeated one would count twice
+        raise DomainError(f"attainment needs one or more distinct kinds, got {','.join(names) or 'none'}")
     start = time.perf_counter()
-    parts = [_batch_tally(_attainment_margins(spec), cfg.tol) for spec in specs]
-    n, violations, worst, _ = _merge(parts)
-    return HarnessReport(
-        suite="attainment",
-        samples=n,
-        violations=violations,
-        worst_margin=worst,
-        wall_time=time.perf_counter() - start,
-        details={
-            "kinds": [spec.kind.value for spec in specs],
-            "violations_by_kind": {spec.kind.value: part[1] for spec, part in zip(specs, parts)},
-        },
-    )
+    margins = {spec.kind.value: _attainment_margins(spec) for spec in specs}
+    details = {
+        "kinds": names,
+        "violations_by_kind": {name: _violations(m, cfg.tol) for name, m in margins.items()},
+    }
+    return _report("attainment", np.concatenate(list(margins.values())), cfg.tol, start, details)
 
 
 # -- tightness ----------------------------------------------------------------
 
 
-def _tightness_chunk(cfg, r, R, bound, rg):
-    """Tally of samples lo..hi-1, with the largest |g''(z0)| among them.
+def _tightness_chunk(cfg, r, R, rg):
+    """|g''(z0)| of samples lo..hi-1, each block's random lanes first.
 
     Sample i has |delta1| stratified into [i, i + 1) / samples, a uniform
     phase and a random unimodular alpha; where the center of its g''(z0) disk
@@ -413,20 +397,17 @@ def _tightness_chunk(cfg, r, R, bound, rg):
     """
     z0 = complex(r)
     d0 = complex(R)
-    total = max(1, cfg.samples)
-    tol = cfg.tol * (1.0 + bound)
     parts = []
     for block, lanes in _blocks(rg):
         u, phase, angle = substream(cfg.seed, _TIGHTNESS_TAG, block).random((3, _BLOCK))[:, lanes]
         index = np.arange(block * _BLOCK, (block + 1) * _BLOCK)[lanes]
-        d1 = np.minimum((index + u) / total, _DELTA1_CAP) * np.exp(2j * math.pi * phase)
+        d1 = np.minimum((index + u) / cfg.samples, _DELTA1_CAP) * np.exp(2j * math.pi * phase)
         aligned = max_attaining_alpha(PrescribedData(z0, d0, d1))
         has = ~np.isnan(aligned)
         data = PrescribedData(z0, d0, np.concatenate([d1, d1[has]]))
         alpha = np.concatenate([np.exp(2j * math.pi * angle), aligned[has]])
-        second = abs(schur_parametrize(data, Constant(alpha)).jet(z0).f2)
-        parts.append(_batch_tally(bound - second, tol, second))
-    return _merge(parts)
+        parts.append(abs(schur_parametrize(data, Constant(alpha)).jet(z0).f2))
+    return np.concatenate(parts)
 
 
 def run_tightness_search(cfg, r, R):
@@ -445,7 +426,7 @@ def run_tightness_search(cfg, r, R):
     result = theorem31_bound(r, R)
     bound = result.value
     start = time.perf_counter()
-    parts = _map_chunks(partial(_tightness_chunk, cfg, float(r), float(R), bound), cfg.samples, cfg.parallel)
+    parts = _map_chunks(partial(_tightness_chunk, cfg, float(r), float(R)), cfg.samples, cfg.parallel)
 
     # deterministic candidates, as lanes: the branch extremal, and one
     # second-degenerate lane per unimodular delta1 where z0 != 0
@@ -455,22 +436,14 @@ def run_tightness_search(cfg, r, R):
     if float(r) > 0.0:
         d1 = np.array(_UNIMODULAR_GRID)
         candidates.append(make_extremal(ExtremalKind.SECOND_DEGENERATE, z0=z0, delta0=d0, delta1=d1))
-    second = np.concatenate([abs(g.jet(z0).f2) for g in candidates])
-    parts.append(_batch_tally(bound - second, cfg.tol * (1.0 + bound), second))
-    n, violations, worst, best = _merge(parts)
-
-    return HarnessReport(
-        suite="tightness",
-        samples=n,
-        violations=violations,
-        worst_margin=worst,
-        wall_time=time.perf_counter() - start,
-        details={
-            "r": float(r),
-            "R": float(R),
-            "branch": result.branch.value,
-            "bound": bound,
-            "best": best,
-            "gap": None if best is None else bound - best,
-        },
-    )
+    second = np.concatenate([*parts, *(abs(g.jet(z0).f2) for g in candidates)])
+    best = _reduce(np.max, second)
+    details = {
+        "r": float(r),
+        "R": float(R),
+        "branch": result.branch.value,
+        "bound": bound,
+        "best": best,
+        "gap": None if best is None else bound - best,
+    }
+    return _report("tightness", bound - second, cfg.tol * (1.0 + bound), start, details)

@@ -182,6 +182,44 @@ def test_extremal_verify_nan_tol_is_an_input_error(capsys):
     assert (code, out, err) == (2, "", "error: tol must be non-negative\n")
 
 
+def test_an_infinite_tol_is_an_input_error(capsys):
+    # it would pass every check
+    for argv in (
+        ("verify", "membership", "--samples", "5"),
+        ("verify", "attainment", "--kinds", "szasz"),
+        ("verify", "tightness", "--samples", "5", "--r", "0.5", "--R", "0.25"),
+        ("extremal", "verify", "--kind", "schwarz-pick", "--z0", "0.3,0", "--delta0", "0.1,0", "--alpha", "0.5,0"),
+    ):
+        code, out, err = run(capsys, *argv, "--tol", "inf")
+        assert (code, out, err) == (2, "", "error: tol must be finite, got inf\n")
+
+
+def test_a_repeated_family_or_kind_is_an_input_error(capsys):
+    for argv, what in (
+        (("verify", "membership", "--families", "second,second", "--samples", "5"), "families, got second,second"),
+        (("verify", "attainment", "--kinds", "szasz,szasz,sharp-deg1"), "kinds, got szasz,szasz,sharp-deg1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f" needs one or more distinct {what}\n")
+
+
+def test_a_sharp_deg1_zero_rounded_onto_the_circle_is_an_input_error(capsys):
+    # |a| = (r + R) / (1 + r R) rounds to 1 when r or R is an ulp below 1
+    one = "0.9999999999999999"
+    for argv in (
+        ("bound", "thm31", "--r", "0.5", "--R", one, "--emit-function"),
+        ("extremal", "verify", "--kind", "sharp-deg1", "--z0", f"{one},0", "--delta0", "0.5,0"),
+        ("verify", "tightness", "--samples", "5", "--r", one, "--R", "0.5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: sharp-deg1 zero a must lie in the open unit disk, |a| = 1.0\n"
+    # the bound itself needs no tree
+    code, doc = run_json(capsys, "bound", "thm31", "--r", "0.5", "--R", one)
+    assert code == 0 and doc["branch"] == "deg1"
+
+
 def test_extremal_theta_must_be_finite(capsys):
     code, out, err = run(
         capsys, "extremal", "emit", "--kind", "sharp-deg2", "--z0", "0.5,0", "--delta0", "0.25,0", "--theta", "inf"

@@ -181,6 +181,16 @@ def test_sharp_deg1_rejects_origin():
         make_extremal(ExtremalKind.SHARP_DEG1, z0=0j, delta0=0.5)
 
 
+def test_sharp_deg1_refuses_a_zero_rounded_onto_the_circle_in_any_lane():
+    # |a| = (r + R) / (1 + r R) rounds to 1 at r = 1 - 2^-53
+    message = "sharp-deg1 zero a must lie in the open unit disk"
+    with pytest.raises(DomainError, match=message):
+        make_extremal(ExtremalKind.SHARP_DEG1, z0=0.9999999999999999, delta0=0.5)
+    with pytest.raises(DomainError, match=message):
+        make_extremal(ExtremalKind.SHARP_DEG1, z0=np.array([0.5, 0.9999999999999999]), delta0=np.array([0.25, 0.5]))
+    make_extremal(ExtremalKind.SHARP_DEG1, z0=np.array([0.5, 0.9]), delta0=np.array([0.25, 0.5]))
+
+
 def test_sharp_deg2_attains_its_branch():
     for (r, R) in ((0.5, 0.25), (0.3, 0.5), (0.1, 0.9)):
         g = make_extremal(ExtremalKind.SHARP_DEG2, z0=complex(r), delta0=complex(R))

@@ -85,6 +85,16 @@ def test_membership_unknown_family():
         run_membership_suite(small(), families=("second", "cayley"))
 
 
+def test_a_repeated_or_empty_family_or_kind_list_is_refused():
+    # a repeated one would be checked, and counted, twice; none checks nothing
+    for families, got in ((("second", "second"), "second,second"), ((), "none")):
+        with pytest.raises(DomainError, match=f"^membership needs one or more distinct families, got {got}$"):
+            run_membership_suite(small(5), families=families)
+    for kinds, got in ((("szasz", ExtremalKind.SZASZ, "sharp-deg1"), "szasz,szasz,sharp-deg1"), ((), "none")):
+        with pytest.raises(DomainError, match=f"^attainment needs one or more distinct kinds, got {got}$"):
+            run_attainment_suite(small(), kinds=kinds)
+
+
 def test_membership_zero_samples():
     report = run_membership_suite(small(0))
     assert report.samples == 0
@@ -161,14 +171,14 @@ def test_batched_margins_match_scalar_trees(family):
     assert worst <= 1e-12
 
 
-def test_any_split_gives_the_same_tally():
+def test_any_split_gives_the_same_margins():
     cfg = small(2500)
     whole = harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, (0, 2500))
+    assert whole.shape == (3, 2500) and (whole >= 0.0).all()
     # splits that cut blocks (1024 samples) in the middle, and a one-sample chunk
     bounds = (0, 1, 700, 1030, 2047, 2500)
     parts = [harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, rg) for rg in zip(bounds, bounds[1:])]
-    assert harness._merge(parts) == whole
-    assert whole[0] == 3 * 2500 and whole[1] == 0
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
 def test_membership_draws_one_substream_per_family_and_block(monkeypatch):
@@ -187,7 +197,8 @@ def test_membership_draws_one_substream_per_family_and_block(monkeypatch):
 
 
 def test_nan_margin_is_never_a_pass(monkeypatch):
-    assert harness._batch_tally(np.array([0.5, float("nan"), 0.1]), 1e-8)[:2] == (3, 1)
+    report = harness._report("s", np.array([0.5, float("nan"), 0.1]), 1e-8, 0.0, None)
+    assert (report.samples, report.violations) == (3, 1)
 
     # a NaN margin coming out of a block counts as a violation
     real = harness._block_margins
@@ -237,6 +248,14 @@ def test_attainment_suite_clean():
     assert report.violations == 0
     assert report.worst_margin > -1e-12
     assert set(report.details["violations_by_kind"]) == set(report.details["kinds"])
+
+
+def test_violations_by_kind_sum_to_the_violations():
+    # at tol 1e-16 rounding alone fails rows of several kinds
+    report = run_attainment_suite(HarnessConfig(tol=1e-16))
+    by_kind = report.details["violations_by_kind"]
+    assert sum(v > 0 for v in by_kind.values()) > 1
+    assert sum(by_kind.values()) == report.violations
 
 
 def test_attainment_kind_filter():
@@ -457,10 +476,15 @@ def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interio
 
 def test_nan_is_a_violation_and_never_the_worst():
     nan = float("nan")
-    parts = [(1, 1, nan, None), (1, 0, 0.5, None)]
-    assert harness._merge(parts) == harness._merge(parts[::-1]) == (2, 1, 0.5, None)
-    assert harness._batch_tally(np.array([nan, nan]), 1e-8) == (2, 2, None, None)
-    assert harness._batch_tally(np.array([nan, -0.5]), 1e-8, np.array([nan, 2.0])) == (2, 2, -0.5, 2.0)
+
+    def tally(margins):
+        report = harness._report("s", np.array(margins), 1e-8, 0.0, None)
+        return report.samples, report.violations, report.worst_margin
+
+    assert tally([nan, 0.5]) == tally([0.5, nan]) == (2, 1, 0.5)
+    assert tally([nan, nan]) == (2, 2, None)
+    assert tally([nan, -0.5]) == (2, 2, -0.5)
+    assert tally([]) == (0, 0, None)
 
 
 def test_a_nan_lane_leaves_the_report_valid_json(monkeypatch):
@@ -520,23 +544,15 @@ def test_tightness_tolerance_scales_with_the_bound():
 def test_batched_tightness_matches_scalar_trees(monkeypatch):
     r, R = 0.3, 0.5
     trees = []
-    tallies = []
     parametrize = harness.schur_parametrize
-    tally = harness._batch_tally
 
     def recorded_tree(data, gstar):
         trees.append((data.delta1, gstar.c))
         return parametrize(data, gstar)
 
-    def recorded_tally(margins, tol, values=None):
-        tallies.append(values)
-        return tally(margins, tol, values)
-
     monkeypatch.setattr(harness, "schur_parametrize", recorded_tree)
-    monkeypatch.setattr(harness, "_batch_tally", recorded_tally)
-    run_tightness_search(small(300), r=r, R=R)
+    second = harness._tightness_chunk(small(300), r, R, (0, 300))
     [(d1, alpha)] = trees
-    second = tallies[0]  # the random lanes; tallies[1] holds the deterministic candidates
     # one lane per sample at a random alpha, then one per sample at its aligned alpha
     assert second.shape == d1.shape == alpha.shape == (600,)
     for lane in range(600):
@@ -573,15 +589,17 @@ def test_batched_candidates_match_scalar_trees(r):
         assert abs(details["gap"] - (bound - max(second))) <= 1e-13 * (1.0 + bound)
 
 
-def test_tightness_any_split_gives_the_same_tally():
+def test_tightness_any_split_gives_the_same_values():
     cfg = small(2500)
     bound = theorem31_bound(0.4, 0.3).value
-    whole = harness._tightness_chunk(cfg, 0.4, 0.3, bound, (0, 2500))
-    # splits that cut blocks (1024 samples) in the middle, and a one-sample chunk
+    whole = harness._tightness_chunk(cfg, 0.4, 0.3, (0, 2500))
+    assert whole.shape == (2 * 2500,) and harness._violations(bound - whole, cfg.tol * (1.0 + bound)) == 0
+    # splits that cut blocks (1024 samples) in the middle, and a one-sample chunk;
+    # each block lists its aligned lanes after its random ones, so only the
+    # order differs
     bounds = (0, 1, 700, 1030, 2047, 2500)
-    parts = [harness._tightness_chunk(cfg, 0.4, 0.3, bound, rg) for rg in zip(bounds, bounds[1:])]
-    assert harness._merge(parts) == whole
-    assert whole[0] == 2 * 2500 and whole[1] == 0
+    parts = [harness._tightness_chunk(cfg, 0.4, 0.3, rg) for rg in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.sort(whole))
 
 
 def test_tightness_draws_one_substream_per_block(monkeypatch):

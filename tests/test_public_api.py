@@ -95,6 +95,10 @@ _CLOSED_FORM_COMMANDS = [
     ["bound", "table"],
     ["extremal", "verify", "--kind", "sharp-deg2", "--z0", "0.3,0.1", "--delta0=0.2,-0.4", "--emit-function"],
     ["extremal", "emit", "--kind", "szasz", "--z0", "0.5,0"],
+    ["disk", "mercer", "--z0", "0.5,0", "--w0", "0.25,0", "--z", "0.8,0"],
+    ["disk", "dieudonne2", "--z0", "0.5,0", "--w0", "0.25,0", "--delta1", "0.3,0"],
+    ["bound", "table", "--csv"],
+    ["bound", "szasz", "--r", "0.5", "--emit-function"],
 ]
 
 
