@@ -320,13 +320,19 @@ def substream(seed, *key):
 
 def disk_sample(rng, cap, size=None):
     """Area-uniform point with |z| <= cap, or a batch of ``size`` such points."""
-    if size is None:
+    return _disk_point(cap, rng.random(size), rng.random(size))
+
+
+def _disk_point(cap, radius_u, angle_u):
+    """cap * sqrt(radius_u) * e^{2 pi i angle_u}: the point ``disk_sample``
+    makes of its two uniforms, element by element where they are arrays."""
+    if isinstance(radius_u, float):
         sqrt, exp = math.sqrt, cmath.exp
     else:
         import numpy as np
 
         sqrt, exp = np.sqrt, np.exp
-    return cap * sqrt(rng.random(size)) * exp(2j * math.pi * rng.random(size))
+    return cap * sqrt(radius_u) * exp(2j * math.pi * angle_u)
 
 
 def _blaschke_tree(rng, degree):

@@ -13,8 +13,9 @@ Three suites back the closed-form results numerically:
 
 Sampling is deterministic.  Membership and tightness draw their random
 parameters in blocks of ``_BLOCK`` samples, from an independent RNG substream
-keyed by (seed, family or suite tag, block); a block always draws in full and
-is then sliced.  The samples of a block are checked together, as a batch
+keyed by (seed, family or suite tag, block); a block always draws all of its
+uniforms, in one order, and a chunk then transforms only the lanes it checks.
+The samples of a block are checked together, as a batch
 (numpy arrays, one lane per sample), through the same trees, parametrizations
 and closed forms that evaluate a single sample.  Chunks of indices return
 their per-sample values in index order, so any split, serial or parallel,
@@ -58,6 +59,7 @@ from .functions import (
     PrescribedData,
     Product,
     Rotation,
+    _disk_point,
     _nest,
     dieudonne_parametrize,
     disk_sample,
@@ -146,11 +148,14 @@ class HarnessReport:
 
 
 def _workers():
+    """THREADS, or the core count up to 8; never more than the cores this
+    process may run on, since the pool forks all of its workers at once."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get("THREADS", "").strip()
     if not env:
-        return min(os.cpu_count() or 1, 8)
+        return min(cores, 8)
     try:
-        return max(1, int(env))
+        return min(max(1, int(env)), cores)
     except ValueError:
         raise DomainError(f"THREADS must be an integer, got {env!r}") from None
 
@@ -167,14 +172,15 @@ def _map_chunks(fn, n, parallel):
         return []
     if not parallel:
         return [fn((0, n))]
-    ranges = _chunk_ranges(n, _workers() * 4)
+    workers = _workers()
+    ranges = _chunk_ranges(n, workers * 4)
     if len(ranges) == 1:
         return [fn(ranges[0])]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         return [fn(rg) for rg in ranges]
-    with ProcessPoolExecutor(max_workers=_workers(), mp_context=ctx) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(ranges)), mp_context=ctx) as pool:
         return list(pool.map(fn, ranges))
 
 
@@ -199,8 +205,9 @@ def _reduce(fn, a):
 
 def _blocks(rg):
     """(block, lanes) for each block of ``_BLOCK`` samples that the indices
-    lo..hi-1 touch, lanes slicing the block to them.  Each block is drawn in
-    full and sliced, so any split of the indices sees the same lanes."""
+    lo..hi-1 touch, lanes slicing the block to them.  Each block draws all of
+    its uniforms and slices them, so any split of the indices sees the same
+    lanes."""
     lo, hi = rg
     for block in range(lo // _BLOCK, (hi + _BLOCK - 1) // _BLOCK):
         first = block * _BLOCK
@@ -227,18 +234,26 @@ class _Select(FunctionExpr):
         return Jet2(*(np.where(self.mask, a, b) for a, b in zip(self.then.jet(z0), self.other.jet(z0))))
 
 
-def _draw_schur(rng, n):
-    """The parameters of n random Schur trees, one lane each, from the
-    distributions ``_schur_tree`` draws a single tree's from."""
+def _lane_disk_sample(rng, cap, shape, lanes):
+    """``disk_sample(rng, cap, shape)[..., lanes]``: both uniforms drawn in
+    full, only the lanes made points."""
+    return _disk_point(cap, rng.random(shape)[..., lanes], rng.random(shape)[..., lanes])
+
+
+def _draw_schur(rng, n, lanes):
+    """The parameters of the random Schur trees in ``lanes`` of n, one lane
+    each, from the distributions ``_schur_tree`` draws a single tree's from;
+    every draw is made for all n lanes, so the stream does not depend on
+    ``lanes``."""
     return {
-        "degree": rng.integers(0, _MAX_BLASCHKE_DEGREE + 1, n),
-        "k": disk_sample(rng, _ZERO_MODULUS_CAP, n),
-        "zeros": disk_sample(rng, _ZERO_MODULUS_CAP, (_MAX_BLASCHKE_DEGREE, n)),
-        "theta": 2.0 * math.pi * rng.random(n),
-        "scaled": rng.random(n) < 0.5,
-        "s": rng.random(n),
-        "wrapped": rng.random(n) < 0.5,
-        "c": disk_sample(rng, _ZERO_MODULUS_CAP, n),
+        "degree": rng.integers(0, _MAX_BLASCHKE_DEGREE + 1, n)[lanes],
+        "k": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, n, lanes),
+        "zeros": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, (_MAX_BLASCHKE_DEGREE, n), lanes),
+        "theta": 2.0 * math.pi * rng.random(n)[lanes],
+        "scaled": rng.random(n)[lanes] < 0.5,
+        "s": rng.random(n)[lanes],
+        "wrapped": rng.random(n)[lanes] < 0.5,
+        "c": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, n, lanes),
     }
 
 
@@ -265,21 +280,23 @@ def _nonzero_disk_samples(rng, n):
     return z
 
 
-def _draw_block(family, rng):
-    """Every random parameter of one block of a family, ``_BLOCK`` lanes each,
-    in draw order: the interpolation data, then the Schur parameter."""
+def _draw_block(family, rng, lanes):
+    """Every random parameter of ``lanes`` of one block of a family, in draw
+    order: the interpolation data, then the Schur parameter.  Whether a z0 is
+    redrawn depends on every lane of the block, so the block's z0 are made
+    points in full."""
     if family == "second":
         p = {
-            "z0": disk_sample(rng, 0.95, _BLOCK),
-            "delta0": disk_sample(rng, 0.95, _BLOCK),
-            "delta1": disk_sample(rng, 0.98, _BLOCK),
+            "z0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes),
+            "delta0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes),
+            "delta1": _lane_disk_sample(rng, 0.98, _BLOCK, lanes),
         }
     else:
-        z0 = _nonzero_disk_samples(rng, _BLOCK)
-        p = {"z0": z0, "w0": disk_sample(rng, 0.95, _BLOCK) * z0}
+        z0 = _nonzero_disk_samples(rng, _BLOCK)[lanes]
+        p = {"z0": z0, "w0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes) * z0}
         if family == "mercer":
-            p["z"] = disk_sample(rng, 0.95, _BLOCK)
-    p.update(_draw_schur(rng, _BLOCK))
+            p["z"] = _lane_disk_sample(rng, 0.95, _BLOCK, lanes)
+    p.update(_draw_schur(rng, _BLOCK, lanes))
     return p
 
 
@@ -302,8 +319,8 @@ def _membership_chunk(cfg, families, rg):
     margins = [[] for _ in families]
     for block, lanes in _blocks(rg):
         for row, family in zip(margins, families):
-            p = _draw_block(family, substream(cfg.seed, _FAMILY_TAGS[family], block))
-            row.append(_block_margins(family, {name: v[..., lanes] for name, v in p.items()}))
+            p = _draw_block(family, substream(cfg.seed, _FAMILY_TAGS[family], block), lanes)
+            row.append(_block_margins(family, p))
     return np.array([np.concatenate(row) for row in margins])
 
 

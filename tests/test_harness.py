@@ -34,6 +34,7 @@ from diskvar.functions import (
     Product,
     Rotation,
     dieudonne_parametrize,
+    disk_sample,
     schur_parametrize,
     substream,
 )
@@ -118,6 +119,36 @@ def test_membership_deterministic():
     assert a.to_obj() == b.to_obj()
 
 
+def test_the_pool_starts_no_more_workers_than_chunks_or_cores(monkeypatch):
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers, mp_context):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, ranges):
+            return map(fn, ranges)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setenv("THREADS", "100000")
+    assert harness._workers() == 64
+    assert harness._map_chunks(lambda rg: rg, 3, True) == [(0, 1), (1, 2), (2, 3)]
+    monkeypatch.setenv("THREADS", "16")
+    assert harness._map_chunks(lambda rg: rg, 100, True)[-1] == (98, 100)
+    assert started == [3, 16]
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert harness._workers() == 2
+    monkeypatch.delenv("THREADS")
+    assert harness._workers() == 2
+
+
 def test_membership_parallel_matches_serial():
     serial = run_membership_suite(small(300))
     parallel = run_membership_suite(small(300, parallel=True))
@@ -160,8 +191,7 @@ def _scalar_margin(family, p, lane):
 @pytest.mark.parametrize("family", MEMBERSHIP_FAMILIES)
 def test_batched_margins_match_scalar_trees(family):
     lanes = 200
-    block = harness._draw_block(family, substream(7, harness._FAMILY_TAGS[family], 0))
-    p = {name: v[..., :lanes] for name, v in block.items()}
+    p = harness._draw_block(family, substream(7, harness._FAMILY_TAGS[family], 0), slice(0, lanes))
     # the lanes cover every template shape: each degree, each mask state
     assert set(p["degree"].tolist()) == {0, 1, 2, 3, 4}
     assert set(p["scaled"].tolist()) == set(p["wrapped"].tolist()) == {False, True}
@@ -176,9 +206,47 @@ def test_any_split_gives_the_same_margins():
     whole = harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, (0, 2500))
     assert whole.shape == (3, 2500) and (whole >= 0.0).all()
     # splits that cut blocks (1024 samples) in the middle, and a one-sample chunk
-    bounds = (0, 1, 700, 1030, 2047, 2500)
+    bounds = (0, 1, 700, 1023, 1024, 1030, 2047, 2500)
     parts = [harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, rg) for rg in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
+def _draw(family, lanes):
+    return harness._draw_block(family, substream(7, harness._FAMILY_TAGS[family], 0), lanes)
+
+
+@pytest.mark.parametrize("family", MEMBERSHIP_FAMILIES)
+def test_a_lane_draw_is_the_full_draw_sliced(family):
+    whole = _draw(family, slice(0, harness._BLOCK))
+    assert whole["zeros"].shape == (4, harness._BLOCK)
+    for lo, hi in ((0, 1), (0, 250), (700, 1024), (1023, 1024)):
+        part = _draw(family, slice(lo, hi))
+        assert part.keys() == whole.keys()
+        for name, v in part.items():
+            assert v.shape[-1] == hi - lo
+            assert np.array_equal(v, whole[name][..., lo:hi]), name
+
+
+@pytest.mark.parametrize("family", ["dieudonne", "mercer"])
+def test_the_z0_redraw_is_decided_over_the_whole_block(monkeypatch, family):
+    # a tiny z0 at lane 500, outside the chunk, is redrawn, and the redraw
+    # shifts every later draw of the block, the chunk's lanes included
+    sizes = []
+
+    def planted(rng, cap, size):
+        sizes.append(size)
+        z = disk_sample(rng, cap, size)
+        if size == harness._BLOCK:
+            z[500] = 0.0
+        return z
+
+    monkeypatch.setattr(harness, "disk_sample", planted)
+    whole = _draw(family, slice(0, harness._BLOCK))
+    part = _draw(family, slice(0, 10))
+    assert sizes == [harness._BLOCK, 1] * 2
+    assert abs(whole["z0"][500]) > 1e-6
+    for name, v in part.items():
+        assert np.array_equal(v, whole[name][..., :10]), name
 
 
 def test_membership_draws_one_substream_per_family_and_block(monkeypatch):
@@ -215,8 +283,8 @@ def test_nan_margin_is_never_a_pass(monkeypatch):
     # a NaN in a drawn parameter or in a derivative is refused, not measured
     draw = harness._draw_block
 
-    def nan_lane(family, rng):
-        p = draw(family, rng)
+    def nan_lane(family, rng, lanes):
+        p = draw(family, rng, lanes)
         p["z0"][3] = complex(float("nan"), 0.0)
         return p
 
