@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .moebius import DomainError, _any_lane, _is_batch, require_real
+from .moebius import DomainError, _any_lane, _lane, require_real
 
 __all__ = [
     "Branch",
@@ -60,7 +60,7 @@ def _unit_interval(x, name):
     x = require_real(x, name)
     out = (x < 0.0) | (x >= 1.0)
     if _any_lane(out):
-        raise DomainError(f"{name} must lie in [0, 1), got {x[out][0] if _is_batch(x) else x}")
+        raise DomainError(f"{name} must lie in [0, 1), got {_lane(x, out)}")
     return x
 
 

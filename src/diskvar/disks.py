@@ -3,10 +3,11 @@ analytic self-maps of the unit disk, and the invariant derivative functionals
 used to state them.
 
 Conventions: g is analytic with |g| <= 1 on the disk; r = |z0|, s = |w0|,
-R = |delta0|.  Every region below is sharp.  The harness in
-``diskvar.harness`` checks membership on random samples, and the extremal
-constructors in ``diskvar.extremal`` land on the boundary of each region
-except the Rogosinski and Mercer disks, which have no extremal kind yet.
+R = |delta0|.  Every region below is sharp.  The extremal kinds in
+``diskvar.extremal`` land on the boundary of the Schwarz-Pick, Dieudonne,
+second-derivative and second-order Dieudonne disks; the Rogosinski and
+Mercer disks have none yet.  The harness in ``diskvar.harness`` checks
+membership in the second-derivative, Dieudonne and Mercer disks.
 ``schwarz_pick_disk``, ``dieudonne_disk``, ``mercer_disk``,
 ``second_derivative_disk`` and ``second_order_dieudonne_disk`` also take
 batches (see ``diskvar.moebius``) and return one disk per lane, and
@@ -22,8 +23,9 @@ from .moebius import (
     DegeneracyError,
     Disk,
     DomainError,
+    _SCALAR_OPS,
     _any_lane,
-    _is_batch,
+    _ops,
     closed_disk_point,
     mobius_T,
     require_finite,
@@ -51,7 +53,7 @@ def _unit_gap(delta1):
     """1 - |delta1|^2, clamped at +0.0 lane-wise: a closed-disk delta1 may
     lie up to 1e-12 outside the circle, or its modulus may round there."""
     gap = 1.0 - abs(delta1) ** 2
-    return gap.clip(0.0) if _is_batch(gap) else max(gap, 0.0)
+    return _ops(gap).maximum(gap, 0.0)
 
 
 def schwarz_pick_disk(z0, delta0):
@@ -82,10 +84,11 @@ def dieudonne_disk(z0, w0):
     Schwarz-Pick disk of h'(z0).  A z0 with |z0|^2 below the smallest normal
     double is refused: the radius would lose its accuracy or divide by 0.
     """
-    z0 = require_finite(z0, "z0")
+    z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
     r = abs(z0)
     s = abs(w0)
+    # |z0| may still round to 1, and the radius divides by 1 - |z0|^2
     if _any_lane(r >= 1.0):
         raise DomainError("z0 must lie in the open unit disk")
     if _any_lane(s >= r):
@@ -108,7 +111,7 @@ def mercer_disk(z0, w0, z):
     At z = z0 the region degenerates to the point {w0}; as z0 -> 0 with
     w0/z0 -> b it converges to the Rogosinski disk for g'(0) = b.
     """
-    z0 = require_finite(z0, "z0")
+    z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
     z = unit_disk_point(z, "z")
     if _any_lane(abs(z0) >= 1.0):
@@ -154,11 +157,10 @@ def max_attaining_alpha(data):
     where the center vanishes hold NaN.
     """
     center = second_derivative_disk(data).center
-    if not _is_batch(center):
+    ops = _ops(center)
+    if ops is _SCALAR_OPS:
         return None if center == 0 else center / abs(center)
-    import numpy as np  # a batch is a numpy array, so numpy is loaded already
-
-    with np.errstate(invalid="ignore"):  # 0/0 gives the NaN lanes
+    with ops.errstate(invalid="ignore"):  # 0/0 gives the NaN lanes
         return center / abs(center)
 
 

@@ -12,7 +12,6 @@ attainment suite sweeps and, for the sharp kinds, the one function that
 derives the extremal's parameters.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,12 +40,14 @@ from .functions import (
     eval_jet,
 )
 from .moebius import (
+    _SCALAR_OPS,
     Disk,
     DomainError,
     _any_lane,
-    _is_batch,
-    _largest_modulus,
+    _lane,
     _largest_modulus2,
+    _modulus2,
+    _ops,
     closed_disk_point,
     require_finite,
     require_real,
@@ -88,35 +89,15 @@ def _two_step(z0, delta0, delta1, alpha):
     return MobiusT(delta0, Product(u, MobiusT(delta1, Product(Constant(alpha), u))))
 
 
-def _phase(z):
-    """arg z, lane-wise for a batch."""
-    if _is_batch(z):
-        import numpy as np  # a batch is a numpy array, so numpy is loaded already
-
-        return np.angle(z)
-    return cmath.phase(z)
-
-
-def _where(cond, then, other):
-    """``then`` where ``cond`` holds, ``other`` elsewhere: one choice for a
-    scalar condition, lane by lane for a batch."""
-    if _is_batch(cond):
-        import numpy as np
-
-        return np.where(cond, then, other)
-    return then if cond else other
-
-
 def _real_quotient(z, x):
     """z / x for a real x, each part rounded once, as CPython divides.  numpy
     multiplies a complex lane by 1/x, which rounds twice; the deg1 extremal
     amplifies a last-bit error in its zero a by 1/(1 - |a|^2), ~1e10 at
-    r = R = 0.99999."""
-    if not _is_batch(z):
+    r = R = 0.99999.  A scalar keeps CPython's division: dividing its parts
+    apart can give a zero part the other sign."""
+    if _ops(z) is _SCALAR_OPS:
         return z / x
-    import numpy as np
-
-    return np.divide(z.real, x) + 1j * np.divide(z.imag, x)
+    return z.real / x + 1j * (z.imag / x)
 
 
 def _deg1_params(z0, delta0):
@@ -125,7 +106,8 @@ def _deg1_params(z0, delta0):
     r, R = abs(z0), abs(delta0)
     if _any_lane(r == 0.0):
         raise DomainError("sharp-deg1 requires z0 != 0")
-    theta = _where(delta0 != 0, _phase(-z0.conjugate() * delta0), 0.0)
+    turn = -z0.conjugate() * delta0
+    theta = _ops(delta0).where(delta0 != 0, _ops(turn).angle(turn), 0.0)
     return {"theta": theta, "a": _real_quotient((r + R) * z0, r * (1.0 + r * R))}, ()
 
 
@@ -135,7 +117,8 @@ def _sharp_deg1(z0, delta0):
     # |a| = (r + R) / (1 + r R) < 1, but it rounds to 1 when r or R is within
     # an ulp or so of 1
     if _largest_modulus2(a) >= 1.0:
-        raise DomainError(f"sharp-deg1 zero a must lie in the open unit disk, |a| = {_largest_modulus(a)}")
+        m = abs(_lane(a, _modulus2(a) >= 1.0))
+        raise DomainError(f"sharp-deg1 zero a must lie in the open unit disk, |a| = {m}")
     return Rotation(params["theta"], Bracket(a, Identity()))
 
 
@@ -154,15 +137,17 @@ def _deg2_params(z0, delta0, theta=0.0):
     if _any_lane(r + 2.0 * R >= 2.0):
         raise DomainError("sharp-deg2 requires |z0| + 2|delta0| < 2")
     free = (r == 0.0) | (R == 0.0)
+    ops = _ops(free)
     # phase-wise: the product forms underflow for tiny r, R
-    rel = _phase(delta0) - _phase(z0)
+    rel = _ops(delta0).angle(delta0) - _ops(z0).angle(z0)
     rotation = _unimodular(theta)
-    alpha = _where(free, rotation, -_unimodular(rel - _phase(z0)))
-    delta1 = _where(free, _where(R > 0.0, 0j, rotation * z0 / 2.0), -(r / (2.0 * (1.0 - R))) * _unimodular(rel))
-    params = {"theta": _where(free, theta, _phase(alpha)), "delta1": delta1, "alpha": alpha}
+    alpha = ops.where(free, rotation, -_unimodular(rel - _ops(z0).angle(z0)))
+    free_delta1 = _ops(R).where(R > 0.0, 0j, rotation * z0 / 2.0)
+    delta1 = ops.where(free, free_delta1, -(r / (2.0 * (1.0 - R))) * _unimodular(rel))
+    params = {"theta": ops.where(free, theta, _ops(alpha).angle(alpha)), "delta1": delta1, "alpha": alpha}
     if not _any_lane(free):
         return params, ()
-    if _is_batch(free) or R > 0.0:
+    if ops is not _SCALAR_OPS or R > 0.0:
         return params, ("theta", "alpha")
     del params["theta"]
     return params, ("alpha",)
@@ -190,7 +175,8 @@ def _szasz(z0, theta):
     if not _any_lane(r != 0.0):
         return Rotation(theta, Product(Identity(), Identity()))
     R = r * r / 8.0
-    delta0 = R * _unimodular(theta - _phase(-z0.conjugate() ** 2))
+    turn = -z0.conjugate() ** 2
+    delta0 = R * _unimodular(theta - _ops(turn).angle(turn))
     return _sharp_deg2(z0, delta0, theta)
 
 
@@ -263,8 +249,6 @@ def _second_degenerate_grid():
 
 
 def _second_boundary_grid():
-    import numpy as np
-
     z0, d0, d1 = _lanes(product(_Z0_GRID, _D0_GRID, _D1_GRID))
     data = {"z0": z0, "delta0": d0, "delta1": d1}
     prescribed = PrescribedData(z0, d0, d1)
@@ -273,7 +257,7 @@ def _second_boundary_grid():
     # the aligned alpha puts g''(z0) on the circle |w| = max |g''(z0)|; it is
     # NaN in the lanes where the center vanishes and every alpha is aligned
     best = max_attaining_alpha(prescribed)
-    has = ~np.isnan(best)
+    has = ~_ops(best).isnan(best)
     aligned = {name: v[has] for name, v in data.items()}
     top = abs(disk.center) + disk.radius
     yield GridPoint(aligned, Disk(0j, top[has]), (({"alpha": best[has]}, ()),))

@@ -18,7 +18,6 @@ A node's JSON tag and fields are declared once, by its class: ``TAG`` and the
 dataclass fields, whose declared types say how each field is written and read.
 """
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, fields
@@ -27,8 +26,8 @@ from .moebius import (
     DomainError,
     Jet2,
     _any_lane,
-    _is_batch,
     _mobius,
+    _ops,
     closed_disk_point,
     jet_compose,
     jet_div,
@@ -163,11 +162,7 @@ def _mobius_jet(a, x):
 
 def _unimodular(theta):
     """e^{i theta}, lane-wise for a batch of angles."""
-    if _is_batch(theta):
-        import numpy as np  # a batch is a numpy array, so numpy is loaded already
-
-        return np.exp(1j * theta)
-    return cmath.exp(1j * theta)
+    return _ops(theta).exp(1j * theta)
 
 
 @dataclass(frozen=True)
@@ -326,13 +321,7 @@ def disk_sample(rng, cap, size=None):
 def _disk_point(cap, radius_u, angle_u):
     """cap * sqrt(radius_u) * e^{2 pi i angle_u}: the point ``disk_sample``
     makes of its two uniforms, element by element where they are arrays."""
-    if isinstance(radius_u, float):
-        sqrt, exp = math.sqrt, cmath.exp
-    else:
-        import numpy as np
-
-        sqrt, exp = np.sqrt, np.exp
-    return cap * sqrt(radius_u) * exp(2j * math.pi * angle_u)
+    return cap * _ops(radius_u).sqrt(radius_u) * _ops(angle_u).exp(2j * math.pi * angle_u)
 
 
 def _blaschke_tree(rng, degree):

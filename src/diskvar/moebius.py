@@ -8,14 +8,17 @@ boundary: open-disk arguments must satisfy |z| < 1, closed-disk arguments
 ``cmath.exp`` are accepted).  A batch passes a check only when every lane
 does, and a lane gets the verdict its value gets as a scalar: the disk checks
 decide from x*x + y*y, not from the modulus, which CPython and numpy round
-differently.  Only the batch paths import numpy, so the scalar paths run
-without it.
+differently.  ``_ops`` is the one place that chooses between the two: it maps
+a value to numpy when it is a batch, and to the math/cmath counterparts of
+the numpy functions otherwise.  It alone imports numpy, so the scalar paths
+run without it.
 """
 
 import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 __all__ = [
@@ -62,23 +65,48 @@ def _is_batch(x):
     return getattr(x, "ndim", 0) > 0
 
 
+# what _ops gives for a scalar: math and cmath functions under numpy's names
+_SCALAR_OPS = SimpleNamespace(
+    angle=cmath.phase,
+    exp=cmath.exp,
+    sqrt=math.sqrt,
+    maximum=max,
+    where=lambda cond, then, other: then if cond else other,
+)
+
+
+def _ops(x):
+    """numpy for a batch ``x``, else ``_SCALAR_OPS``.  Call it on the value an
+    operation acts on (for ``where``, the condition), not on every argument:
+    a value computed from scalars stays a scalar beside a batch."""
+    if _is_batch(x):
+        import numpy  # a batch is a numpy array, so numpy is loaded already
+
+        return numpy
+    return _SCALAR_OPS
+
+
 def _any_lane(cond):
     """A scalar condition itself, or whether it holds in any lane of a batch."""
-    return cond.any() if _is_batch(cond) else cond
+    return cond if type(cond) is bool else cond.any() if _is_batch(cond) else cond
 
 
-# The hot scalar paths below test ``type(x) is complex`` (or float, or bool)
-# before anything else: a Python scalar then costs no extra call.
+def _lane(x, bad):
+    """x itself, or the first lane of a batch x where ``bad`` holds: the value
+    an error message names."""
+    return x[bad][0] if _is_batch(x) else x
+
+
+# The hot scalar paths below test ``type(x) is complex`` (or float) before
+# anything else: a Python scalar then costs no extra call.
 
 
 def require_finite(z, name="value"):
     if type(z) is not complex and _is_batch(z):
-        import numpy as np  # a batch is a numpy array, so numpy is loaded already
-
         z = z.astype(complex, copy=False)
-        finite = np.isfinite(z)
+        finite = _ops(z).isfinite(z)
         if not finite.all():
-            raise DomainError(f"{name} must have finite components, got {complex(z[~finite][0])!r}")
+            raise DomainError(f"{name} must have finite components, got {complex(_lane(z, ~finite))!r}")
         return z
     z = complex(z)
     if not cmath.isfinite(z):
@@ -137,17 +165,12 @@ def _largest_modulus2(z):
     return m * m if m < 1.0 - 1e-14 else _modulus2(z).max()
 
 
-def _largest_modulus(z):
-    """|z|, or the largest modulus of a batch, for an error message."""
-    m = abs(z)
-    return m.max() if _is_batch(m) else m
-
-
 def unit_disk_point(z, name="z"):
     """Validate |z| < 1 and return z as a complex number."""
     z = require_finite(z, name)
     if _largest_modulus2(z) >= 1.0:
-        raise DomainError(f"{name} must lie in the open unit disk, |{name}| = {_largest_modulus(z)}")
+        m = abs(_lane(z, _modulus2(z) >= 1.0))
+        raise DomainError(f"{name} must lie in the open unit disk, |{name}| = {m}")
     return z
 
 
@@ -155,7 +178,8 @@ def closed_disk_point(z, name="z"):
     """Validate |z| <= 1 and return z as a complex number."""
     z = require_finite(z, name)
     if _largest_modulus2(z) > _CLOSED_MAX2:
-        raise DomainError(f"{name} must lie in the closed unit disk, |{name}| = {_largest_modulus(z)}")
+        m = abs(_lane(z, _modulus2(z) > _CLOSED_MAX2))
+        raise DomainError(f"{name} must lie in the closed unit disk, |{name}| = {m}")
     return z
 
 
@@ -165,7 +189,7 @@ def unimodular_point(z, name="alpha"):
     m = abs(z)
     off = abs(m - 1.0) > 1e-9
     if _any_lane(off):
-        raise DomainError(f"{name} must be unimodular, |{name}| = {m[off][0] if _is_batch(m) else m}")
+        raise DomainError(f"{name} must be unimodular, |{name}| = {_lane(m, off)}")
     return z / m
 
 
@@ -207,12 +231,12 @@ def hyperbolic_bracket(z, w):
     if _any_lane(differ & (_modulus2(w) >= 1.0)):
         raise DomainError("bracket base point must satisfy |w| < 1 when z != w")
     _refuse_pole(-w, z, differ)
-    if not _is_batch(differ):
+    ops = _ops(differ)
+    if ops is _SCALAR_OPS:
+        # not ops.where: it would divide by 0 at z == w on the circle
         return _mobius(-w, z) if differ else 0j
-    import numpy as np  # a batch is a numpy array, so numpy is loaded already
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # the z == w lanes are replaced
-        return np.where(differ, _mobius(-w, z), 0j)
+    with ops.errstate(divide="ignore", invalid="ignore"):  # the z == w lanes are replaced
+        return ops.where(differ, _mobius(-w, z), 0j)
 
 
 @dataclass(frozen=True)
@@ -226,8 +250,8 @@ class Disk:
         object.__setattr__(self, "center", require_finite(self.center, "center"))
         r = require_real(self.radius, "radius")
         negative = r < 0.0
-        if negative if type(negative) is bool else negative.any():
-            raise DomainError(f"radius must be non-negative, got {r.min() if _is_batch(r) else r}")
+        if _any_lane(negative):
+            raise DomainError(f"radius must be non-negative, got {_lane(r, negative)}")
         object.__setattr__(self, "radius", r)
 
     def contains(self, p, tol=0.0):
@@ -280,8 +304,7 @@ def jet_mul(a, b):
 
 def jet_div(a, b):
     """Quotient jet; solves a = q*b order by order."""
-    zero = b.f0 == 0
-    if zero if type(zero) is bool else zero.any():
+    if _any_lane(b.f0 == 0):
         raise PoleError("jet division by a jet with zero value part")
     q0 = a.f0 / b.f0
     q1 = (a.f1 - q0 * b.f1) / b.f0

@@ -134,6 +134,19 @@ def test_dieudonne_rejects_bad_data():
     assert dieudonne_disk(1.5e-154, 0.0).radius == pytest.approx(1.5e-154, rel=1e-15)
 
 
+def test_dieudonne_and_mercer_decide_the_disk_as_the_validators_do():
+    # x*x + y*y rounds to 1 here; CPython's |z0| does too, but numpy's is
+    # 0.9999999999999999, which once let a batch lane through with radius ~4e15
+    z0 = 0.8310965479008089 + 0.5561281579522462j
+    for point in (z0, np.array([z0])):
+        with pytest.raises(DomainError, match="z0 must lie in the open unit disk"):
+            dieudonne_disk(point, 0.0)
+        with pytest.raises(DomainError, match="z0 must lie in the open unit disk"):
+            mercer_disk(point, 0.0, 0.5)
+        with pytest.raises(DomainError, match="z0 must lie in the open unit disk"):
+            second_order_dieudonne_disk(point, 0.0, 0.5)
+
+
 def test_second_derivative_disk_spot_values():
     d = second_derivative_disk(PrescribedData(0.5, 0.3, 0.2))
     assert d.center == pytest.approx(0.28472888888888889, abs=TOL)

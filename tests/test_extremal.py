@@ -267,6 +267,63 @@ def test_sharp_kinds_per_lane(kind):
             assert abs(values[name][lane] - value) <= 1e-15 * (1.0 + abs(value))
 
 
+# scalar data with lanes of a free value, and lanes of data with a scalar one:
+# (kind, data, free, the names of the parameters that come back as lanes,
+# whether the tree's jet does).  Each value is a lane only where the
+# argument it is computed from is one.
+_THETAS = np.array([0.0, 1.3])
+_MIXED = [
+    ("sharp-deg1", {"z0": 0.5 + 0j, "delta0": np.array([0.25, 0.5j])}, {}, {"theta", "a"}, True),
+    ("sharp-deg1", {"z0": np.array([0.5, 0.3j]), "delta0": 0.25 + 0j}, {}, {"theta", "a"}, True),
+    # delta0 = 0 fixes theta at 0 whatever z0 is
+    ("sharp-deg1", {"z0": np.array([0.5, 0.3j]), "delta0": 0j}, {}, {"a"}, True),
+    # z0, delta0 != 0: the values are fixed, and one tree serves every theta
+    ("sharp-deg2", {"z0": 0.5 + 0j, "delta0": 0.25 + 0j}, {"theta": _THETAS}, set(), False),
+    ("sharp-deg2", {"z0": 0j, "delta0": 0.35 + 0j}, {"theta": _THETAS}, {"theta", "alpha"}, True),
+    ("sharp-deg2", {"z0": 0.5j, "delta0": 0j}, {"theta": _THETAS}, {"delta1", "alpha"}, True),
+    (
+        "sharp-deg2", {"z0": np.array([0.5, 0j, 0.5j]), "delta0": np.array([0.25, 0.35, 0j])},
+        {"theta": 0.7}, {"theta", "delta1", "alpha"}, True,
+    ),
+    (
+        "sharp-deg2", {"z0": np.array([0.5, 0j]), "delta0": 0.35 + 0j},
+        {"theta": 0.7}, {"theta", "delta1", "alpha"}, True,
+    ),
+    ("szasz", {"z0": 0.5 + 0j}, {"theta": _THETAS}, {"theta"}, True),
+    ("szasz", {"z0": 0j}, {"theta": _THETAS}, {"theta"}, True),
+    ("szasz", {"z0": np.array([0.5, 0.9j])}, {"theta": 1.1}, set(), True),
+]
+
+
+@pytest.mark.parametrize("kind, data, free, lane_names, lane_jet", _MIXED)
+def test_mixed_scalar_and_lane_arguments(kind, data, free, lane_names, lane_jet):
+    spec = kind_spec(kind)
+    values, _ = spec.params(**data, **free)
+    n = max(np.size(v) for v in (*data.values(), *free.values()))
+    assert {name: np.shape(v) for name, v in values.items()} == {
+        name: (n,) if name in lane_names else () for name in values
+    }
+    jet = make_extremal(kind, **data, **free).jet(data["z0"])
+    assert [np.shape(f) for f in jet] == [(n,) if lane_jet else ()] * 3
+    for lane in range(n):
+        given = {name: complex(v[lane]) if np.ndim(v) else v for name, v in data.items()}
+        given |= {name: float(v[lane]) if np.ndim(v) else v for name, v in free.items()}
+        # each lane gets its scalar call's values; a value no lane moves is
+        # that scalar value, bit for bit
+        expected, _ = spec.params(**given)
+        for name, value in expected.items():
+            if name in lane_names:
+                assert abs(values[name][lane] - value) <= 1e-15 * (1.0 + abs(value))
+            else:
+                assert values[name] == value
+        scalar = make_extremal(kind, **given).jet(given["z0"])
+        for f, g in zip(jet, scalar):
+            if lane_jet:
+                assert abs(f[lane] - g) <= 1e-14 * (1.0 + abs(g))
+            else:
+                assert f == g
+
+
 def test_sharp_params_keep_their_free_names():
     deg2 = kind_spec(ExtremalKind.SHARP_DEG2).params
     assert deg2(0.5 + 0j, 0.25 + 0j)[1] == ()

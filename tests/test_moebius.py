@@ -76,6 +76,9 @@ def test_batches_are_checked_in_every_lane():
         unit_disk_point(np.array([0.1, 1.0, 0.2]))
     with pytest.raises(DomainError, match=r"\|z\| = 1.5"):
         closed_disk_point(np.array([0.1, 1.5j]))
+    # a batch names its first bad lane, not its largest one
+    with pytest.raises(DomainError, match=r"\|z\| = 1.2$"):
+        unit_disk_point(np.array([0.1, 1.2, 1.5]))
     with pytest.raises(DomainError, match="finite components"):
         require_finite(np.array([0.1, complex(0.0, float("nan"))]))
     assert require_real(np.array([1, 2]), "x").dtype == float

@@ -1,6 +1,7 @@
 """The public surface: the package namespace, the modules' ``__all__`` lists
 and the README's library example."""
 
+import ast
 import importlib
 import os
 import re
@@ -116,3 +117,31 @@ def test_closed_form_commands_leave_numpy_unloaded():
     proc = _fresh_python(code)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["0 False"] * len(_CLOSED_FORM_COMMANDS)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diskvar"
+# the functions that may import numpy when called: the scalar/lane dispatch,
+# the sampler and the attainment grids, which never run for a scalar
+LAZY_NUMPY = {("moebius", "_ops"), ("functions", "substream"), ("extremal", "_lanes")}
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_one_module_chooses_between_scalars_and_lanes():
+    """Only ``moebius`` tells a batch from a scalar, and only the allowed
+    functions import numpy lazily."""
+    lazy = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert path.stem == "moebius" or "_is_batch" not in names, path.name
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lazy |= {(path.stem, func.name) for node in ast.walk(func) if _imports_numpy(node)}
+    assert lazy <= LAZY_NUMPY
