@@ -14,7 +14,6 @@ for comparison; the branch bounds never exceed it.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -44,8 +43,7 @@ class Branch(str, Enum):
     RUSCHEWEYH = "ruscheweyh"
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     value: float
     branch: Branch
 

@@ -25,9 +25,10 @@ from .moebius import (
     DomainError,
     _SCALAR_OPS,
     _any_lane,
+    _mobius,
     _ops,
+    _refuse_pole,
     closed_disk_point,
-    mobius_T,
     require_finite,
     unit_disk_point,
 )
@@ -84,8 +85,11 @@ def dieudonne_disk(z0, w0):
     Schwarz-Pick disk of h'(z0).  A z0 with |z0|^2 below the smallest normal
     double is refused: the radius would lose its accuracy or divide by 0.
     """
-    z0 = unit_disk_point(z0, "z0")
-    w0 = require_finite(w0, "w0")
+    return _dieudonne_disk(unit_disk_point(z0, "z0"), require_finite(w0, "w0"))
+
+
+def _dieudonne_disk(z0, w0):
+    """dieudonne_disk of a validated z0 and w0."""
     r = abs(z0)
     s = abs(w0)
     # |z0| may still round to 1, and the radius divides by 1 - |z0|^2
@@ -119,7 +123,8 @@ def mercer_disk(z0, w0, z):
     if _any_lane(abs(w0) >= abs(z0)):
         raise DomainError("mercer_disk requires |w0| < |z0|")
     u0 = w0 / z0
-    t = mobius_T(-z0, z)
+    _refuse_pole(-z0, z)
+    t = _mobius(-z0, z)
     k2 = abs(t) ** 2
     m2 = abs(u0) ** 2
     den = 1.0 - m2 * k2
@@ -181,7 +186,7 @@ def second_order_dieudonne_disk(z0, w0, delta1):
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
     d1 = closed_disk_point(delta1, "delta1")
-    first = dieudonne_disk(z0, w0)
+    first = _dieudonne_disk(z0, w0)
     # w1 = c1 + rho1 * r * delta1 / conj(z0) with (c1, rho1) the first-order disk
     w1 = first.center + first.radius * abs(z0) * d1 / z0.conjugate()
     r = abs(z0)

@@ -13,7 +13,6 @@ derives the extremal's parameters.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
@@ -335,8 +334,7 @@ def _szasz_grid():
     return _sharp_grid(ExtremalKind.SZASZ, [(points, rows)])
 
 
-@dataclass(frozen=True)
-class KindSpec:
+class KindSpec(NamedTuple):
     """Everything diskvar knows about one extremal kind.
 
     ``data`` and ``free`` list ``(name, validator)`` pairs in validation
@@ -468,8 +466,7 @@ def make_extremal(kind, *, z0=None, delta0=None, delta1=None, alpha=None, w0=Non
     return spec.build(*values)
 
 
-@dataclass(frozen=True)
-class AttainmentReport:
+class AttainmentReport(NamedTuple):
     """Measured jet of an extremal function against its target.
 
     ``distance`` is the absolute distance to the disk boundary when the

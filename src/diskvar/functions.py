@@ -15,19 +15,20 @@ parameters may also be batches (numpy arrays, one lane per sample, see
 evaluates all of them at once, at a batch of points.
 
 A node's JSON tag and fields are declared once, by its class: ``TAG`` and the
-dataclass fields, whose declared types say how each field is written and read.
+class annotations, whose declared types say how each field is written and read.
 """
 
 import json
 import math
-from dataclasses import dataclass, fields
 
 from .moebius import (
     DomainError,
     Jet2,
     _any_lane,
+    _Frozen,
     _mobius,
     _ops,
+    _set_field,
     closed_disk_point,
     jet_compose,
     jet_div,
@@ -88,13 +89,13 @@ class FunctionExpr:
         """JSON-ready dict: the node's TAG, then its fields in declaration
         order; complex scalars appear as [re, im] pairs."""
         obj = {"node": self.TAG}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is FunctionExpr:
+        for name, kind in type(self).__annotations__.items():
+            value = getattr(self, name)
+            if kind is FunctionExpr:
                 value = value.to_obj()
-            elif f.type is complex:
+            elif kind is complex:
                 value = complex_to_pair(value)
-            obj[f.name] = value
+            obj[name] = value
         return obj
 
 
@@ -104,11 +105,10 @@ def _nest(node, child, other=None):
     depth = child._depth if other is None or child._depth >= other._depth else other._depth
     if depth >= _MAX_TREE_DEPTH:
         raise DomainError(f"function tree is deeper than {_MAX_TREE_DEPTH} levels")
-    object.__setattr__(node, "_depth", depth + 1)
+    _set_field(node, "_depth", depth + 1)
 
 
-@dataclass(frozen=True)
-class Identity(FunctionExpr):
+class Identity(_Frozen, FunctionExpr):
     TAG = "identity"
 
     def value(self, z):
@@ -118,13 +118,12 @@ class Identity(FunctionExpr):
         return Jet2(z0, 1.0 + 0j, 0j)
 
 
-@dataclass(frozen=True)
-class Constant(FunctionExpr):
+class Constant(_Frozen, FunctionExpr):
     TAG = "constant"
     c: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", closed_disk_point(self.c, "c"))
+    def __init__(self, c):
+        _set_field(self, "c", closed_disk_point(c, "c"))
 
     def value(self, z):
         return self.c
@@ -133,17 +132,17 @@ class Constant(FunctionExpr):
         return Jet2(self.c, 0j, 0j)
 
 
-@dataclass(frozen=True)
-class Rotation(FunctionExpr):
+class Rotation(_Frozen, FunctionExpr):
     """e^{i theta} * child(z)."""
 
     TAG = "rotation"
     theta: float
     child: FunctionExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", require_real(self.theta, "theta"))
-        _nest(self, self.child)
+    def __init__(self, theta, child):
+        _set_field(self, "theta", require_real(theta, "theta"))
+        _set_field(self, "child", child)
+        _nest(self, child)
 
     def value(self, z):
         return _unimodular(self.theta) * self.child.value(z)
@@ -165,17 +164,17 @@ def _unimodular(theta):
     return _ops(theta).exp(1j * theta)
 
 
-@dataclass(frozen=True)
-class MobiusT(FunctionExpr):
+class MobiusT(_Frozen, FunctionExpr):
     """T_a(child(z)) with T_a(w) = (w + a) / (1 + conj(a) w)."""
 
     TAG = "mobius"
     a: complex
     child: FunctionExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", unit_disk_point(self.a, "a"))
-        _nest(self, self.child)
+    def __init__(self, a, child):
+        _set_field(self, "a", unit_disk_point(a, "a"))
+        _set_field(self, "child", child)
+        _nest(self, child)
 
     def value(self, z):
         return _mobius(self.a, self.child.value(z))
@@ -184,14 +183,15 @@ class MobiusT(FunctionExpr):
         return _mobius_jet(self.a, self.child.jet(z0))
 
 
-@dataclass(frozen=True)
-class Product(FunctionExpr):
+class Product(_Frozen, FunctionExpr):
     TAG = "product"
     left: FunctionExpr
     right: FunctionExpr
 
-    def __post_init__(self):
-        _nest(self, self.left, self.right)
+    def __init__(self, left, right):
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
+        _nest(self, left, right)
 
     def value(self, z):
         return self.left.value(z) * self.right.value(z)
@@ -200,14 +200,15 @@ class Product(FunctionExpr):
         return jet_mul(self.left.jet(z0), self.right.jet(z0))
 
 
-@dataclass(frozen=True)
-class Compose(FunctionExpr):
+class Compose(_Frozen, FunctionExpr):
     TAG = "compose"
     outer: FunctionExpr
     inner: FunctionExpr
 
-    def __post_init__(self):
-        _nest(self, self.outer, self.inner)
+    def __init__(self, outer, inner):
+        _set_field(self, "outer", outer)
+        _set_field(self, "inner", inner)
+        _nest(self, outer, inner)
 
     def value(self, z):
         return self.outer.value(self.inner.value(z))
@@ -218,8 +219,7 @@ class Compose(FunctionExpr):
         return jet_compose(jo, ji)
 
 
-@dataclass(frozen=True)
-class Bracket(FunctionExpr):
+class Bracket(_Frozen, FunctionExpr):
     """[child(z), w] = (child(z) - w) / (1 - conj(w) child(z)), which is
     T_{-w}(child(z))."""
 
@@ -227,9 +227,10 @@ class Bracket(FunctionExpr):
     w: complex
     child: FunctionExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", unit_disk_point(self.w, "w"))
-        _nest(self, self.child)
+    def __init__(self, w, child):
+        _set_field(self, "w", unit_disk_point(w, "w"))
+        _set_field(self, "child", child)
+        _nest(self, child)
 
     def value(self, z):
         return _mobius(-self.w, self.child.value(z))
@@ -250,8 +251,7 @@ def eval_jet(f, z0):
     return f.jet(z0)
 
 
-@dataclass(frozen=True)
-class PrescribedData:
+class PrescribedData(_Frozen):
     """Interpolation data: value delta0 and hyperbolic derivative delta1 at z0.
 
     delta1 is the invariant first derivative (1-|z0|^2) g'(z0) / (1-|g(z0)|^2),
@@ -262,10 +262,10 @@ class PrescribedData:
     delta0: complex
     delta1: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "z0", unit_disk_point(self.z0, "z0"))
-        object.__setattr__(self, "delta0", unit_disk_point(self.delta0, "delta0"))
-        object.__setattr__(self, "delta1", closed_disk_point(self.delta1, "delta1"))
+    def __init__(self, z0, delta0, delta1):
+        _set_field(self, "z0", unit_disk_point(z0, "z0"))
+        _set_field(self, "delta0", unit_disk_point(delta0, "delta0"))
+        _set_field(self, "delta1", closed_disk_point(delta1, "delta1"))
 
 
 def schur_parametrize(data, gstar):
@@ -393,18 +393,18 @@ def _node_from_obj(obj, depth):
     if not isinstance(node, str) or node not in _NODES:
         raise DomainError(f"unknown node tag {node!r}")
     cls = _NODES[node]
-    declared = fields(cls)
-    unknown = set(obj) - {"node"} - {f.name for f in declared}
+    declared = cls.__annotations__
+    unknown = set(obj) - {"node"} - set(declared)
     if unknown:
         raise DomainError(f"node {node!r} has unknown fields {sorted(map(str, unknown))}")
     args = []
-    for f in declared:
-        if f.name not in obj:
-            raise DomainError(f"node {node!r} is missing field {f.name!r}")
-        value = obj[f.name]
-        if f.type is FunctionExpr:
+    for name, kind in declared.items():
+        if name not in obj:
+            raise DomainError(f"node {node!r} is missing field {name!r}")
+        value = obj[name]
+        if kind is FunctionExpr:
             value = _node_from_obj(value, depth + 1)
-        elif f.type is complex:
+        elif kind is complex:
             value = pair_to_complex(value)
         args.append(value)  # a real field is checked by its node's constructor
     return cls(*args)

@@ -33,8 +33,8 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .functions import (
     schur_parametrize,
     substream,
 )
-from .moebius import Disk, DomainError, Jet2, require_int, require_real
+from .moebius import Disk, DomainError, Jet2, _Frozen, _set_field, require_int, require_real
 
 # not called here since the kind table computes the attainment targets and
 # membership draws whole blocks; kept bound because bench/tracing.py wraps
@@ -94,32 +94,31 @@ _BLOCK = 1024
 _DELTA1_CAP = 1.0 - 2.0**-50
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
+class HarnessConfig(_Frozen):
     """``tol`` is the slack of every check, relative where the checked
     quantity can grow: disk inclusion in membership (margins are scaled by
     1 + radius), the bound in tightness (a sample fails when it exceeds the
     bound by more than tol * (1 + bound)), the distance to the target in
     attainment."""
 
-    seed: int = 42
-    samples: int = 10000
-    tol: float = 1e-8
-    parallel: bool = False
+    seed: int
+    samples: int
+    tol: float
+    parallel: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "seed", require_int(self.seed, "seed"))
-        object.__setattr__(self, "samples", require_int(self.samples, "samples"))
-        tol = require_real(self.tol, "tol", finite=False)
+    def __init__(self, seed=42, samples=10000, tol=1e-8, parallel=False):
+        _set_field(self, "seed", require_int(seed, "seed"))
+        _set_field(self, "samples", require_int(samples, "samples"))
+        tol = require_real(tol, "tol", finite=False)
         if not tol > 0.0:
             raise DomainError("tol must be positive")
         if tol == math.inf:
             raise DomainError("tol must be finite, got inf")
-        object.__setattr__(self, "tol", tol)
+        _set_field(self, "tol", tol)
+        _set_field(self, "parallel", parallel)
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(NamedTuple):
     """Outcome of one suite.
 
     worst_margin is the most negative margin seen (None when nothing ran);
@@ -214,18 +213,22 @@ def _blocks(rg):
         yield block, slice(max(lo - first, 0), min(hi - first, _BLOCK))
 
 
-@dataclass(frozen=True, eq=False)
-class _Select(FunctionExpr):
+class _Select(_Frozen, FunctionExpr):
     """Batch-only node: ``then`` in the lanes where ``mask`` holds, ``other``
     elsewhere.  It pads random trees of different shapes to one template and
-    has no JSON form."""
+    has no JSON form.  It equals only itself: its mask is an array."""
 
     mask: object
     then: FunctionExpr
     other: FunctionExpr
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        _nest(self, self.then, self.other)
+    def __init__(self, mask, then, other):
+        _set_field(self, "mask", mask)
+        _set_field(self, "then", then)
+        _set_field(self, "other", other)
+        _nest(self, then, other)
 
     def value(self, z):
         return np.where(self.mask, self.then.value(z), self.other.value(z))

@@ -17,7 +17,6 @@ run without it.
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -239,20 +238,55 @@ def hyperbolic_bracket(z, w):
         return ops.where(differ, _mobius(-w, z), 0j)
 
 
-@dataclass(frozen=True)
-class Disk:
+# how a record's __init__ stores a field: _Frozen refuses plain assignment
+_set_field = object.__setattr__
+
+
+class _Frozen:
+    """Base of the records that validate their fields.  The fields are the
+    class annotations, in order, and each subclass's ``__init__`` validates
+    its arguments and stores each field once, with ``_set_field``.  Records
+    are equal when they have the same class and equal fields, hash as the
+    tuple of their fields, print as ``Name(field=value, ...)`` and refuse
+    assignment and deletion."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in type(self).__annotations__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Disk(_Frozen):
     """Closed disk {p : |p - center| <= radius}; radius 0 encodes a point."""
 
     center: complex
     radius: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", require_finite(self.center, "center"))
-        r = require_real(self.radius, "radius")
+    def __init__(self, center, radius):
+        _set_field(self, "center", require_finite(center, "center"))
+        r = require_real(radius, "radius")
         negative = r < 0.0
         if _any_lane(negative):
             raise DomainError(f"radius must be non-negative, got {_lane(r, negative)}")
-        object.__setattr__(self, "radius", r)
+        _set_field(self, "radius", r)
 
     def contains(self, p, tol=0.0):
         """Membership with relative slack: |p - center| <= radius + tol*(1 + radius)."""

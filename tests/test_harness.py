@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from functools import reduce
@@ -533,7 +532,7 @@ def test_a_target_moved_off_one_lane_is_one_violation(monkeypatch, kind, interio
         *rest,
         _take(point, slice(1, None), point.rows),
     ]
-    monkeypatch.setitem(KINDS, kind, dataclasses.replace(spec, grid=lambda: iter(points)))
+    monkeypatch.setitem(KINDS, kind, spec._replace(grid=lambda: iter(points)))
     report = run_attainment_suite(HarnessConfig())
     assert report.samples == 1969
     assert report.violations == 1

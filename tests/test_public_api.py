@@ -4,16 +4,31 @@ and the README's library example."""
 import ast
 import importlib
 import os
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diskvar
-from diskvar.functions import FunctionExpr, Identity
-from diskvar.moebius import Jet2
+from diskvar.bounds import BoundResult, Branch
+from diskvar.extremal import AttainmentReport, ExtremalKind, KindSpec
+from diskvar.functions import (
+    Bracket,
+    Compose,
+    Constant,
+    FunctionExpr,
+    Identity,
+    MobiusT,
+    PrescribedData,
+    Product,
+    Rotation,
+)
+from diskvar.harness import HarnessConfig, HarnessReport, _Select
+from diskvar.moebius import Disk, Jet2
 
 MODULES = ("bounds", "cli", "disks", "extremal", "functions", "harness", "moebius")
 
@@ -83,11 +98,16 @@ def _fresh_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
 
 
+# modules a closed-form command never needs: numpy only samples, and the
+# records define their methods without dataclasses, which loads inspect
+UNLOADED = ("numpy", "dataclasses", "inspect")
+
+
 @pytest.mark.parametrize("module", ["diskvar", "diskvar.cli"])
 def test_import_leaves_numpy_unloaded(module):
     """The closed forms and the CLI run without numpy; only sampling loads it."""
-    proc = _fresh_python(f"import sys, {module}; print('numpy' in sys.modules)")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    proc = _fresh_python(f"import sys, {module}; print([m for m in {UNLOADED!r} if m in sys.modules])")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 _CLOSED_FORM_COMMANDS = [
@@ -112,11 +132,11 @@ def test_closed_form_commands_leave_numpy_unloaded():
         f"for argv in {_CLOSED_FORM_COMMANDS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli_main(argv)\n"
-        "    print(code, 'numpy' in sys.modules)\n"
+        f"    print(code, [m for m in {UNLOADED!r} if m in sys.modules])\n"
     )
     proc = _fresh_python(code)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == ["0 False"] * len(_CLOSED_FORM_COMMANDS)
+    assert proc.stdout.splitlines() == ["0 []"] * len(_CLOSED_FORM_COMMANDS)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diskvar"
@@ -125,23 +145,141 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "diskvar"
 LAZY_NUMPY = {("moebius", "_ops"), ("functions", "substream"), ("extremal", "_lanes")}
 
 
-def _imports_numpy(node):
+def _imports(node, module="numpy"):
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        return any(alias.name.split(".")[0] == module for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
 
 
 def test_one_module_chooses_between_scalars_and_lanes():
-    """Only ``moebius`` tells a batch from a scalar, and only the allowed
-    functions import numpy lazily."""
+    """Only ``moebius`` tells a batch from a scalar, only the allowed
+    functions import numpy lazily, and no module imports dataclasses."""
     lazy = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(_imports(node, "dataclasses") for node in ast.walk(tree)), path.name
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert path.stem == "moebius" or "_is_batch" not in names, path.name
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                lazy |= {(path.stem, func.name) for node in ast.walk(func) if _imports_numpy(node)}
+                lazy |= {(path.stem, func.name) for node in ast.walk(func) if _imports(node)}
     assert lazy <= LAZY_NUMPY
+
+
+_SPEC = {"kind": ExtremalKind.SZASZ, "data": (), "free": (), "build": None, "target": None, "probe": "f2", "grid": None}
+
+# every record class: (class, every field by keyword, one field changed, repr)
+RECORDS = [
+    (Identity, {}, None, "Identity()"),
+    (Constant, {"c": 0.5j}, {"c": 0.25j}, "Constant(c=0.5j)"),
+    (Rotation, {"theta": 0.25, "child": Identity()}, {"theta": 0.5}, "Rotation(theta=0.25, child=Identity())"),
+    (MobiusT, {"a": 0.5, "child": Identity()}, {"a": 0.25}, "MobiusT(a=(0.5+0j), child=Identity())"),
+    (
+        Product,
+        {"left": Identity(), "right": Constant(c=-0.5)},
+        {"left": Constant(c=0.5)},
+        "Product(left=Identity(), right=Constant(c=(-0.5+0j)))",
+    ),
+    (
+        Compose,
+        {"outer": Bracket(w=-0.25j, child=Identity()), "inner": Identity()},
+        {"inner": Constant(c=0j)},
+        "Compose(outer=Bracket(w=(-0-0.25j), child=Identity()), inner=Identity())",
+    ),
+    (Bracket, {"w": 0.1 + 0.2j, "child": Identity()}, {"w": 0.2j}, "Bracket(w=(0.1+0.2j), child=Identity())"),
+    (
+        PrescribedData,
+        {"z0": 0.3, "delta0": 0.2j, "delta1": 1},
+        {"delta1": 0.5},
+        "PrescribedData(z0=(0.3+0j), delta0=0.2j, delta1=(1+0j))",
+    ),
+    (Disk, {"center": 1j, "radius": 2}, {"radius": 3.0}, "Disk(center=1j, radius=2.0)"),
+    (
+        BoundResult,
+        {"value": 1.5, "branch": Branch.DEG1},
+        {"branch": Branch.DEG2},
+        "BoundResult(value=1.5, branch=<Branch.DEG1: 'deg1'>)",
+    ),
+    (
+        KindSpec,
+        {**_SPEC, "branches": (Branch.SZASZ,), "params": None},
+        {"probe": "f1"},
+        "KindSpec(kind=<ExtremalKind.SZASZ: 'szasz'>, data=(), free=(), build=None, target=None, probe='f2',"
+        " grid=None, branches=(<Branch.SZASZ: 'szasz'>,), params=None)",
+    ),
+    (
+        AttainmentReport,
+        {
+            "kind": ExtremalKind.SZASZ,
+            "value": 0j,
+            "first": 1j,
+            "second": 2 + 0j,
+            "target": "bound 2.0",
+            "distance": 0.0,
+            "tol": 1e-8,
+            "passed": True,
+        },
+        {"passed": False},
+        "AttainmentReport(kind=<ExtremalKind.SZASZ: 'szasz'>, value=0j, first=1j, second=(2+0j),"
+        " target='bound 2.0', distance=0.0, tol=1e-08, passed=True)",
+    ),
+    (
+        HarnessConfig,
+        {"seed": 7, "samples": 3, "tol": 1e-6, "parallel": True},
+        {"seed": 8},
+        "HarnessConfig(seed=7, samples=3, tol=1e-06, parallel=True)",
+    ),
+    (
+        HarnessReport,
+        {"suite": "tightness", "samples": 3, "violations": 0, "worst_margin": 0.5, "wall_time": 0.25, "details": None},
+        {"violations": 1},
+        "HarnessReport(suite='tightness', samples=3, violations=0, worst_margin=0.5, wall_time=0.25, details=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, change, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_keep_their_contract(cls, kwargs, change, text):
+    """Records compare and hash by class and fields, print as Name(field=value,
+    ...), refuse assignment and deletion, and survive a pickle round trip:
+    the pool pickles its HarnessConfig into every worker."""
+    record = cls(**kwargs)
+    assert repr(record) == text
+    assert record == cls(**kwargs) and hash(record) == hash(cls(**kwargs))
+    assert hash(record) == hash(tuple(getattr(record, name) for name in kwargs))
+    if change is not None:
+        assert record != cls(**{**kwargs, **change})
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    copy = pickle.loads(pickle.dumps(record))
+    assert (type(copy), copy, repr(copy)) == (cls, record, text)
+
+
+def test_records_keep_their_defaults_and_classes():
+    assert HarnessConfig() == HarnessConfig(seed=42, samples=10000, tol=1e-8, parallel=False)
+    report = HarnessReport(suite="tightness", samples=3, violations=0, worst_margin=None, wall_time=0.0)
+    assert report.details is None
+    spec = KindSpec(**_SPEC)
+    assert (spec.branches, spec.params) == ((), None)
+    # equal fields in another class are not equal
+    assert MobiusT(a=0.5, child=Identity()) != Bracket(w=0.5, child=Identity())
+
+
+def test_select_nodes_equal_only_themselves():
+    args = {"mask": np.array([True, False]), "then": Identity(), "other": Constant(c=1.0)}
+    node = _Select(**args)
+    assert node == node and node != _Select(**args)
+    assert hash(node) == object.__hash__(node)
+    text = "_Select(mask=array([ True, False]), then=Identity(), other=Constant(c=(1+0j)))"
+    assert repr(node) == text
+    for name in args:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert repr(pickle.loads(pickle.dumps(node))) == text
