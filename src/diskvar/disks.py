@@ -118,8 +118,6 @@ def mercer_disk(z0, w0, z):
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
     z = unit_disk_point(z, "z")
-    if _any_lane(abs(z0) >= 1.0):
-        raise DomainError("z0 must lie in the open unit disk")
     if _any_lane(abs(w0) >= abs(z0)):
         raise DomainError("mercer_disk requires |w0| < |z0|")
     u0 = w0 / z0

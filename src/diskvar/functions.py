@@ -20,6 +20,7 @@ class annotations, whose declared types say how each field is written and read.
 
 import json
 import math
+from functools import reduce
 
 from .moebius import (
     DomainError,
@@ -324,43 +325,71 @@ def _disk_point(cap, radius_u, angle_u):
     return cap * _ops(radius_u).sqrt(radius_u) * _ops(angle_u).exp(2j * math.pi * angle_u)
 
 
-def _blaschke_tree(rng, degree):
-    factors = None
-    for _ in range(degree):
-        b = Bracket(disk_sample(rng, _ZERO_MODULUS_CAP), Identity())
-        factors = b if factors is None else Product(factors, b)
-    return Rotation(rng.random() * 2.0 * math.pi, factors)
+def _lane_disk_sample(rng, cap, shape, lanes):
+    """``disk_sample(rng, cap, shape)[..., lanes]``: both uniforms drawn in
+    full, only the lanes made points."""
+    return _disk_point(cap, rng.random(shape)[..., lanes], rng.random(shape)[..., lanes])
 
 
-def _schur_tree(rng):
-    degree = int(rng.integers(0, _MAX_BLASCHKE_DEGREE + 1))
+def _draw_schur(rng, n, lanes, least_degree=0):
+    """The parameters of n random Schur trees, sliced to ``lanes``, one lane
+    per tree: a Blaschke degree from least_degree..4 (degree 0 gives the
+    constant k), the zeros and the angle theta, whether the tree is scaled by
+    s into the interior, and whether it is wrapped in T_c.  Every draw is made
+    for all n lanes, so the stream does not depend on ``lanes``."""
+    return {
+        "degree": rng.integers(least_degree, _MAX_BLASCHKE_DEGREE + 1, n)[lanes],
+        "k": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, n, lanes),
+        "zeros": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, (_MAX_BLASCHKE_DEGREE, n), lanes),
+        "theta": 2.0 * math.pi * rng.random(n)[lanes],
+        "scaled": rng.random(n)[lanes] < 0.5,
+        "s": rng.random(n)[lanes],
+        "wrapped": rng.random(n)[lanes] < 0.5,
+        "c": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, n, lanes),
+    }
+
+
+def _schur_tree(p, lane=0):
+    """The random Schur tree of one lane of ``_draw_schur``'s parameters, with
+    scalar parameters: the constant k at degree 0, else e^{i theta} times the
+    lane's first ``degree`` bracket factors [z, w_j]; times s where the lane
+    is scaled, and inside T_c where it is wrapped."""
+    degree = int(p["degree"][lane])
     if degree == 0:
-        base = Constant(disk_sample(rng, _ZERO_MODULUS_CAP))
+        base = Constant(complex(p["k"][lane]))
     else:
-        base = _blaschke_tree(rng, degree)
-    if rng.random() < 0.5:
+        zeros = [Bracket(complex(w), Identity()) for w in p["zeros"][:degree, lane]]
+        base = Rotation(float(p["theta"][lane]), reduce(Product, zeros))
+    if p["scaled"][lane]:
         # interior scaling keeps the sample away from the extremal class
-        base = Product(Constant(complex(rng.random())), base)
-    if rng.random() < 0.5:
-        base = MobiusT(disk_sample(rng, _ZERO_MODULUS_CAP), base)
+        base = Product(Constant(complex(p["s"][lane])), base)
+    if p["wrapped"][lane]:
+        base = MobiusT(complex(p["c"][lane]), base)
     return base
 
 
 def random_schur_function(seed, index=0):
     """Random Schur-class tree: a finite Blaschke product of degree up to 4
     (degree 0 gives a constant), optionally scaled into the interior and
-    transported by a random T_c.  Reproducible per (seed, index); each index
-    gets an independent substream."""
-    return _schur_tree(substream(require_int(seed, "seed"), 0, require_int(index, "index")))
+    transported by a random T_c; the distribution the membership suite draws
+    its parameter g* from.  Reproducible per (seed, index); each index gets
+    an independent substream."""
+    rng = substream(require_int(seed, "seed"), 0, require_int(index, "index"))
+    return _schur_tree(_draw_schur(rng, 1, slice(None)))
 
 
 def random_blaschke_product(seed, index=0, degree=None):
-    """Random finite Blaschke product of the given degree (>= 1), drawn
+    """Random finite Blaschke product of the given degree, 1 to 4, drawn
     uniformly from {1, ..., 4} when degree is None."""
     rng = substream(require_int(seed, "seed"), 1, require_int(index, "index"))
-    if degree is None:
-        degree = int(rng.integers(1, _MAX_BLASCHKE_DEGREE + 1))
-    return _blaschke_tree(rng, require_int(degree, "degree", minimum=1))
+    p = _draw_schur(rng, 1, slice(None), least_degree=1)
+    if degree is not None:
+        degree = require_int(degree, "degree", minimum=1)
+        if degree > _MAX_BLASCHKE_DEGREE:
+            raise DomainError(f"degree must be <= {_MAX_BLASCHKE_DEGREE}, got {degree}")
+        p["degree"] = [degree]
+    p.update(scaled=[False], wrapped=[False])
+    return _schur_tree(p)
 
 
 def complex_to_pair(z):

@@ -15,6 +15,8 @@ Sampling is deterministic.  Membership and tightness draw their random
 parameters in blocks of ``_BLOCK`` samples, from an independent RNG substream
 keyed by (seed, family or suite tag, block); a block always draws all of its
 uniforms, in one order, and a chunk then transforms only the lanes it checks.
+The random Schur parameter g* of each sample comes from
+``functions._draw_schur``, the draw behind ``random_schur_function`` too.
 The samples of a block are checked together, as a batch
 (numpy arrays, one lane per sample), through the same trees, parametrizations
 and closed forms that evaluate a single sample.  Chunks of indices return
@@ -49,8 +51,6 @@ from .extremal import (
     make_extremal,
 )
 from .functions import (
-    _MAX_BLASCHKE_DEGREE,
-    _ZERO_MODULUS_CAP,
     Bracket,
     Constant,
     FunctionExpr,
@@ -59,7 +59,8 @@ from .functions import (
     PrescribedData,
     Product,
     Rotation,
-    _disk_point,
+    _draw_schur,
+    _lane_disk_sample,
     _nest,
     dieudonne_parametrize,
     disk_sample,
@@ -68,9 +69,10 @@ from .functions import (
 )
 from .moebius import Disk, DomainError, Jet2, _Frozen, _set_field, require_int, require_real
 
-# not called here since the kind table computes the attainment targets and
-# membership draws whole blocks; kept bound because bench/tracing.py wraps
-# these names in this module
+# not called here: the kind table computes the attainment targets, and
+# membership checks each block through one batched template, never a scalar
+# tree per sample; kept bound because bench/tracing.py wraps these names in
+# this module
 from .disks import schwarz_pick_disk, second_order_dieudonne_disk  # noqa: F401
 from .extremal import branch_bound_for  # noqa: F401
 from .functions import _schur_tree  # noqa: F401
@@ -237,34 +239,13 @@ class _Select(_Frozen, FunctionExpr):
         return Jet2(*(np.where(self.mask, a, b) for a, b in zip(self.then.jet(z0), self.other.jet(z0))))
 
 
-def _lane_disk_sample(rng, cap, shape, lanes):
-    """``disk_sample(rng, cap, shape)[..., lanes]``: both uniforms drawn in
-    full, only the lanes made points."""
-    return _disk_point(cap, rng.random(shape)[..., lanes], rng.random(shape)[..., lanes])
-
-
-def _draw_schur(rng, n, lanes):
-    """The parameters of the random Schur trees in ``lanes`` of n, one lane
-    each, from the distributions ``_schur_tree`` draws a single tree's from;
-    every draw is made for all n lanes, so the stream does not depend on
-    ``lanes``."""
-    return {
-        "degree": rng.integers(0, _MAX_BLASCHKE_DEGREE + 1, n)[lanes],
-        "k": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, n, lanes),
-        "zeros": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, (_MAX_BLASCHKE_DEGREE, n), lanes),
-        "theta": 2.0 * math.pi * rng.random(n)[lanes],
-        "scaled": rng.random(n)[lanes] < 0.5,
-        "s": rng.random(n)[lanes],
-        "wrapped": rng.random(n)[lanes] < 0.5,
-        "c": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, n, lanes),
-    }
-
-
 def _schur_template(p):
-    """One tree for a batch of random Schur trees: T_c(s * base), where base is
-    the constant k at degree 0 and e^{i theta} times the bracket factors
-    [z, w_j] otherwise, each factor at or beyond the lane's degree padded to 1;
-    s = 1 where the lane is not scaled and c = 0 where it is not wrapped."""
+    """One tree for a batch of random Schur trees, ``_draw_schur``'s lanes:
+    T_c(s * base), where base is the constant k at degree 0 and e^{i theta}
+    times the bracket factors [z, w_j] otherwise, each factor at or beyond the
+    lane's degree padded to 1; s = 1 where the lane is not scaled and c = 0
+    where it is not wrapped.  Lane by lane it evaluates as the scalar tree
+    ``functions._schur_tree`` builds."""
     degree = p["degree"]
     factors = [_Select(j < degree, Bracket(w, Identity()), Constant(1.0)) for j, w in enumerate(p["zeros"])]
     base = _Select(degree == 0, Constant(p["k"]), Rotation(p["theta"], reduce(Product, factors)))

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from diskvar import harness
 from diskvar.cli import cli_main
 from diskvar.extremal import KINDS, ExtremalKind, make_extremal
 from diskvar.functions import (
@@ -20,7 +21,13 @@ from diskvar.functions import (
     random_blaschke_product,
     random_schur_function,
 )
-from diskvar.harness import HarnessConfig, run_attainment_suite, run_membership_suite, run_tightness_search
+from diskvar.harness import (
+    MEMBERSHIP_FAMILIES,
+    HarnessConfig,
+    run_attainment_suite,
+    run_membership_suite,
+    run_tightness_search,
+)
 
 from oracles import lane_params
 
@@ -63,6 +70,20 @@ def test_seed42_report_hash():
     }
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SEED42_REPORT_SHA256
+
+
+# sha256 of every membership margin, _membership_chunk's families x samples
+# array as bytes, for each seed and sample count below in turn
+MEMBERSHIP_MARGINS_SHA256 = "7928e4124e2db1375de8b12382e2cbf5aa70e0b7ace80ba0a5ece99ba3f23b9b"
+
+
+def test_membership_margins_hash():
+    digest = hashlib.sha256()
+    for seed in (42, 1, 7, 12345):
+        for n in (1, 250, 1024, 1025, 10000):
+            cfg = HarnessConfig(seed=seed, samples=n)
+            digest.update(harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, (0, n)).tobytes())
+    assert digest.hexdigest() == MEMBERSHIP_MARGINS_SHA256
 
 
 def test_attainment_rows_per_kind():
@@ -182,7 +203,7 @@ def test_extremal_verify_golden(capsys, argv, expected):
 
 
 # sha256 over the concatenated function_to_json text of the trees below
-TREES_SHA256 = "46d886e5d1ef5d2a78568be80153fcd354850eca5dd00988ec18fcdc6b3ac149"
+TREES_SHA256 = "0b50c28a30d89a40f4763ec7eced8eb22955a0ee71a786010ab773a1eca432d3"
 
 
 def test_serialized_trees():

@@ -147,6 +147,16 @@ def test_dieudonne_and_mercer_decide_the_disk_as_the_validators_do():
             second_order_dieudonne_disk(point, 0.0, 0.5)
 
 
+def test_mercer_takes_every_z0_the_validators_accept():
+    # x*x + y*y < 1 here although |z0| rounds to 1; Mercer's formulas never
+    # divide by 1 - |z0|^2, so the disk is finite, as a scalar and as a lane
+    z0 = 0.8827680124242574 - 0.46980914874076907j
+    scalar = mercer_disk(z0, 0.3, 0.5)
+    batch = mercer_disk(np.array([z0]), np.array([0.3 + 0j]), np.array([0.5 + 0j]))
+    assert math.isfinite(abs(scalar.center)) and math.isfinite(scalar.radius)
+    assert (batch.center[0], batch.radius[0]) == (scalar.center, scalar.radius)
+
+
 def test_second_derivative_disk_spot_values():
     d = second_derivative_disk(PrescribedData(0.5, 0.3, 0.2))
     assert d.center == pytest.approx(0.28472888888888889, abs=TOL)

@@ -101,7 +101,7 @@ def test_random_tree_jets_match_finite_differences(index):
 def test_sampler_is_deterministic():
     a = random_schur_function(SEED, index=3)
     b = random_schur_function(SEED, index=3)
-    assert a == b  # trees are frozen dataclasses, equality is structural
+    assert a == b  # trees are frozen records, equality is structural
     assert any(random_schur_function(SEED, index=i) != a for i in range(4, 10))
 
 
@@ -149,7 +149,7 @@ def test_sampler_argument_validation():
             random_schur_function(*args)
         with pytest.raises(DomainError):
             random_blaschke_product(*args)
-    for degree in (2.5, True):
+    for degree in (2.5, True, 5):
         with pytest.raises(DomainError):
             random_blaschke_product(1, degree=degree)
 

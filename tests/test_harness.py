@@ -1,6 +1,5 @@
 import json
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -25,13 +24,9 @@ from diskvar.extremal import (
     make_extremal,
 )
 from diskvar.functions import (
-    Bracket,
     Constant,
-    Identity,
-    MobiusT,
     PrescribedData,
-    Product,
-    Rotation,
+    _schur_tree,
     dieudonne_parametrize,
     disk_sample,
     schur_parametrize,
@@ -157,24 +152,8 @@ def test_membership_parallel_matches_serial():
 # -- the batched membership path ---------------------------------------------
 
 
-def _scalar_schur_tree(p, lane):
-    """The lane's random Schur tree, built from its drawn parameters the way
-    ``functions._schur_tree`` builds one."""
-    degree = int(p["degree"][lane])
-    if degree == 0:
-        base = Constant(complex(p["k"][lane]))
-    else:
-        zeros = [Bracket(complex(w), Identity()) for w in p["zeros"][:degree, lane]]
-        base = Rotation(float(p["theta"][lane]), reduce(Product, zeros))
-    if p["scaled"][lane]:
-        base = Product(Constant(complex(float(p["s"][lane]))), base)
-    if p["wrapped"][lane]:
-        base = MobiusT(complex(p["c"][lane]), base)
-    return base
-
-
 def _scalar_margin(family, p, lane):
-    gstar = _scalar_schur_tree(p, lane)
+    gstar = _schur_tree(p, lane)
     z0 = complex(p["z0"][lane])
     if family == "second":
         data = PrescribedData(z0, complex(p["delta0"][lane]), complex(p["delta1"][lane]))
