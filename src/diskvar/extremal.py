@@ -44,7 +44,6 @@ from .moebius import (
     DomainError,
     _any_lane,
     _lane,
-    _largest_modulus2,
     _modulus2,
     _ops,
     closed_disk_point,
@@ -112,12 +111,12 @@ def _deg1_params(z0, delta0):
 
 def _sharp_deg1(z0, delta0):
     params, _ = _deg1_params(z0, delta0)
-    a = params["a"]
     # |a| = (r + R) / (1 + r R) < 1, but it rounds to 1 when r or R is within
     # an ulp or so of 1
-    if _largest_modulus2(a) >= 1.0:
-        m = abs(_lane(a, _modulus2(a) >= 1.0))
-        raise DomainError(f"sharp-deg1 zero a must lie in the open unit disk, |a| = {m}")
+    a = params["a"]
+    outside = _modulus2(a) >= 1.0
+    if _any_lane(outside):
+        raise DomainError(f"sharp-deg1 zero a must lie in the open unit disk, |a| = {abs(_lane(a, outside))}")
     return Rotation(params["theta"], Bracket(a, Identity()))
 
 

@@ -59,6 +59,7 @@ from .functions import (
     PrescribedData,
     Product,
     Rotation,
+    _disk_point,
     _draw_schur,
     _lane_disk_sample,
     _nest,
@@ -253,22 +254,26 @@ def _schur_template(p):
     return MobiusT(np.where(p["wrapped"], p["c"], 0.0), Product(Constant(s), base))
 
 
-def _nonzero_disk_samples(rng, n):
-    """n points as ``disk_sample(rng, 0.95, n)`` gives them, each with
-    |z| <= 1e-6 redrawn: the Dieudonné and Mercer data need z0 != 0."""
-    z = disk_sample(rng, 0.95, n)
+def _nonzero_disk_samples(rng, n, lanes):
+    """``disk_sample(rng, 0.95, n)[lanes]`` with each point of |z| <= 1e-6
+    redrawn, as the Dieudonné and Mercer z0 != 0 need; a redraw depends on
+    all n points and shifts every later draw.  A radius uniform above 2e-12
+    gives |z| >= 0.95 * sqrt(2e-12) = 1.3e-6: when all n are, only ``lanes``
+    are made points; otherwise all n are, and the small ones redrawn."""
+    radius_u, angle_u = rng.random(n), rng.random(n)
+    if radius_u.min() > 2e-12:
+        return _disk_point(0.95, radius_u[lanes], angle_u[lanes])
+    z = _disk_point(0.95, radius_u, angle_u)
     small = abs(z) <= 1e-6
     while small.any():
         z[small] = disk_sample(rng, 0.95, int(small.sum()))
         small = abs(z) <= 1e-6
-    return z
+    return z[lanes]
 
 
 def _draw_block(family, rng, lanes):
     """Every random parameter of ``lanes`` of one block of a family, in draw
-    order: the interpolation data, then the Schur parameter.  Whether a z0 is
-    redrawn depends on every lane of the block, so the block's z0 are made
-    points in full."""
+    order: the interpolation data, then the Schur parameter."""
     if family == "second":
         p = {
             "z0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes),
@@ -276,7 +281,7 @@ def _draw_block(family, rng, lanes):
             "delta1": _lane_disk_sample(rng, 0.98, _BLOCK, lanes),
         }
     else:
-        z0 = _nonzero_disk_samples(rng, _BLOCK)[lanes]
+        z0 = _nonzero_disk_samples(rng, _BLOCK, lanes)
         p = {"z0": z0, "w0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes) * z0}
         if family == "mercer":
             p["z"] = _lane_disk_sample(rng, 0.95, _BLOCK, lanes)

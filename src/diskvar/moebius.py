@@ -8,7 +8,10 @@ boundary: open-disk arguments must satisfy |z| < 1, closed-disk arguments
 ``cmath.exp`` are accepted).  A batch passes a check only when every lane
 does, and a lane gets the verdict its value gets as a scalar: the disk checks
 decide from x*x + y*y, not from the modulus, which CPython and numpy round
-differently.  ``_ops`` is the one place that chooses between the two: it maps
+differently.  A batch well inside the disk is accepted from one pass over
+|z|; only a batch near or beyond the circle, or with a lane that is not
+finite, is decided lane by lane from x*x + y*y, and only that path raises.
+``_ops`` is the one place that chooses between scalars and lanes: it maps
 a value to numpy when it is a batch, and to the math/cmath counterparts of
 the numpy functions otherwise.  It alone imports numpy, so the scalar paths
 run without it.
@@ -44,6 +47,8 @@ __all__ = [
 # computed in doubles.
 _CLOSED_SLACK = 1e-12
 _CLOSED_MAX2 = (1.0 + _CLOSED_SLACK) ** 2
+# |z| < _WELL_INSIDE passes both disk checks however x*x + y*y rounds
+_WELL_INSIDE = 1.0 - 1e-14
 
 
 class DomainError(ValueError):
@@ -100,12 +105,19 @@ def _lane(x, bad):
 # anything else: a Python scalar then costs no extra call.
 
 
+def _all_below(x, bound):
+    """Whether every lane of a batch has |x| < bound, from one pass.  An empty
+    batch passes; a NaN, an infinity or a modulus that overflows fails."""
+    return abs(x).max(initial=0.0) < bound
+
+
 def require_finite(z, name="value"):
     if type(z) is not complex and _is_batch(z):
         z = z.astype(complex, copy=False)
-        finite = _ops(z).isfinite(z)
-        if not finite.all():
-            raise DomainError(f"{name} must have finite components, got {complex(_lane(z, ~finite))!r}")
+        if not _all_below(z, math.inf):
+            finite = _ops(z).isfinite(z)
+            if not finite.all():
+                raise DomainError(f"{name} must have finite components, got {complex(_lane(z, ~finite))!r}")
         return z
     z = complex(z)
     if not cmath.isfinite(z):
@@ -129,7 +141,7 @@ def require_real(x, name, finite=True):
     With finite=False, infinities and NaN pass, for the caller's range check.
     A batch must hold integers or floats."""
     if type(x) is not float and _is_batch(x):
-        if x.dtype.kind not in "iuf" or (finite and not (abs(x) < math.inf).all()):
+        if x.dtype.kind not in "iuf" or (finite and not _all_below(x, math.inf)):
             raise DomainError(
                 f"{name} must hold a {'finite ' if finite else ''}real number in every lane, got a {x.dtype} batch"
             )
@@ -154,31 +166,29 @@ def _modulus2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def _largest_modulus2(z):
-    """_modulus2 of a scalar, or its largest lane in a batch."""
-    if not _is_batch(z):
-        return _modulus2(z)
-    m = abs(z).max()
-    # below 1 - 1e-14 every lane passes both disk checks however its modulus
-    # rounds, and the modulus costs half as much as x*x + y*y
-    return m * m if m < 1.0 - 1e-14 else _modulus2(z).max()
-
-
 def unit_disk_point(z, name="z"):
     """Validate |z| < 1 and return z as a complex number."""
+    if type(z) is not complex and _is_batch(z):
+        z = z.astype(complex, copy=False)
+        if _all_below(z, _WELL_INSIDE):
+            return z
     z = require_finite(z, name)
-    if _largest_modulus2(z) >= 1.0:
-        m = abs(_lane(z, _modulus2(z) >= 1.0))
-        raise DomainError(f"{name} must lie in the open unit disk, |{name}| = {m}")
+    outside = _modulus2(z) >= 1.0
+    if _any_lane(outside):
+        raise DomainError(f"{name} must lie in the open unit disk, |{name}| = {abs(_lane(z, outside))}")
     return z
 
 
 def closed_disk_point(z, name="z"):
     """Validate |z| <= 1 and return z as a complex number."""
+    if type(z) is not complex and _is_batch(z):
+        z = z.astype(complex, copy=False)
+        if _all_below(z, _WELL_INSIDE):
+            return z
     z = require_finite(z, name)
-    if _largest_modulus2(z) > _CLOSED_MAX2:
-        m = abs(_lane(z, _modulus2(z) > _CLOSED_MAX2))
-        raise DomainError(f"{name} must lie in the closed unit disk, |{name}| = {m}")
+    outside = _modulus2(z) > _CLOSED_MAX2
+    if _any_lane(outside):
+        raise DomainError(f"{name} must lie in the closed unit disk, |{name}| = {abs(_lane(z, outside))}")
     return z
 
 
@@ -283,9 +293,9 @@ class Disk(_Frozen):
     def __init__(self, center, radius):
         _set_field(self, "center", require_finite(center, "center"))
         r = require_real(radius, "radius")
-        negative = r < 0.0
-        if _any_lane(negative):
-            raise DomainError(f"radius must be non-negative, got {_lane(r, negative)}")
+        # require_real has refused NaN, so the least lane decides a batch
+        if (r if type(r) is float else r.min(initial=0.0)) < 0.0:
+            raise DomainError(f"radius must be non-negative, got {_lane(r, r < 0.0)}")
         _set_field(self, "radius", r)
 
     def contains(self, p, tol=0.0):
@@ -338,7 +348,8 @@ def jet_mul(a, b):
 
 def jet_div(a, b):
     """Quotient jet; solves a = q*b order by order."""
-    if _any_lane(b.f0 == 0):
+    # a batch's all() counts NaN as non-zero, as the scalar == 0 does
+    if (not b.f0.all()) if _is_batch(b.f0) else b.f0 == 0:
         raise PoleError("jet division by a jet with zero value part")
     q0 = a.f0 / b.f0
     q1 = (a.f1 - q0 * b.f1) / b.f0

@@ -157,6 +157,20 @@ def test_mercer_takes_every_z0_the_validators_accept():
     assert (batch.center[0], batch.radius[0]) == (scalar.center, scalar.radius)
 
 
+def test_closed_forms_take_an_empty_batch():
+    e = np.array([], dtype=complex)
+    assert schwarz_pick_disk(e, e).radius.shape == (0,)  # its center is the scalar 0
+    for disk in (
+        second_derivative_disk(PrescribedData(e, e, e)),
+        dieudonne_disk(e, e),
+        mercer_disk(e, e, e),
+        rogosinski_disk(e, e),
+        second_order_dieudonne_disk(e, e, e).region,
+    ):
+        assert disk.center.shape == disk.radius.shape == (0,)
+    assert modulus_max_second_derivative(PrescribedData(e, e, e)).shape == (0,)
+
+
 def test_second_derivative_disk_spot_values():
     d = second_derivative_disk(PrescribedData(0.5, 0.3, 0.2))
     assert d.center == pytest.approx(0.28472888888888889, abs=TOL)

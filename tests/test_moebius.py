@@ -92,6 +92,18 @@ def test_batches_are_checked_in_every_lane():
     assert (unimodular_point(np.array([1, 1j])) == [1, 1j]).all()
     with pytest.raises(DomainError, match=r"\|alpha\| = 0.5"):
         unimodular_point(np.array([1, 0.5]))
+    # an empty batch is valid and stays empty
+    empty = np.array([], dtype=complex)
+    for fn in (require_finite, unit_disk_point, closed_disk_point, unimodular_point):
+        assert fn(empty).shape == (0,)
+    assert require_real(np.array([]), "x").shape == (0,)
+    assert Disk(empty, np.array([])).radius.shape == (0,)
+    assert jet_div(Jet2(empty, empty, empty), Jet2(empty, empty, empty)).f0.shape == (0,)
+    # finite lanes whose modulus overflows to inf: the one-pass test cannot
+    # accept them, the lane-wise fallback does
+    huge = np.array([1e308 + 1e308j, 1.5e308 - 1.5e308j, 0.5])
+    assert np.isinf(abs(huge[1]))
+    assert (require_finite(huge) == huge).all()
 
 
 def test_batch_jets_match_scalar_jets():
@@ -165,12 +177,13 @@ def test_a_rounded_pole_is_a_pole_error(fn, z, w):
         fn(np.array([z]), np.array([w]))
 
 
-def _refused(fn, *args):
+def _message(fn, *args):
+    """The message of the DomainError ``fn(*args)`` raises, or None."""
     try:
         fn(*args)
-    except DomainError:
-        return True
-    return False
+    except DomainError as error:
+        return str(error)
+    return None
 
 
 # points within a few ulps of the unit circle and of the closed disk's slack,
@@ -184,8 +197,14 @@ near_circle = st.builds(
 
 
 @settings(max_examples=500, deadline=None)
-@given(z=near_circle, w=disk_pts)
-def test_scalar_and_lane_get_the_same_domain_verdict(z, w):
+@given(
+    z=near_circle,
+    w=disk_pts,
+    good=st.lists(disk_pts, min_size=1, max_size=6),
+    at=st.integers(0, 6),
+    bad=st.sampled_from([None, complex(math.nan, 0.0), complex(0.5, math.inf), complex(-math.inf, 0.0)]),
+)
+def test_scalar_and_lane_get_the_same_domain_verdict(z, w, good, at, bad):
     # the checks decide from x*x + y*y, which CPython and numpy round alike;
     # the moduli disagree on about a quarter of these points
     for fn, args in (
@@ -194,7 +213,14 @@ def test_scalar_and_lane_get_the_same_domain_verdict(z, w):
         (hyperbolic_bracket, (w, z)),
         (hyperbolic_bracket, (z, w)),
     ):
-        assert _refused(fn, *args) == _refused(fn, *(np.array([a]) for a in args))
+        assert _message(fn, *args) == _message(fn, *(np.array([a]) for a in args))
+    # a lane near the circle, or not finite, among good lanes: a batch gets
+    # the verdict and the message of its first refused lane as a scalar
+    lanes = list(good)
+    lanes.insert(min(at, len(lanes)), z if bad is None else bad)
+    for fn in (require_finite, unit_disk_point, closed_disk_point):
+        refused = [m for m in (_message(fn, lane) for lane in lanes) if m is not None]
+        assert _message(fn, np.array(lanes)) == (refused[0] if refused else None)
 
 
 def test_bracket_base_on_the_circle_is_refused_in_a_lane_too():
