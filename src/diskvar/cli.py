@@ -27,7 +27,7 @@ from .disks import (
 )
 from .extremal import ExtremalKind, kind_for_branch, kind_spec, make_extremal, verify_attainment
 from .functions import PrescribedData, complex_to_pair
-from .moebius import DegeneracyError, DomainError, PoleError, require_finite
+from .moebius import DegeneracyError, DomainError, PoleError, _modulus, require_finite
 
 # not called here since the kind table computes the targets; kept bound
 # because bench/tracing.py wraps this name in this module
@@ -103,7 +103,7 @@ def _magnitude(flag, value, point, point_flag):
     if value is not None:
         return float(value)
     if point is not None:
-        return abs(point)
+        return _modulus(point)
     raise DomainError(f"give {flag} or {point_flag}")
 
 
@@ -113,8 +113,8 @@ def _point(point, name, magnitude, magnitude_name):
     if point is None:
         return complex(magnitude)
     point = require_finite(point, name)
-    if abs(abs(point) - magnitude) > 1e-9 * (1.0 + magnitude):
-        raise DomainError(f"|{name}| = {abs(point)} does not match {magnitude_name} = {magnitude}")
+    if abs(_modulus(point) - magnitude) > 1e-9 * (1.0 + magnitude):
+        raise DomainError(f"|{name}| = {_modulus(point)} does not match {magnitude_name} = {magnitude}")
     return point
 
 

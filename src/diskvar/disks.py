@@ -26,6 +26,7 @@ from .moebius import (
     _SCALAR_OPS,
     _any_lane,
     _mobius,
+    _modulus,
     _ops,
     _refuse_pole,
     closed_disk_point,
@@ -91,7 +92,7 @@ def dieudonne_disk(z0, w0):
 def _dieudonne_disk(z0, w0):
     """dieudonne_disk of a validated z0 and w0."""
     r = abs(z0)
-    s = abs(w0)
+    s = _modulus(w0)
     # |z0| may still round to 1, and the radius divides by 1 - |z0|^2
     if _any_lane(r >= 1.0):
         raise DomainError("z0 must lie in the open unit disk")
@@ -118,7 +119,7 @@ def mercer_disk(z0, w0, z):
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
     z = unit_disk_point(z, "z")
-    if _any_lane(abs(w0) >= abs(z0)):
+    if _any_lane(_modulus(w0) >= abs(z0)):
         raise DomainError("mercer_disk requires |w0| < |z0|")
     u0 = w0 / z0
     _refuse_pole(-z0, z)

@@ -44,6 +44,7 @@ from .moebius import (
     DomainError,
     _any_lane,
     _lane,
+    _modulus,
     _modulus2,
     _ops,
     closed_disk_point,
@@ -460,7 +461,7 @@ def make_extremal(kind, *, z0=None, delta0=None, delta1=None, alpha=None, w0=Non
         values.append(validate(given[name], name))
         # f(0) = 0 bounds |f(z0)| by |z0| (always the first value): the one
         # domain that depends on another parameter
-        if name == "w0" and _any_lane(abs(values[-1]) >= abs(values[0])):
+        if name == "w0" and _any_lane(_modulus(values[-1]) >= abs(values[0])):
             raise DomainError(f"{spec.kind.value} requires |w0| < |z0|")
     return spec.build(*values)
 

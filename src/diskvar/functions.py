@@ -28,6 +28,8 @@ from .moebius import (
     _any_lane,
     _Frozen,
     _mobius,
+    _modulus,
+    _modulus2,
     _ops,
     _set_field,
     closed_disk_point,
@@ -277,7 +279,7 @@ def schur_parametrize(data, gstar):
     class collapses to a single degree-1 Blaschke product, available from
     ``diskvar.extremal``.
     """
-    if _any_lane(abs(data.delta1) >= 1.0):
+    if _any_lane(_modulus2(data.delta1) >= 1.0):
         raise DomainError(
             "schur_parametrize needs |delta1| < 1; the |delta1| = 1 case is a "
             "single extremal function"
@@ -293,7 +295,7 @@ def dieudonne_parametrize(z0, w0, fstar):
     """
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
-    if _any_lane(abs(w0) >= abs(z0)):
+    if _any_lane(_modulus(w0) >= abs(z0)):
         raise DomainError("dieudonne_parametrize requires |w0| < |z0|")
     u0 = w0 / z0
     u = MobiusT(-z0, Identity())

@@ -14,8 +14,8 @@ Three suites back the closed-form results numerically:
 Sampling is deterministic.  Membership and tightness draw their random
 parameters in blocks of ``_BLOCK`` samples, from an independent RNG substream
 keyed by (seed, family or suite tag, block); a block always draws all of its
-uniforms, in one order, and a chunk then transforms only the lanes it checks.
-The random Schur parameter g* of each sample comes from
+uniforms, in one order, and a chunk transforms only its own lanes, so no lane
+depends on another.  The random Schur parameter g* of each sample comes from
 ``functions._draw_schur``, the draw behind ``random_schur_function`` too.
 The samples of a block are checked together, as a batch
 (numpy arrays, one lane per sample), through the same trees, parametrizations
@@ -64,7 +64,6 @@ from .functions import (
     _lane_disk_sample,
     _nest,
     dieudonne_parametrize,
-    disk_sample,
     schur_parametrize,
     substream,
 )
@@ -254,26 +253,11 @@ def _schur_template(p):
     return MobiusT(np.where(p["wrapped"], p["c"], 0.0), Product(Constant(s), base))
 
 
-def _nonzero_disk_samples(rng, n, lanes):
-    """``disk_sample(rng, 0.95, n)[lanes]`` with each point of |z| <= 1e-6
-    redrawn, as the Dieudonné and Mercer z0 != 0 need; a redraw depends on
-    all n points and shifts every later draw.  A radius uniform above 2e-12
-    gives |z| >= 0.95 * sqrt(2e-12) = 1.3e-6: when all n are, only ``lanes``
-    are made points; otherwise all n are, and the small ones redrawn."""
-    radius_u, angle_u = rng.random(n), rng.random(n)
-    if radius_u.min() > 2e-12:
-        return _disk_point(0.95, radius_u[lanes], angle_u[lanes])
-    z = _disk_point(0.95, radius_u, angle_u)
-    small = abs(z) <= 1e-6
-    while small.any():
-        z[small] = disk_sample(rng, 0.95, int(small.sum()))
-        small = abs(z) <= 1e-6
-    return z[lanes]
-
-
 def _draw_block(family, rng, lanes):
     """Every random parameter of ``lanes`` of one block of a family, in draw
-    order: the interpolation data, then the Schur parameter."""
+    order: the interpolation data, then the Schur parameter.  The Dieudonné
+    and Mercer forms divide by z0, so their z0 takes its radius uniform
+    floored at 2e-12, which keeps |z0| >= 0.95 * sqrt(2e-12) = 1.34e-6."""
     if family == "second":
         p = {
             "z0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes),
@@ -281,7 +265,7 @@ def _draw_block(family, rng, lanes):
             "delta1": _lane_disk_sample(rng, 0.98, _BLOCK, lanes),
         }
     else:
-        z0 = _nonzero_disk_samples(rng, _BLOCK, lanes)
+        z0 = _disk_point(0.95, np.maximum(rng.random(_BLOCK)[lanes], 2e-12), rng.random(_BLOCK)[lanes])
         p = {"z0": z0, "w0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes) * z0}
         if family == "mercer":
             p["z"] = _lane_disk_sample(rng, 0.95, _BLOCK, lanes)

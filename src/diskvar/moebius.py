@@ -162,40 +162,50 @@ def _modulus2(z):
     """|z|^2 as x*x + y*y, lane-wise.  CPython and numpy round it alike, so
     the domain checks decide from it: the two round the modulus itself apart
     on about a quarter of the points near |z| = 1, which gave a value and the
-    same value in a batch lane different verdicts."""
+    same value in a batch lane different verdicts.  Overflow gives inf in both."""
+    if _is_batch(z):
+        with _ops(z).errstate(over="ignore"):
+            return z.real * z.real + z.imag * z.imag
     return z.real * z.real + z.imag * z.imag
+
+
+def _modulus(z):
+    """abs(z), but inf where CPython's abs of a finite z overflows and raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _disk_check(z, name, closed):
+    """unit_disk_point, or closed_disk_point when ``closed``: they differ in a bound and a word."""
+    if type(z) is not complex and _is_batch(z):
+        z = z.astype(complex, copy=False)
+        if _all_below(z, _WELL_INSIDE):
+            return z
+    z = require_finite(z, name)
+    m2 = _modulus2(z)
+    outside = m2 > _CLOSED_MAX2 if closed else m2 >= 1.0
+    if _any_lane(outside):
+        disk = "closed" if closed else "open"
+        raise DomainError(f"{name} must lie in the {disk} unit disk, |{name}| = {_modulus(_lane(z, outside))}")
+    return z
 
 
 def unit_disk_point(z, name="z"):
     """Validate |z| < 1 and return z as a complex number."""
-    if type(z) is not complex and _is_batch(z):
-        z = z.astype(complex, copy=False)
-        if _all_below(z, _WELL_INSIDE):
-            return z
-    z = require_finite(z, name)
-    outside = _modulus2(z) >= 1.0
-    if _any_lane(outside):
-        raise DomainError(f"{name} must lie in the open unit disk, |{name}| = {abs(_lane(z, outside))}")
-    return z
+    return _disk_check(z, name, False)
 
 
 def closed_disk_point(z, name="z"):
     """Validate |z| <= 1 and return z as a complex number."""
-    if type(z) is not complex and _is_batch(z):
-        z = z.astype(complex, copy=False)
-        if _all_below(z, _WELL_INSIDE):
-            return z
-    z = require_finite(z, name)
-    outside = _modulus2(z) > _CLOSED_MAX2
-    if _any_lane(outside):
-        raise DomainError(f"{name} must lie in the closed unit disk, |{name}| = {abs(_lane(z, outside))}")
-    return z
+    return _disk_check(z, name, True)
 
 
 def unimodular_point(z, name="alpha"):
     """Validate |z| = 1 (within 1e-9) and renormalise exactly onto the circle."""
     z = require_finite(z, name)
-    m = abs(z)
+    m = _modulus(z)
     off = abs(m - 1.0) > 1e-9
     if _any_lane(off):
         raise DomainError(f"{name} must be unimodular, |{name}| = {_lane(m, off)}")

@@ -98,6 +98,7 @@ def test_point_magnitude_consistency_is_checked(capsys):
         (("thm31", "--r", "0.5", "--R", "0.25", "--z0", "0.4,0"), "|z0| = 0.4 does not match r = 0.5"),
         (("thm31", "--r", "0.5", "--R", "0.25", "--delta0", "0,0.3"), "|delta0| = 0.3 does not match R = 0.25"),
         (("szasz", "--r", "0.5", "--z0", "0.6,0"), "|z0| = 0.6 does not match r = 0.5"),
+        (("szasz", "--r", "0.5", "--z0=1.5e308,1.5e308"), "|z0| = inf does not match r = 0.5"),
     ):
         code, out, err = run(capsys, "bound", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -260,6 +261,28 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "|w0| < |z0|" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("disk second --z0=1.5e308,1.5e308 --delta0 0,0 --delta1 0,0", "z0 must lie in the open unit disk, |z0| = inf"),
+        ("disk schwarz-pick --z0=0.1,0 --delta0=1.5e308,1.5e308", "delta0 must lie in the open unit disk, |delta0| = inf"),
+        ("disk mercer --z0=0.5,0 --w0=0.1,0 --z=1.5e308,-1.5e308", "z must lie in the open unit disk, |z| = inf"),
+        ("disk dieudonne --z0=0.5,0 --w0=1.5e308,1.5e308", "dieudonne_disk requires |w0| < |z0|"),
+        ("bound thm31 --z0=1.5e308,1.5e308 --R 0.5", "r must be a finite real number, got inf"),
+        ("bound szasz --z0=1.5e308,1.5e308", "r must be a finite real number, got inf"),
+        (
+            "extremal verify --kind schwarz-pick --z0=0.3,0 --delta0=0.1,0 --alpha=1.5e308,1.5e308",
+            "alpha must lie in the closed unit disk, |alpha| = inf",
+        ),
+    ],
+)
+def test_a_finite_point_whose_modulus_overflows_is_an_input_error(capsys, argv, message):
+    # x*x + y*y and CPython's abs() of these finite points overflow: each is
+    # an input error with one line on stderr, never an OverflowError
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_membership_exit_zero(capsys):

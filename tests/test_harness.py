@@ -26,10 +26,8 @@ from diskvar.extremal import (
 from diskvar.functions import (
     Constant,
     PrescribedData,
-    _disk_point,
     _schur_tree,
     dieudonne_parametrize,
-    disk_sample,
     schur_parametrize,
     substream,
 )
@@ -231,41 +229,18 @@ def _planted_draw(family, lanes, value):
 
 
 @pytest.mark.parametrize("family", ["dieudonne", "mercer"])
-def test_the_z0_redraw_is_decided_over_the_whole_block(family):
-    # a tiny radius uniform at lane 500, outside the chunk, gives a z0 that is
-    # redrawn, and the redraw shifts every later draw of the block, the
-    # chunk's lanes included
+def test_a_tiny_z0_radius_uniform_is_floored_in_its_own_lane(family):
+    # a radius uniform of 0 at lane 500 is floored at 2e-12, so that z0 stays
+    # off 0; no other lane and no later draw moves, in the block or a chunk
     whole, whole_sizes = _planted_draw(family, slice(0, harness._BLOCK), 0.0)
     part, part_sizes = _planted_draw(family, slice(0, 10), 0.0)
-    # the block's two uniform draws, then the redraw's two of one lane
-    assert whole_sizes[:4] == part_sizes[:4] == [harness._BLOCK, harness._BLOCK, 1, 1]
-    assert abs(whole["z0"][500]) > 1e-6
-    for name, v in part.items():
-        assert np.array_equal(v, whole[name][..., :10]), name
-    unplanted = _draw(family, slice(0, 10))
-    assert np.array_equal(part["z0"], unplanted["z0"])
-    assert not np.array_equal(part["c"], unplanted["c"])
-
-
-@pytest.mark.parametrize("family", ["dieudonne", "mercer"])
-def test_only_a_tiny_radius_uniform_makes_the_whole_block_points(monkeypatch, family):
-    made = []
-
-    def counted(cap, radius_u, angle_u):
-        made.append(radius_u.size)
-        return _disk_point(cap, radius_u, angle_u)
-
-    monkeypatch.setattr(harness, "_disk_point", counted)
-    unplanted = _draw(family, slice(0, 10))
-    # at 2e-12 the point has |z| = 1.34e-6: the whole block is made points,
-    # though no lane is redrawn; just above it only the chunk's lanes are
-    for value, size in ((2e-12, harness._BLOCK), (np.nextafter(2e-12, 1.0), 10)):
-        made.clear()
-        part, sizes = _planted_draw(family, slice(0, 10), value)
-        assert made == [size]
-        assert 1 not in sizes
-        for name, v in part.items():
-            assert np.array_equal(v, unplanted[name]), name
+    assert 1 not in whole_sizes + part_sizes
+    assert abs(whole["z0"][500]) == pytest.approx(0.95 * math.sqrt(2e-12), rel=1e-15)
+    assert abs(whole["z0"][500]) >= 1e-6
+    unplanted = _draw(family, slice(0, harness._BLOCK))
+    for name, v in whole.items():
+        assert np.array_equal(np.delete(v, 500, axis=-1), np.delete(unplanted[name], 500, axis=-1)), name
+        assert np.array_equal(part[name], unplanted[name][..., :10]), name
 
 
 def test_membership_draws_one_substream_per_family_and_block(monkeypatch):
@@ -313,27 +288,6 @@ def test_nan_margin_is_never_a_pass(monkeypatch):
             run_membership_suite(small(10), families=(family,))
     with pytest.raises(DomainError):
         Disk(0j, 1.0).margin(np.array([0.5, complex(float("nan"), 0.0)]))
-
-
-class _FakeRng:
-    """Hands out the given uniform arrays in turn and records their sizes."""
-
-    def __init__(self, *draws):
-        self.draws, self.sizes = iter(draws), []
-
-    def random(self, size=None):
-        self.sizes.append(size)
-        return np.array(next(self.draws), dtype=float)
-
-
-def test_nonzero_samples_redraw_small_lanes():
-    # angle uniforms 0 make z = 0.95 * sqrt(radius uniform); radius uniforms
-    # 0 and 1e-13 give |z| <= 1e-6, and lane 1 is redrawn twice
-    rng = _FakeRng([0.25, 0.0, 1e-13, 0.81], [0.0] * 4, [0.0, 0.04], [0.0, 0.0], [0.16], [0.25])
-    z = harness._nonzero_disk_samples(rng, 4, slice(None))
-    assert z == pytest.approx([0.475, 0.38j, 0.19, 0.855], abs=1e-15)
-    # each point takes a radius and an angle uniform
-    assert rng.sizes == [4, 4, 2, 2, 1, 1]
 
 
 def test_attainment_suite_clean():

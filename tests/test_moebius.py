@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskvar.functions import Bracket, Identity, MobiusT
+from diskvar.functions import Bracket, Constant, Identity, MobiusT, PrescribedData, schur_parametrize
 from diskvar.moebius import (
     DegeneracyError,
     Disk,
@@ -104,6 +104,13 @@ def test_batches_are_checked_in_every_lane():
     huge = np.array([1e308 + 1e308j, 1.5e308 - 1.5e308j, 0.5])
     assert np.isinf(abs(huge[1]))
     assert (require_finite(huge) == huge).all()
+    # a finite point whose x*x + y*y and modulus overflow is refused as |z| =
+    # inf, as a lane with no numpy overflow warning and as a scalar with no
+    # OverflowError from abs()
+    for z in (np.array([1.5e308 + 1.5e308j, 0.1]), 1.5e308 + 1.5e308j):
+        for fn, name in ((unit_disk_point, "z"), (closed_disk_point, "z"), (unimodular_point, "alpha")):
+            with pytest.raises(DomainError, match=rf"\|{name}\| = inf$"):
+                fn(z)
 
 
 def test_batch_jets_match_scalar_jets():
@@ -212,6 +219,7 @@ def test_scalar_and_lane_get_the_same_domain_verdict(z, w, good, at, bad):
         (closed_disk_point, (z,)),
         (hyperbolic_bracket, (w, z)),
         (hyperbolic_bracket, (z, w)),
+        (lambda d1: schur_parametrize(PrescribedData(0.3, 0.2, d1), Constant(0j)), (z,)),
     ):
         assert _message(fn, *args) == _message(fn, *(np.array([a]) for a in args))
     # a lane near the circle, or not finite, among good lanes: a batch gets
