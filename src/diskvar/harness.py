@@ -168,13 +168,18 @@ def _chunk_ranges(n, pieces):
 
 def _map_chunks(fn, n, parallel):
     """fn over index ranges that cover 0..n-1, its results in index order, so
-    that parallel == serial."""
+    that parallel == serial.  A parallel call takes one contiguous range per
+    worker: every chunk draws the whole block of each family it touches and
+    builds its own tree template, so more chunks than workers only repeat
+    that cost.  When there are two or more ranges, each runs in a pool
+    worker and none in the parent, which keeps numpy's random module out of
+    the parent's memory."""
     if n == 0:
         return []
     if not parallel:
         return [fn((0, n))]
     workers = _workers()
-    ranges = _chunk_ranges(n, workers * 4)
+    ranges = _chunk_ranges(n, workers)
     if len(ranges) == 1:
         return [fn(ranges[0])]
     try:

@@ -8,9 +8,11 @@ boundary: open-disk arguments must satisfy |z| < 1, closed-disk arguments
 ``cmath.exp`` are accepted).  A batch passes a check only when every lane
 does, and a lane gets the verdict its value gets as a scalar: the disk checks
 decide from x*x + y*y, not from the modulus, which CPython and numpy round
-differently.  A batch well inside the disk is accepted from one pass over
-|z|; only a batch near or beyond the circle, or with a lane that is not
-finite, is decided lane by lane from x*x + y*y, and only that path raises.
+differently.  A batch well inside the disk it is checked against, open or
+closed, is accepted from one pass over |z|; a unimodular batch passes the
+closed check that way.  Only a batch near or beyond the bounding circle, or
+with a lane that is not finite, is decided lane by lane from x*x + y*y, and
+only that path raises.
 ``_ops`` is the one place that chooses between scalars and lanes: it maps
 a value to numpy when it is a batch, and to the math/cmath counterparts of
 the numpy functions otherwise.  It alone imports numpy, so the scalar paths
@@ -47,8 +49,12 @@ __all__ = [
 # computed in doubles.
 _CLOSED_SLACK = 1e-12
 _CLOSED_MAX2 = (1.0 + _CLOSED_SLACK) ** 2
-# |z| < _WELL_INSIDE passes both disk checks however x*x + y*y rounds
+# |z| < _WELL_INSIDE passes the open disk check however x*x + y*y rounds, and
+# |z| < _CLOSED_WELL_INSIDE the closed one: abs and x*x + y*y each round within
+# a few ulps (~1e-16 relative), far inside the 1e-14 margin, so a batch
+# accepted from one pass is one the lane-by-lane check accepts too.
 _WELL_INSIDE = 1.0 - 1e-14
+_CLOSED_WELL_INSIDE = (1.0 + _CLOSED_SLACK) * _WELL_INSIDE
 
 
 class DomainError(ValueError):
@@ -181,7 +187,7 @@ def _disk_check(z, name, closed):
     """unit_disk_point, or closed_disk_point when ``closed``: they differ in a bound and a word."""
     if type(z) is not complex and _is_batch(z):
         z = z.astype(complex, copy=False)
-        if _all_below(z, _WELL_INSIDE):
+        if _all_below(z, _CLOSED_WELL_INSIDE if closed else _WELL_INSIDE):
             return z
     z = require_finite(z, name)
     m2 = _modulus2(z)

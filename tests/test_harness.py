@@ -1,5 +1,8 @@
 import json
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -135,7 +138,8 @@ def test_the_pool_starts_no_more_workers_than_chunks_or_cores(monkeypatch):
     assert harness._map_chunks(lambda rg: rg, 3, True) == [(0, 1), (1, 2), (2, 3)]
     monkeypatch.setenv("THREADS", "16")
     assert harness._map_chunks(lambda rg: rg, 100, True)[-1] == (98, 100)
-    assert started == [3, 16]
+    # one range per worker: ceil(100 / 16) = 7 samples each gives 15 ranges
+    assert started == [3, 15]
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
     assert harness._workers() == 2
     monkeypatch.delenv("THREADS")
@@ -146,6 +150,41 @@ def test_membership_parallel_matches_serial():
     serial = run_membership_suite(small(300))
     parallel = run_membership_suite(small(300, parallel=True))
     assert serial.to_obj() == parallel.to_obj()
+
+
+def _in_worker(rg):
+    return rg, os.getpid()
+
+
+def _two_workers(monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("THREADS", "2")
+
+
+def test_a_parallel_call_maps_one_range_per_worker_none_in_the_parent(monkeypatch):
+    _two_workers(monkeypatch)
+    mapped = []
+
+    class Recording(ProcessPoolExecutor):
+        def map(self, fn, ranges):
+            mapped.append(list(ranges))
+            return super().map(fn, mapped[-1])
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    assert run_membership_suite(small(1000, parallel=True)).details["per_family_samples"] == 1000
+    assert mapped == [[(0, 500), (500, 1000)]]
+    done = harness._map_chunks(_in_worker, 1000, True)
+    assert [rg for rg, _ in done] == [(0, 500), (500, 1000)]
+    assert os.getpid() not in {pid for _, pid in done}
+
+
+def test_parallel_matches_serial_across_unaligned_blocks(monkeypatch):
+    # 2500 samples on 2 workers: each range cuts block 1 of 1024 samples
+    _two_workers(monkeypatch)
+    for run in (run_membership_suite, partial(run_tightness_search, r=0.4, R=0.3)):
+        serial = run(small(2500))
+        parallel = run(small(2500, parallel=True))
+        assert serial.to_obj() == parallel.to_obj()
 
 
 # -- the batched membership path ---------------------------------------------

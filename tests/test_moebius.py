@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskvar import moebius
 from diskvar.functions import Bracket, Constant, Identity, MobiusT, PrescribedData, schur_parametrize
 from diskvar.moebius import (
     DegeneracyError,
@@ -229,6 +230,33 @@ def test_scalar_and_lane_get_the_same_domain_verdict(z, w, good, at, bad):
     for fn in (require_finite, unit_disk_point, closed_disk_point):
         refused = [m for m in (_message(fn, lane) for lane in lanes) if m is not None]
         assert _message(fn, np.array(lanes)) == (refused[0] if refused else None)
+
+
+def test_a_unimodular_batch_passes_the_closed_check_in_one_pass(monkeypatch):
+    circle = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 1001))
+
+    def unreached(z):
+        raise AssertionError("decided lane by lane")
+
+    monkeypatch.setattr(moebius, "_modulus2", unreached)
+    assert closed_disk_point(circle) is circle
+    # either side of the one-pass bound, the check accepts
+    below = np.nextafter(moebius._CLOSED_WELL_INSIDE, 0.0)
+    assert closed_disk_point(np.array([below, 0.5j])).shape == (2,)
+    monkeypatch.undo()
+    above = np.nextafter(moebius._CLOSED_WELL_INSIDE, 2.0)
+    assert closed_disk_point(np.array([above, 0.5j])).shape == (2,)
+
+
+def test_lanes_at_the_closed_slack_get_their_scalar_verdicts():
+    edge = 1.0 + moebius._CLOSED_SLACK
+    radii = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))
+    points = [r * cmath.exp(1j * phase) for r in radii for phase in (0.0, 0.3, math.pi / 4, 2.0)]
+    verdicts = [_message(closed_disk_point, z) for z in points]
+    assert verdicts[0] is None and verdicts[-1] is not None
+    for z, verdict in zip(points, verdicts):
+        assert _message(closed_disk_point, np.array([z])) == verdict
+        assert _message(closed_disk_point, np.array([0.5, z, 0.9j])) == verdict
 
 
 def test_bracket_base_on_the_circle_is_refused_in_a_lane_too():
