@@ -191,8 +191,8 @@ def _report_exit(args, report):
     return 1 if report.violations > 0 else 0
 
 
-# the verify handlers import the harness themselves: it loads numpy and the
-# process pool, which the closed-form commands never use
+# the verify handlers import the harness themselves: it loads numpy, which the
+# closed-form commands never use
 
 
 def _harness_config(args):

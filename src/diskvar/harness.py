@@ -21,7 +21,9 @@ The samples of a block are checked together, as a batch
 (numpy arrays, one lane per sample), through the same trees, parametrizations
 and closed forms that evaluate a single sample.  Chunks of indices return
 their per-sample values in index order, so any split, serial or parallel,
-gives a suite the same values, from which it builds its report once.
+gives a suite the same values, from which it builds its report once.  A
+parallel call forks one child per range, which sends its values back through
+a pipe; no chunk runs in the parent, and no child outlives the call.
 
 The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
 sharp kind, comes as a few lane-array grid points, their targets from one
@@ -31,10 +33,9 @@ candidates are lanes as well.
 """
 
 import math
-import multiprocessing
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial, reduce
 from typing import NamedTuple
 
@@ -117,6 +118,8 @@ class HarnessConfig(_Frozen):
         if tol == math.inf:
             raise DomainError("tol must be finite, got inf")
         _set_field(self, "tol", tol)
+        if not isinstance(parallel, bool):
+            raise DomainError(f"parallel must be True or False, got {parallel!r}")
         _set_field(self, "parallel", parallel)
 
 
@@ -150,7 +153,8 @@ class HarnessReport(NamedTuple):
 
 def _workers():
     """THREADS, or the core count up to 8; never more than the cores this
-    process may run on, since the pool forks all of its workers at once."""
+    process may run on, since a parallel call forks all of its children at
+    once."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get("THREADS", "").strip()
     if not env:
@@ -171,23 +175,68 @@ def _map_chunks(fn, n, parallel):
     that parallel == serial.  A parallel call takes one contiguous range per
     worker: every chunk draws the whole block of each family it touches and
     builds its own tree template, so more chunks than workers only repeat
-    that cost.  When there are two or more ranges, each runs in a pool
-    worker and none in the parent, which keeps numpy's random module out of
-    the parent's memory."""
+    that cost.  When there are two or more ranges, each runs in a child
+    forked for it and none in the parent, which keeps numpy's random module
+    out of the parent's memory; where ``os.fork`` is missing they run here,
+    one after another."""
     if n == 0:
         return []
     if not parallel:
         return [fn((0, n))]
-    workers = _workers()
-    ranges = _chunk_ranges(n, workers)
-    if len(ranges) == 1:
-        return [fn(ranges[0])]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
+    ranges = _chunk_ranges(n, _workers())
+    if len(ranges) == 1 or not hasattr(os, "fork"):
         return [fn(rg) for rg in ranges]
-    with ProcessPoolExecutor(max_workers=min(workers, len(ranges)), mp_context=ctx) as pool:
-        return list(pool.map(fn, ranges))
+    pipes, pids = [], []
+    try:
+        for rg in ranges:
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_forked(fn, rg, pipes, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        return [_forked_result(read, rg) for read, rg in zip(pipes, ranges)]
+    finally:
+        # closed before the waits: a child blocked writing a result larger
+        # than the pipe's buffer then fails its write and exits
+        for read in pipes:
+            os.close(read)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _run_forked(fn, rg, pipes, write):
+    """In a forked child: pickle (True, fn(rg)), or (False, the exception it
+    raised), into the pipe, and leave without running atexit handlers or
+    flushing the stdio buffers copied from the parent."""
+    code = 1
+    try:
+        for read in pipes:
+            os.close(read)
+        try:
+            data = pickle.dumps((True, fn(rg)), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb", closefd=False) as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_result(read, rg):
+    """The result a child wrote for rg; its exception is raised here."""
+    with open(read, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    if not data:
+        raise ChildProcessError(f"the child for samples {rg[0]}..{rg[1] - 1} ended without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def _violations(margins, tol):

@@ -1,7 +1,8 @@
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
+import sys
 from functools import partial
 
 import numpy as np
@@ -66,6 +67,11 @@ def test_config_validation():
             HarnessConfig(**bad)
     with pytest.raises(DomainError, match="tol must be a real number"):
         HarnessConfig(tol="1e-8")
+    # a truthy string or number would otherwise run the suites in parallel
+    for bad in ("no", 1, 0, None):
+        with pytest.raises(DomainError, match=f"^parallel must be True or False, got {bad!r}$"):
+            HarnessConfig(parallel=bad)
+    assert HarnessConfig(parallel=True).parallel is True
 
 
 def test_membership_each_family_clean():
@@ -115,29 +121,31 @@ def test_membership_deterministic():
     assert a.to_obj() == b.to_obj()
 
 
+def _count_forks(monkeypatch):
+    """The pids of the children forked from here on, appended in the parent."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness.os, "fork", counting_fork)
+    return forked
+
+
 def test_the_pool_starts_no_more_workers_than_chunks_or_cores(monkeypatch):
-    started = []
-
-    class Recorder:
-        def __init__(self, max_workers, mp_context):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, ranges):
-            return map(fn, ranges)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+    forked = _count_forks(monkeypatch)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     monkeypatch.setenv("THREADS", "100000")
     assert harness._workers() == 64
     assert harness._map_chunks(lambda rg: rg, 3, True) == [(0, 1), (1, 2), (2, 3)]
+    started = [len(forked)]
     monkeypatch.setenv("THREADS", "16")
     assert harness._map_chunks(lambda rg: rg, 100, True)[-1] == (98, 100)
+    started.append(len(forked) - started[0])
     # one range per worker: ceil(100 / 16) = 7 samples each gives 15 ranges
     assert started == [3, 15]
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -163,19 +171,70 @@ def _two_workers(monkeypatch):
 
 def test_a_parallel_call_maps_one_range_per_worker_none_in_the_parent(monkeypatch):
     _two_workers(monkeypatch)
-    mapped = []
-
-    class Recording(ProcessPoolExecutor):
-        def map(self, fn, ranges):
-            mapped.append(list(ranges))
-            return super().map(fn, mapped[-1])
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    forked = _count_forks(monkeypatch)
     assert run_membership_suite(small(1000, parallel=True)).details["per_family_samples"] == 1000
-    assert mapped == [[(0, 500), (500, 1000)]]
+    assert len(forked) == 2
     done = harness._map_chunks(_in_worker, 1000, True)
     assert [rg for rg, _ in done] == [(0, 500), (500, 1000)]
     assert os.getpid() not in {pid for _, pid in done}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_domain_error(rg):
+    raise DomainError(f"no samples {rg}")
+
+
+def test_a_childs_exception_is_raised_in_the_parent(monkeypatch):
+    _two_workers(monkeypatch)
+    assert harness._map_chunks(lambda rg: rg, 4, True) == [(0, 2), (2, 4)]
+    _assert_no_child_left()
+    with pytest.raises(DomainError, match=r"^no samples \(2, 4\)$"):
+        harness._map_chunks(lambda rg: _raise_domain_error(rg) if rg[0] else rg, 4, True)
+    _assert_no_child_left()
+
+
+def test_a_child_that_exits_without_a_result_is_named(monkeypatch):
+    _two_workers(monkeypatch)
+    with pytest.raises(ChildProcessError, match=r"^the child for samples 0\.\.1 ended without a result$"):
+        harness._map_chunks(lambda rg: rg if rg[0] else os._exit(3), 4, True)
+    _assert_no_child_left()
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("a parallel call is still waiting for its children")
+
+
+def test_a_failed_range_does_not_wait_on_a_result_larger_than_the_pipe(monkeypatch):
+    # the parent stops at range 0; range 1 is still writing 2 MB, far more
+    # than a pipe holds, and must not block the call
+    _two_workers(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        with pytest.raises(DomainError, match=r"^no samples \(0, 1\)$"):
+            harness._map_chunks(lambda rg: b"x" * 2**21 if rg[0] else _raise_domain_error(rg), 2, True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
+    assert harness._map_chunks(lambda rg: b"x" * 2**21, 2, True) == [b"x" * 2**21] * 2
+    _assert_no_child_left()
+
+
+def test_unflushed_parent_output_is_written_once(monkeypatch, capfd):
+    # a child leaves with os._exit, so it never flushes the copy of this
+    # buffer that it inherited
+    _two_workers(monkeypatch)
+    out = open(1, "w", closefd=False)
+    monkeypatch.setattr(sys, "stdout", out)
+    print("before the call", end="")
+    assert harness._map_chunks(lambda rg: rg, 2, True) == [(0, 1), (1, 2)]
+    out.flush()
+    assert capfd.readouterr().out == "before the call"
 
 
 def test_parallel_matches_serial_across_unaligned_blocks(monkeypatch):
