@@ -202,17 +202,25 @@ def _harness_config(args):
     return HarnessConfig(**{name: value for name, value in given.items() if value is not None})
 
 
+def _names(text, default):
+    """A comma-separated --families or --kinds value, or default where it is
+    not given; a given empty value names nothing, which the suites refuse."""
+    if text is None:
+        return default
+    return tuple(text.split(",")) if text else ()
+
+
 def _cmd_verify_membership(args):
     from .harness import MEMBERSHIP_FAMILIES, run_membership_suite
 
-    families = tuple(args.families.split(",")) if args.families else MEMBERSHIP_FAMILIES
+    families = _names(args.families, MEMBERSHIP_FAMILIES)
     return _report_exit(args, run_membership_suite(_harness_config(args), families))
 
 
 def _cmd_verify_attainment(args):
     from .harness import run_attainment_suite
 
-    kinds = tuple(args.kinds.split(",")) if args.kinds else None
+    kinds = _names(args.kinds, None)
     return _report_exit(args, run_attainment_suite(_harness_config(args), kinds))
 
 

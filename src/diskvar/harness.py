@@ -23,7 +23,10 @@ and closed forms that evaluate a single sample.  Chunks of indices return
 their per-sample values in index order, so any split, serial or parallel,
 gives a suite the same values, from which it builds its report once.  A
 parallel call forks one child per range, which sends its values back through
-a pipe; no chunk runs in the parent, and no child outlives the call.
+a pipe; no chunk runs in the parent, and no child outlives the call.  Before
+it forks, the parent imports ``secrets``, which numpy's random module needs,
+so that every child inherits OpenSSL instead of loading it; the parent never
+imports numpy's random module itself, whose memory would count against it.
 
 The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
 sharp kind, comes as a few lane-array grid points, their targets from one
@@ -178,7 +181,13 @@ def _map_chunks(fn, n, parallel):
     that cost.  When there are two or more ranges, each runs in a child
     forked for it and none in the parent, which keeps numpy's random module
     out of the parent's memory; where ``os.fork`` is missing they run here,
-    one after another."""
+    one after another.  Before the first fork the parent imports ``secrets``
+    (with ``hmac``, ``hashlib`` and OpenSSL's ``_hashlib``), since numpy's
+    ``bit_generator`` imports ``secrets.randbits``: the children inherit it,
+    so their own import of numpy's random module skips loading OpenSSL.
+    The parent preloads no more than that, because what it holds counts in
+    its own peak memory, and numpy's random module would cost it nearly twice
+    what OpenSSL does."""
     if n == 0:
         return []
     if not parallel:
@@ -186,6 +195,10 @@ def _map_chunks(fn, n, parallel):
     ranges = _chunk_ranges(n, _workers())
     if len(ranges) == 1 or not hasattr(os, "fork"):
         return [fn(rg) for rg in ranges]
+    # for numpy.random's bit_generator in the children: OpenSSL is loaded
+    # once, here, not in each child
+    import secrets  # noqa: F401
+
     pipes, pids = [], []
     try:
         for rg in ranges:
@@ -228,12 +241,18 @@ def _run_forked(fn, rg, pipes, write):
 
 
 def _forked_result(read, rg):
-    """The result a child wrote for rg; its exception is raised here."""
+    """The result a child wrote for rg; its exception is raised here.  A
+    child that ended before it wrote the whole result, or any of it, is a
+    ``ChildProcessError`` that names its samples."""
     with open(read, "rb", closefd=False) as pipe:
         data = pipe.read()
+    child = f"the child for samples {rg[0]}..{rg[1] - 1}"
     if not data:
-        raise ChildProcessError(f"the child for samples {rg[0]}..{rg[1] - 1} ended without a result")
-    ok, value = pickle.loads(data)
+        raise ChildProcessError(f"{child} ended without a result")
+    try:
+        ok, value = pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError) as exc:
+        raise ChildProcessError(f"{child} ended with a truncated result") from exc
     if not ok:
         raise value
     return value

@@ -205,6 +205,16 @@ def test_a_repeated_family_or_kind_is_an_input_error(capsys):
         assert err.startswith("error: ") and err.endswith(f" needs one or more distinct {what}\n")
 
 
+def test_an_empty_family_or_kind_list_is_an_input_error(capsys):
+    # an empty value selects nothing, as "," does; it never means "all"
+    for argv, what in (
+        (("verify", "membership", "--families", "", "--samples", "5"), "membership needs one or more distinct families"),
+        (("verify", "attainment", "--kinds="), "attainment needs one or more distinct kinds"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {what}, got none\n")
+
+
 def test_a_sharp_deg1_zero_rounded_onto_the_circle_is_an_input_error(capsys):
     # |a| = (r + R) / (1 + r R) rounds to 1 when r or R is an ulp below 1
     one = "0.9999999999999999"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 from functools import partial
@@ -201,6 +202,16 @@ def test_a_child_that_exits_without_a_result_is_named(monkeypatch):
     _two_workers(monkeypatch)
     with pytest.raises(ChildProcessError, match=r"^the child for samples 0\.\.1 ended without a result$"):
         harness._map_chunks(lambda rg: rg if rg[0] else os._exit(3), 4, True)
+    _assert_no_child_left()
+
+
+def test_a_child_that_ends_mid_result_is_named(monkeypatch):
+    # a child killed while it writes leaves part of its pickle in the pipe
+    _two_workers(monkeypatch)
+    dumps = pickle.dumps
+    monkeypatch.setattr(harness.pickle, "dumps", lambda obj, protocol: dumps(obj, protocol)[: len(dumps(obj, protocol)) // 2])
+    with pytest.raises(ChildProcessError, match=r"^the child for samples 0\.\.1 ended with a truncated result$"):
+        harness._map_chunks(lambda rg: rg, 4, True)
     _assert_no_child_left()
 
 

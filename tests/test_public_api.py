@@ -98,9 +98,10 @@ def _fresh_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
 
 
-# modules a closed-form command never needs: numpy only samples, and the
-# records define their methods without dataclasses, which loads inspect
-UNLOADED = ("numpy", "dataclasses", "inspect")
+# modules a closed-form command never needs: numpy only samples, the
+# records define their methods without dataclasses, which loads inspect, and
+# OpenSSL (_hashlib) is preloaded only by a parallel call, for its children
+UNLOADED = ("numpy", "dataclasses", "inspect", "_hashlib")
 
 
 @pytest.mark.parametrize("module", ["diskvar", "diskvar.cli"])
@@ -137,6 +138,27 @@ def test_closed_form_commands_leave_numpy_unloaded():
     proc = _fresh_python(code)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["0 []"] * len(_CLOSED_FORM_COMMANDS)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2,
+    reason="a parallel call forks only with two usable cores",
+)
+def test_a_parallel_call_preloads_secrets_but_not_numpy_random():
+    """The children inherit OpenSSL through secrets from the parent; numpy's
+    random module is imported in the children alone."""
+    code = (
+        "import os, sys\n"
+        "os.environ['THREADS'] = '2'\n"
+        "from diskvar.harness import HarnessConfig, run_membership_suite\n"
+        "loaded = lambda: [m in sys.modules for m in ('secrets', 'numpy.random')]\n"
+        "print(loaded())\n"
+        "run_membership_suite(HarnessConfig(samples=1000, parallel=True))\n"
+        "print(loaded())\n"
+    )
+    proc = _fresh_python(code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[False, False]\n[True, False]\n", "")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diskvar"
