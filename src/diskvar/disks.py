@@ -26,9 +26,9 @@ from .moebius import (
     _SCALAR_OPS,
     _any_lane,
     _mobius,
-    _modulus,
     _ops,
     _refuse_pole,
+    _require_w0_below_z0,
     closed_disk_point,
     require_finite,
     unit_disk_point,
@@ -92,12 +92,11 @@ def dieudonne_disk(z0, w0):
 def _dieudonne_disk(z0, w0):
     """dieudonne_disk of a validated z0 and w0."""
     r = abs(z0)
-    s = _modulus(w0)
     # |z0| may still round to 1, and the radius divides by 1 - |z0|^2
     if _any_lane(r >= 1.0):
         raise DomainError("z0 must lie in the open unit disk")
-    if _any_lane(s >= r):
-        raise DomainError("dieudonne_disk requires |w0| < |z0|")
+    _require_w0_below_z0(z0, w0, "dieudonne_disk")
+    s = abs(w0)
     if _any_lane(r * r < sys.float_info.min):
         # |z0|^2 would be subnormal or 0, and the closed forms divide by it
         raise DomainError(f"dieudonne_disk requires |z0|^2 >= {sys.float_info.min} (a normal double)")
@@ -119,8 +118,7 @@ def mercer_disk(z0, w0, z):
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
     z = unit_disk_point(z, "z")
-    if _any_lane(_modulus(w0) >= abs(z0)):
-        raise DomainError("mercer_disk requires |w0| < |z0|")
+    _require_w0_below_z0(z0, w0, "mercer_disk")
     u0 = w0 / z0
     _refuse_pole(-z0, z)
     t = _mobius(-z0, z)

@@ -5,6 +5,10 @@ Every constructor returns a ``FunctionExpr`` tree, so extremal functions can
 be evaluated, differentiated via jets, serialized, and fed back through the
 same machinery the harness uses for random samples.
 
+Each disk kind's extremal is its class's parametrization at a constant g*:
+Schur steps at z0, as ``schur_parametrize`` takes them, or
+``dieudonne_parametrize``.  The sharp kinds build their trees themselves.
+
 ``KINDS`` is the one table of what an extremal kind is: its parameters with
 their validators, its constructor, the target it attains, the jet component
 that lands on the target, the bound branches it attains, the grid the
@@ -35,7 +39,9 @@ from .functions import (
     PrescribedData,
     Product,
     Rotation,
+    _schur_steps,
     _unimodular,
+    dieudonne_parametrize,
     eval_jet,
 )
 from .moebius import (
@@ -44,7 +50,6 @@ from .moebius import (
     DomainError,
     _any_lane,
     _lane,
-    _modulus,
     _modulus2,
     _ops,
     closed_disk_point,
@@ -69,23 +74,6 @@ class ExtremalKind(Enum):
     SHARP_DEG1 = "sharp-deg1"
     SHARP_DEG2 = "sharp-deg2"
     SZASZ = "szasz"
-
-
-def _u(z0):
-    """The normalising substitution u = T_{-z0}(z)."""
-    return MobiusT(-z0, Identity())
-
-
-def _one_step(z0, delta0, alpha):
-    """T_{delta0}(alpha u): value delta0 at z0, hyperbolic derivative alpha."""
-    return MobiusT(delta0, Product(Constant(alpha), _u(z0)))
-
-
-def _two_step(z0, delta0, delta1, alpha):
-    """T_{delta0}(u T_{delta1}(alpha u)): value delta0 and hyperbolic
-    derivative delta1 at z0; alpha moves g''(z0) over its disk."""
-    u = _u(z0)
-    return MobiusT(delta0, Product(u, MobiusT(delta1, Product(Constant(alpha), u))))
 
 
 def _real_quotient(z, x):
@@ -158,7 +146,7 @@ def _sharp_deg2(z0, delta0, theta):
     params, _ = _deg2_params(z0, delta0, theta)
     ident = Identity()
     inner = MobiusT(params["delta1"], Product(Constant(params["alpha"]), ident))
-    return Compose(MobiusT(delta0, Product(ident, inner)), _u(z0))
+    return Compose(MobiusT(delta0, Product(ident, inner)), MobiusT(-z0, ident))
 
 
 def _szasz_params(z0, theta=0.0):
@@ -340,16 +328,16 @@ class KindSpec(NamedTuple):
     ``data`` and ``free`` list ``(name, validator)`` pairs in validation
     order: the interpolation data the target depends on, then the values that
     move the extremal along its family.  ``build`` takes the validated values
-    in that order and returns the function tree; ``target`` takes the data
-    values by name and returns a Disk or a positive bound.  ``probe`` names
-    the jet component that lands on the target, ``branches`` the bound
-    branches a sharp kind attains, and ``grid()`` yields the few GridPoints
-    the attainment suite checks, their targets from one lane-wise call of the
-    closed form or bound.  ``build``, ``target`` and a sharp kind's
-    ``params`` take lanes as well as scalars.  ``params`` takes the data
-    (and optionally the free value) and returns ``(values, free)``: the
-    named parameters the tree is built from, and the names among them that
-    any choice of the free value moves.
+    in that order and returns the function tree, for a disk kind its class's
+    parametrization at a constant g*; ``target`` takes the data values by name
+    and returns a Disk or a positive bound.  ``probe`` names the jet component
+    that lands on the target, ``branches`` the bound branches a sharp kind
+    attains, and ``grid()`` yields the few GridPoints the attainment suite
+    checks, their targets from one lane-wise call of the closed form or bound.
+    ``build``, ``target`` and a sharp kind's ``params`` take lanes as well as
+    scalars.  ``params`` takes the data (and optionally the free value) and
+    returns ``(values, free)``: the named parameters the tree is built from,
+    and the names among them that any choice of the free value moves.
     """
 
     kind: ExtremalKind
@@ -375,31 +363,34 @@ KINDS = {
     spec.kind: spec
     for spec in (
         KindSpec(
-            ExtremalKind.SCHWARZ_PICK, (_Z0, _DELTA0), (_ALPHA,), _one_step,
+            ExtremalKind.SCHWARZ_PICK, (_Z0, _DELTA0), (_ALPHA,),
+            lambda z0, delta0, alpha: _schur_steps(z0, (delta0,), Constant(alpha)),
             schwarz_pick_disk, "f1", _schwarz_pick_grid,
         ),
         KindSpec(
             ExtremalKind.DIEUDONNE, (_Z0, _W0), (_ALPHA,),
-            lambda z0, w0, alpha: Product(Identity(), _one_step(z0, w0 / z0, alpha)),
+            lambda z0, w0, alpha: dieudonne_parametrize(z0, w0, Constant(alpha)),
             dieudonne_disk, "f1", _dieudonne_grid,
         ),
         KindSpec(
             ExtremalKind.SECOND_DEGENERATE, (_Z0, _DELTA0, _UNIMODULAR_DELTA1), (),
-            _one_step, _second_disk, "f2", _second_degenerate_grid,
+            lambda z0, delta0, delta1: _schur_steps(z0, (delta0,), Constant(delta1)),
+            _second_disk, "f2", _second_degenerate_grid,
         ),
         KindSpec(
-            ExtremalKind.SECOND_BOUNDARY, (_Z0, _DELTA0, _DELTA1), (_ALPHA,), _two_step,
+            ExtremalKind.SECOND_BOUNDARY, (_Z0, _DELTA0, _DELTA1), (_ALPHA,),
+            lambda z0, delta0, delta1, alpha: _schur_steps(z0, (delta0, delta1), Constant(alpha)),
             _second_disk, "f2", _second_boundary_grid,
         ),
         KindSpec(
             ExtremalKind.DIEUDONNE2_DEGENERATE, (_Z0, _W0, _UNIMODULAR_DELTA1), (),
-            lambda z0, w0, delta1: Product(Identity(), _one_step(z0, w0 / z0, delta1)),
+            lambda z0, w0, delta1: dieudonne_parametrize(z0, w0, Constant(delta1)),
             lambda z0, w0, delta1: second_order_dieudonne_disk(z0, w0, delta1).region,
             "f2", partial(_dieudonne2_grid, _UNIMODULAR_GRID, ({},)),
         ),
         KindSpec(
             ExtremalKind.DIEUDONNE2_BOUNDARY, (_Z0, _W0, _DELTA1), (_ALPHA,),
-            lambda z0, w0, delta1, alpha: Product(Identity(), _two_step(z0, w0 / z0, delta1, alpha)),
+            lambda z0, w0, delta1, alpha: dieudonne_parametrize(z0, w0, _schur_steps(z0, (delta1,), Constant(alpha))),
             lambda z0, w0, delta1: second_order_dieudonne_disk(z0, w0, delta1).region,
             "f2", partial(_dieudonne2_grid, _D1_GRID, _ALPHAS[::2]),
         ),
@@ -459,10 +450,6 @@ def make_extremal(kind, *, z0=None, delta0=None, delta1=None, alpha=None, w0=Non
         if given[name] is None:
             raise DomainError(f"{spec.kind.value} requires parameter {name}")
         values.append(validate(given[name], name))
-        # f(0) = 0 bounds |f(z0)| by |z0| (always the first value): the one
-        # domain that depends on another parameter
-        if name == "w0" and _any_lane(_modulus(values[-1]) >= abs(values[0])):
-            raise DomainError(f"{spec.kind.value} requires |w0| < |z0|")
     return spec.build(*values)
 
 

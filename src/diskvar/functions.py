@@ -28,9 +28,9 @@ from .moebius import (
     _any_lane,
     _Frozen,
     _mobius,
-    _modulus,
     _modulus2,
     _ops,
+    _require_w0_below_z0,
     _set_field,
     closed_disk_point,
     jet_compose,
@@ -271,35 +271,39 @@ class PrescribedData(_Frozen):
         _set_field(self, "delta1", closed_disk_point(delta1, "delta1"))
 
 
+def _schur_steps(z0, cs, rest):
+    """T_{c_0}(u T_{c_1}(u ... T_{c_last}(u rest))): one Schur step at z0 per
+    parameter c, all sharing one node u = T_{-z0}(z), so -z0 is validated once."""
+    u = MobiusT(-z0, Identity())
+    for c in reversed(cs):
+        rest = MobiusT(c, Product(u, rest))
+    return rest
+
+
 def schur_parametrize(data, gstar):
     """All self-maps with value delta0 and hyperbolic derivative delta1 at z0.
 
-    Returns T_{delta0}( T_{-z0}(z) * T_{delta1}( T_{-z0}(z) * g*(z) ) ) for a
-    free Schur-class parameter g*.  Requires |delta1| < 1: on the boundary the
-    class collapses to a single degree-1 Blaschke product, available from
-    ``diskvar.extremal``.
+    Returns T_{delta0}( T_{-z0}(z) * T_{delta1}( T_{-z0}(z) * g*(z) ) ), two
+    Schur steps at z0, for a free Schur-class parameter g* (a constant one for
+    the extremals).  Requires |delta1| < 1: on the boundary the class is one
+    function, one step at the constant delta1.
     """
     if _any_lane(_modulus2(data.delta1) >= 1.0):
         raise DomainError(
             "schur_parametrize needs |delta1| < 1; the |delta1| = 1 case is a "
             "single extremal function"
         )
-    u = MobiusT(-data.z0, Identity())
-    return MobiusT(data.delta0, Product(u, MobiusT(data.delta1, Product(u, gstar))))
+    return _schur_steps(data.z0, (data.delta0, data.delta1), gstar)
 
 
 def dieudonne_parametrize(z0, w0, fstar):
-    """All self-maps with f(0) = 0 and f(z0) = w0, via f = z T_{u0}(T_{-z0}(z) f*).
-
-    u0 = w0/z0 must lie in the open disk, i.e. |w0| < |z0|.
-    """
+    """All self-maps with f(0) = 0 and f(z0) = w0: z T_{u0}(T_{-z0}(z) f*), z
+    times one Schur step at z0 with u0 = w0/z0, for a free Schur-class f* (a
+    constant, or a step at one, for the extremals).  Requires |w0| < |z0|."""
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
-    if _any_lane(_modulus(w0) >= abs(z0)):
-        raise DomainError("dieudonne_parametrize requires |w0| < |z0|")
-    u0 = w0 / z0
-    u = MobiusT(-z0, Identity())
-    return Product(Identity(), MobiusT(u0, Product(u, fstar)))
+    _require_w0_below_z0(z0, w0, "dieudonne_parametrize")
+    return Product(Identity(), _schur_steps(z0, (w0 / z0,), fstar))
 
 
 # the random trees' maximum Blaschke degree and the cap on the moduli of

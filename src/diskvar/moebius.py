@@ -183,6 +183,16 @@ def _modulus(z):
         return math.inf
 
 
+def _require_w0_below_z0(z0, w0, name):
+    """Refuse unless |w0| < |z0| in every lane, as f(0) = 0 requires of w0 =
+    f(z0).  As in the disk checks, a lane with |w0| < _WELL_INSIDE |z0| passes
+    from its moduli, and one nearer the edge is decided from x*x + y*y, which
+    CPython and numpy round alike (it underflows for |z0| below ~1e-154)."""
+    near = _modulus(w0) >= _WELL_INSIDE * abs(z0)
+    if _any_lane(near) and _any_lane(near & (_modulus2(w0) >= _modulus2(z0))):
+        raise DomainError(f"{name} requires |w0| < |z0|")
+
+
 def _disk_check(z, name, closed):
     """unit_disk_point, or closed_disk_point when ``closed``: they differ in a bound and a word."""
     if type(z) is not complex and _is_batch(z):

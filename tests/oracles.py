@@ -12,6 +12,8 @@ import math
 import mpmath as mp
 import numpy as np
 
+from diskvar.functions import Constant, Identity, MobiusT, Product
+
 mp.mp.dps = 40
 
 FD_H = mp.mpf("1e-5")
@@ -43,3 +45,29 @@ def lane_params(point, free, i):
     Python scalars: the parameters of that lane's scalar extremal."""
     n = point.data["z0"].size
     return {name: np.broadcast_to(v, n)[i].item() for name, v in {**point.data, **free}.items()}
+
+
+def one_step(z0, delta0, alpha):
+    """T_{delta0}(alpha u) with u = T_{-z0}(z), the constant before u: the
+    hand-written one-step extremal."""
+    return MobiusT(delta0, Product(Constant(alpha), MobiusT(-z0, Identity())))
+
+
+def two_step(z0, delta0, delta1, alpha):
+    """T_{delta0}(u T_{delta1}(alpha u)), the constant before u: the
+    hand-written two-step extremal."""
+    u = MobiusT(-z0, Identity())
+    return MobiusT(delta0, Product(u, MobiusT(delta1, Product(Constant(alpha), u))))
+
+
+# each disk kind's extremal written out by hand, its arguments in the order of
+# the kind's data and free values: the reference for the trees the kinds build
+# through the parametrizations
+REFERENCE_EXTREMALS = {
+    "schwarz-pick": one_step,
+    "dieudonne": lambda z0, w0, alpha: Product(Identity(), one_step(z0, w0 / z0, alpha)),
+    "second-degenerate": one_step,
+    "second-boundary": two_step,
+    "dieudonne2-degenerate": lambda z0, w0, delta1: Product(Identity(), one_step(z0, w0 / z0, delta1)),
+    "dieudonne2-boundary": lambda z0, w0, delta1, alpha: Product(Identity(), two_step(z0, w0 / z0, delta1, alpha)),
+}

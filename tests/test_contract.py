@@ -99,8 +99,8 @@ VERIFY_CASES = [
         '"second":[0.4782031155657528,0.0],"target":"boundary of disk(center=0j,'
         ' radius=1.0879120879120878)","distance":0.0,"tol":1e-08,"passed":true,'
         '"function":{"node":"mobius","a":[0.1,0.0],"child":{"node":"product",'
-        '"left":{"node":"constant","c":[1.0,0.0]},"right":{"node":"mobius","a":[-0.3,-0.0],'
-        '"child":{"node":"identity"}}}}}\n',
+        '"left":{"node":"mobius","a":[-0.3,-0.0],"child":{"node":"identity"}},'
+        '"right":{"node":"constant","c":[1.0,0.0]}}}}\n',
     ),
     (
         ["dieudonne", "--z0", "0.5,0", "--w0", "0.25,0", "--alpha", "0,1"],
@@ -109,8 +109,8 @@ VERIFY_CASES = [
         '"target":"boundary of disk(center=(0.5+0j), radius=0.5)","distance":0.0,"tol":1e-08,'
         '"passed":true,"function":{"node":"product","left":{"node":"identity"},'
         '"right":{"node":"mobius","a":[0.5,0.0],"child":{"node":"product",'
-        '"left":{"node":"constant","c":[0.0,1.0]},"right":{"node":"mobius","a":[-0.5,-0.0],'
-        '"child":{"node":"identity"}}}}}}\n',
+        '"left":{"node":"mobius","a":[-0.5,-0.0],"child":{"node":"identity"}},'
+        '"right":{"node":"constant","c":[0.0,1.0]}}}}}\n',
     ),
     (
         ["second-degenerate", "--z0", "0.4,0.1", "--delta0", "0.2,0", "--delta1", "0,1"],
@@ -118,8 +118,8 @@ VERIFY_CASES = [
         '"second":[0.8361155465234433,1.1148207286979244],'
         '"target":"boundary of disk(center=(0.8361155465234433+1.1148207286979244j),'
         ' radius=0.0)","distance":0.0,"tol":1e-08,"passed":true,"function":{"node":"mobius",'
-        '"a":[0.2,0.0],"child":{"node":"product","left":{"node":"constant","c":[0.0,1.0]},'
-        '"right":{"node":"mobius","a":[-0.4,-0.1],"child":{"node":"identity"}}}}}\n',
+        '"a":[0.2,0.0],"child":{"node":"product","left":{"node":"mobius","a":[-0.4,-0.1],'
+        '"child":{"node":"identity"}},"right":{"node":"constant","c":[0.0,1.0]}}}}\n',
     ),
     (
         ["second-boundary", "--z0", "0.4,0", "--delta0", "0.2,0", "--delta1", "0.3,0", "--alpha", "1,0"],
@@ -130,8 +130,8 @@ VERIFY_CASES = [
         '"passed":true,"function":{"node":"mobius","a":[0.2,0.0],"child":{"node":"product",'
         '"left":{"node":"mobius","a":[-0.4,-0.0],"child":{"node":"identity"}},'
         '"right":{"node":"mobius","a":[0.3,0.0],"child":{"node":"product",'
-        '"left":{"node":"constant","c":[1.0,0.0]},"right":{"node":"mobius","a":[-0.4,-0.0],'
-        '"child":{"node":"identity"}}}}}}}\n',
+        '"left":{"node":"mobius","a":[-0.4,-0.0],"child":{"node":"identity"}},'
+        '"right":{"node":"constant","c":[1.0,0.0]}}}}}}\n',
     ),
     (
         ["dieudonne2-degenerate", "--z0", "0.4,0", "--w0", "0,0.1", "--delta1=-1,0"],
@@ -140,8 +140,8 @@ VERIFY_CASES = [
         '"target":"boundary of disk(center=(-2.6573129251700682+0.2657312925170069j),'
         ' radius=0.0)","distance":5.551115123125783e-17,"tol":1e-08,"passed":true,'
         '"function":{"node":"product","left":{"node":"identity"},"right":{"node":"mobius",'
-        '"a":[0.0,0.25],"child":{"node":"product","left":{"node":"constant","c":[-1.0,0.0]},'
-        '"right":{"node":"mobius","a":[-0.4,-0.0],"child":{"node":"identity"}}}}}}\n',
+        '"a":[0.0,0.25],"child":{"node":"product","left":{"node":"mobius","a":[-0.4,-0.0],'
+        '"child":{"node":"identity"}},"right":{"node":"constant","c":[-1.0,0.0]}}}}}\n',
     ),
     (
         ["dieudonne2-boundary", "--z0", "0.5,0", "--w0", "0.25,0", "--delta1", "0.3,0", "--alpha", "0,1"],
@@ -151,8 +151,8 @@ VERIFY_CASES = [
         '"function":{"node":"product","left":{"node":"identity"},"right":{"node":"mobius",'
         '"a":[0.5,0.0],"child":{"node":"product","left":{"node":"mobius","a":[-0.5,-0.0],'
         '"child":{"node":"identity"}},"right":{"node":"mobius","a":[0.3,0.0],'
-        '"child":{"node":"product","left":{"node":"constant","c":[0.0,1.0]},'
-        '"right":{"node":"mobius","a":[-0.5,-0.0],"child":{"node":"identity"}}}}}}}}\n',
+        '"child":{"node":"product","left":{"node":"mobius","a":[-0.5,-0.0],'
+        '"child":{"node":"identity"}},"right":{"node":"constant","c":[0.0,1.0]}}}}}}}\n',
     ),
     (
         ["sharp-deg1", "--z0", "0.5,0", "--delta0", "0.9,0"],
@@ -203,7 +203,7 @@ def test_extremal_verify_golden(capsys, argv, expected):
 
 
 # sha256 over the concatenated function_to_json text of the trees below
-TREES_SHA256 = "0b50c28a30d89a40f4763ec7eced8eb22955a0ee71a786010ab773a1eca432d3"
+TREES_SHA256 = "f2d05bfa006ae4468851a1823244799ded45f149a21e1135533bd19057d63865"
 
 
 def test_serialized_trees():

@@ -19,6 +19,7 @@ from diskvar.disks import (
     second_derivative_disk,
     second_order_dieudonne_disk,
 )
+from diskvar.extremal import make_extremal
 from diskvar.functions import (
     Bracket,
     Constant,
@@ -155,6 +156,45 @@ def test_mercer_takes_every_z0_the_validators_accept():
     batch = mercer_disk(np.array([z0]), np.array([0.3 + 0j]), np.array([0.5 + 0j]))
     assert math.isfinite(abs(scalar.center)) and math.isfinite(scalar.radius)
     assert (batch.center[0], batch.radius[0]) == (scalar.center, scalar.radius)
+
+
+def _verdict(fn, *args):
+    """None, or the DomainError ``fn(*args)`` raises without the modulus it
+    names, which CPython and numpy may round apart."""
+    try:
+        fn(*args)
+    except DomainError as error:
+        return str(error).split(", |")[0]
+    return None
+
+
+# |w0|^2 - |z0|^2 is -1.6e-17 and -9.3e-17: CPython's moduli refuse the first
+# pair and numpy's the second.  Their u0 = w0/z0 rounds onto the circle, where
+# the trees refuse it as a Moebius parameter.
+@pytest.mark.parametrize(
+    "z0, w0",
+    [
+        (0.25837681224850667 + 0.35207914286288444j, 0.33065679416362737 - 0.285279484751701j),
+        (0.40967934471621015 + 0.492045450102321j, -0.5829583887596517 - 0.26477425748786404j),
+    ],
+)
+def test_w0_just_inside_z0_gets_one_verdict_as_a_scalar_and_a_lane(z0, w0):
+    forms = [
+        lambda z0, w0: dieudonne_disk(z0, w0),
+        lambda z0, w0: mercer_disk(z0, w0, 0.2 + 0.1j),
+        lambda z0, w0: second_order_dieudonne_disk(z0, w0, 0.3),
+    ]
+    trees = [
+        lambda z0, w0: dieudonne_parametrize(z0, w0, Constant(0.5)),
+        lambda z0, w0: make_extremal("dieudonne", z0=z0, w0=w0, alpha=1j),
+        lambda z0, w0: make_extremal("dieudonne2-degenerate", z0=z0, w0=w0, delta1=1j),
+        lambda z0, w0: make_extremal("dieudonne2-boundary", z0=z0, w0=w0, delta1=0.3, alpha=1j),
+    ]
+    for fn in forms + trees:
+        assert _verdict(fn, z0, w0) == _verdict(fn, np.array([z0]), np.array([w0]))
+    # |w0| < |z0| holds, so the closed forms accept both as a scalar and a lane
+    for fn in forms:
+        assert _verdict(fn, z0, w0) is None
 
 
 def test_closed_forms_take_an_empty_batch():

@@ -24,6 +24,8 @@ from diskvar.extremal import (
 from diskvar.functions import PrescribedData, eval_jet
 from diskvar.moebius import DomainError
 
+from oracles import REFERENCE_EXTREMALS, lane_params
+
 TOL = 1e-12
 
 
@@ -395,3 +397,58 @@ def test_theta_must_be_a_finite_real():
     # checked on the sharp-deg2 branches that do not use theta, too
     with pytest.raises(DomainError, match="theta must be a finite real number"):
         make_extremal(ExtremalKind.SHARP_DEG2, z0=0.5, delta0=0.25, theta=float("inf"))
+
+
+def _bits(jet):
+    """A jet's components as text that tells -0.0 from 0.0."""
+    return repr(tuple(jet))
+
+
+def _arguments(spec, params):
+    """The kind's parameters, validated as ``make_extremal`` validates them
+    (a unimodular delta1 is put on the circle), in its order."""
+    return [validate(params[name], name) for name, validate in spec.data + spec.free]
+
+
+@pytest.mark.parametrize("kind", list(REFERENCE_EXTREMALS))
+def test_each_disk_kind_has_the_jets_of_its_hand_written_tree(kind):
+    # the kinds are built through the parametrizations, which put u before
+    # the constant: a scalar jet is the same bit for bit, and a lane's within
+    # the rounding of numpy's complex multiply, which is not commutative bit
+    # for bit
+    spec = kind_spec(kind)
+    reference = REFERENCE_EXTREMALS[kind]
+    for point in spec.grid():
+        z0 = point.data["z0"]
+        for free, _ in point.rows:
+            for i in range(z0.size):
+                params = lane_params(point, free, i)
+                g = make_extremal(kind, **params)
+                assert _bits(g.jet(params["z0"])) == _bits(reference(*_arguments(spec, params)).jet(params["z0"]))
+            params = {**point.data, **free}
+            jet = make_extremal(kind, **params).jet(z0)
+            for f, g in zip(jet, reference(*_arguments(spec, params)).jet(z0)):
+                assert np.all(abs(f - g) <= 1e-14 * (1.0 + abs(g)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(REFERENCE_EXTREMALS)),
+    z0=st.builds(cmath.rect, st.floats(min_value=0.01, max_value=0.95), phases),
+    delta0=polar(0.95),
+    u0=polar(0.95),
+    delta1=polar(0.99),
+    phase=phases,
+    alpha=polar(1.0),
+    z=polar(0.95),
+)
+def test_disk_kind_jets_match_their_hand_written_trees(kind, z0, delta0, u0, delta1, phase, alpha, z):
+    spec = kind_spec(kind)
+    if kind.endswith("-degenerate"):
+        delta1 = cmath.exp(1j * phase)
+    given = {"z0": z0, "delta0": delta0, "w0": u0 * z0, "delta1": delta1, "alpha": alpha}
+    params = {name: given[name] for name, _ in spec.data + spec.free}
+    g = make_extremal(kind, **params)
+    reference = REFERENCE_EXTREMALS[kind](*_arguments(spec, params))
+    for point in (z0, z):
+        assert _bits(g.jet(point)) == _bits(reference.jet(point))
