@@ -7,7 +7,8 @@ same machinery the harness uses for random samples.
 
 Each disk kind's extremal is its class's parametrization at a constant g*:
 Schur steps at z0, as ``schur_parametrize`` takes them, or
-``dieudonne_parametrize``.  The sharp kinds build their trees themselves.
+``dieudonne_parametrize``'s tree, whose refusal of |w0| >= |z0| names the
+kind.  The sharp kinds build their trees themselves.
 
 ``KINDS`` is the one table of what an extremal kind is: its parameters with
 their validators, its constructor, the target it attains, the jet component
@@ -39,9 +40,9 @@ from .functions import (
     PrescribedData,
     Product,
     Rotation,
+    _dieudonne_steps,
     _schur_steps,
     _unimodular,
-    dieudonne_parametrize,
     eval_jet,
 )
 from .moebius import (
@@ -369,7 +370,7 @@ KINDS = {
         ),
         KindSpec(
             ExtremalKind.DIEUDONNE, (_Z0, _W0), (_ALPHA,),
-            lambda z0, w0, alpha: dieudonne_parametrize(z0, w0, Constant(alpha)),
+            lambda z0, w0, alpha: _dieudonne_steps(z0, w0, Constant(alpha), "dieudonne"),
             dieudonne_disk, "f1", _dieudonne_grid,
         ),
         KindSpec(
@@ -384,13 +385,15 @@ KINDS = {
         ),
         KindSpec(
             ExtremalKind.DIEUDONNE2_DEGENERATE, (_Z0, _W0, _UNIMODULAR_DELTA1), (),
-            lambda z0, w0, delta1: dieudonne_parametrize(z0, w0, Constant(delta1)),
+            lambda z0, w0, delta1: _dieudonne_steps(z0, w0, Constant(delta1), "dieudonne2-degenerate"),
             lambda z0, w0, delta1: second_order_dieudonne_disk(z0, w0, delta1).region,
             "f2", partial(_dieudonne2_grid, _UNIMODULAR_GRID, ({},)),
         ),
         KindSpec(
             ExtremalKind.DIEUDONNE2_BOUNDARY, (_Z0, _W0, _DELTA1), (_ALPHA,),
-            lambda z0, w0, delta1, alpha: dieudonne_parametrize(z0, w0, _schur_steps(z0, (delta1,), Constant(alpha))),
+            lambda z0, w0, delta1, alpha: _dieudonne_steps(
+                z0, w0, _schur_steps(z0, (delta1,), Constant(alpha)), "dieudonne2-boundary"
+            ),
             lambda z0, w0, delta1: second_order_dieudonne_disk(z0, w0, delta1).region,
             "f2", partial(_dieudonne2_grid, _D1_GRID, _ALPHAS[::2]),
         ),

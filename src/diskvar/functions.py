@@ -300,9 +300,13 @@ def dieudonne_parametrize(z0, w0, fstar):
     """All self-maps with f(0) = 0 and f(z0) = w0: z T_{u0}(T_{-z0}(z) f*), z
     times one Schur step at z0 with u0 = w0/z0, for a free Schur-class f* (a
     constant, or a step at one, for the extremals).  Requires |w0| < |z0|."""
-    z0 = unit_disk_point(z0, "z0")
-    w0 = require_finite(w0, "w0")
-    _require_w0_below_z0(z0, w0, "dieudonne_parametrize")
+    return _dieudonne_steps(unit_disk_point(z0, "z0"), require_finite(w0, "w0"), fstar, "dieudonne_parametrize")
+
+
+def _dieudonne_steps(z0, w0, fstar, name):
+    """``dieudonne_parametrize``'s tree from a z0 and a w0 validated already;
+    a w0 with |w0| >= |z0| is refused in the words of ``name``."""
+    _require_w0_below_z0(z0, w0, name)
     return Product(Identity(), _schur_steps(z0, (w0 / z0,), fstar))
 
 

@@ -22,11 +22,15 @@ The samples of a block are checked together, as a batch
 and closed forms that evaluate a single sample.  Chunks of indices return
 their per-sample values in index order, so any split, serial or parallel,
 gives a suite the same values, from which it builds its report once.  A
-parallel call forks one child per range, which sends its values back through
-a pipe; no chunk runs in the parent, and no child outlives the call.  Before
-it forks, the parent imports ``secrets``, which numpy's random module needs,
-so that every child inherits OpenSSL instead of loading it; the parent never
-imports numpy's random module itself, whose memory would count against it.
+parallel call forks only where every child gets at least the suite's
+crossover, the samples at which a child pays for its fork and its import of
+numpy's random module (``_MEMBERSHIP_PER_CHILD``, ``_TIGHTNESS_PER_CHILD``);
+a smaller one runs in-process, as a serial call does.  A call that forks runs
+one child per range, which sends its values back through a pipe; none of its
+chunks runs in the parent, and no child outlives the call.  Before it forks,
+the parent imports ``secrets``, which numpy's random module needs, so that
+every child inherits OpenSSL instead of loading it; it does not import numpy's
+random module for the children, whose memory would count against it.
 
 The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
 sharp kind, comes as a few lane-array grid points, their targets from one
@@ -95,6 +99,11 @@ _FAMILY_TAGS = {"second": 11, "dieudonne": 12, "mercer": 13}
 _TIGHTNESS_TAG = 31
 # samples per random block
 _BLOCK = 1024
+# the fewest samples a forked child takes, per suite: below these a child
+# costs more to fork, reap and import numpy's random module in than it saves
+# (serial against forked calls on 2 cores, in README)
+_MEMBERSHIP_PER_CHILD = 6000
+_TIGHTNESS_PER_CHILD = 100_000
 # the largest stratified |delta1|: 8 ulps below 1, so that |delta1| < 1 holds
 # after the rounding of the modulus, of e^{i phase} and of their product
 _DELTA1_CAP = 1.0 - 2.0**-50
@@ -169,32 +178,34 @@ def _workers():
 
 
 def _chunk_ranges(n, pieces):
-    size = max(1, math.ceil(n / pieces))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    """``pieces`` contiguous ranges that cover 0..n-1, their sizes within one
+    of each other."""
+    return [(n * i // pieces, n * (i + 1) // pieces) for i in range(pieces)]
 
 
-def _map_chunks(fn, n, parallel):
+def _map_chunks(fn, n, per_child):
     """fn over index ranges that cover 0..n-1, its results in index order, so
-    that parallel == serial.  A parallel call takes one contiguous range per
-    worker: every chunk draws the whole block of each family it touches and
-    builds its own tree template, so more chunks than workers only repeat
-    that cost.  When there are two or more ranges, each runs in a child
-    forked for it and none in the parent, which keeps numpy's random module
-    out of the parent's memory; where ``os.fork`` is missing they run here,
-    one after another.  Before the first fork the parent imports ``secrets``
-    (with ``hmac``, ``hashlib`` and OpenSSL's ``_hashlib``), since numpy's
-    ``bit_generator`` imports ``secrets.randbits``: the children inherit it,
-    so their own import of numpy's random module skips loading OpenSSL.
-    The parent preloads no more than that, because what it holds counts in
-    its own peak memory, and numpy's random module would cost it nearly twice
-    what OpenSSL does."""
+    that parallel == serial.  ``per_child`` is None for a serial call.  A
+    parallel call forks one child per range: at most one range per worker,
+    each of ``per_child`` samples or more, since every chunk draws the whole
+    block of each family it touches and builds its own tree template, and
+    each child is forked and imports numpy's random module anew.  With fewer
+    than two ranges, or where ``os.fork`` is missing, fn runs once here, over
+    all of 0..n-1, as in a serial call; a call that forks runs no range here.
+    Before the first fork the parent imports ``secrets`` (with ``hmac``,
+    ``hashlib`` and OpenSSL's ``_hashlib``), since numpy's ``bit_generator``
+    imports ``secrets.randbits``: the children inherit it, so their own
+    import of numpy's random module skips loading OpenSSL.  The parent
+    preloads no more than that, because what it holds counts in its own peak
+    memory, and numpy's random module would cost it nearly twice what OpenSSL
+    does."""
     if n == 0:
         return []
-    if not parallel:
+    if per_child is None:
         return [fn((0, n))]
-    ranges = _chunk_ranges(n, _workers())
+    ranges = _chunk_ranges(n, min(_workers(), max(1, n // per_child)))
     if len(ranges) == 1 or not hasattr(os, "fork"):
-        return [fn(rg) for rg in ranges]
+        return [fn((0, n))]
     # for numpy.random's bit_generator in the children: OpenSSL is loaded
     # once, here, not in each child
     import secrets  # noqa: F401
@@ -379,7 +390,8 @@ def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
     if not families or len(set(families)) < len(families):  # a repeated one would count twice
         raise DomainError(f"membership needs one or more distinct families, got {','.join(families) or 'none'}")
     start = time.perf_counter()
-    parts = _map_chunks(partial(_membership_chunk, cfg, families), cfg.samples, cfg.parallel)
+    per_child = _MEMBERSHIP_PER_CHILD if cfg.parallel else None
+    parts = _map_chunks(partial(_membership_chunk, cfg, families), cfg.samples, per_child)
     margins = np.concatenate([np.empty((len(families), 0)), *parts], axis=1)
     details = {"families": list(families), "per_family_samples": cfg.samples}
     return _report("membership:" + "+".join(families), margins, cfg.tol, start, details)
@@ -489,7 +501,8 @@ def run_tightness_search(cfg, r, R):
     result = theorem31_bound(r, R)
     bound = result.value
     start = time.perf_counter()
-    parts = _map_chunks(partial(_tightness_chunk, cfg, float(r), float(R)), cfg.samples, cfg.parallel)
+    per_child = _TIGHTNESS_PER_CHILD if cfg.parallel else None
+    parts = _map_chunks(partial(_tightness_chunk, cfg, float(r), float(R)), cfg.samples, per_child)
 
     # deterministic candidates, as lanes: the branch extremal, and one
     # second-degenerate lane per unimodular delta1 where z0 != 0

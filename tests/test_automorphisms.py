@@ -10,7 +10,10 @@ region must move by the chain rule:
 * pre-composition by phi = eta T_b takes g to g o phi, with the same value
   delta0 at zeta = phi^{-1}(z0), the hyperbolic derivative delta1 turned by
   the phase of phi'(zeta), and
-  (g o phi)''(zeta) = phi'(zeta)^2 g''(z0) + g'(z0) phi''(zeta).
+  (g o phi)''(zeta) = phi'(zeta)^2 g''(z0) + g'(z0) phi''(zeta);
+* post-composition by T_a takes g to T_a o g, with the value T_a(delta0) at
+  z0, delta1 turned by the phase of T_a'(delta0), and
+  (T_a o g)''(z0) = T_a''(delta0) g'(z0)^2 + T_a'(delta0) g''(z0).
 
 Each property compares a closed form at the moved data with the image of the
 closed form at the original data, within TOL (|c| + rho) of that image's
@@ -29,6 +32,7 @@ from diskvar.disks import (
     dieudonne_disk,
     mercer_disk,
     rogosinski_disk,
+    schwarz_pick_disk,
     second_derivative_disk,
     second_order_dieudonne_disk,
 )
@@ -100,17 +104,60 @@ def test_the_rogosinski_disk_turns_with_the_rotation(z, b, psi):
     assert_moved(rogosinski_disk(turn * z, b), turn * disk.center, disk.radius)
 
 
+def pre_composition(z0, b, eta):
+    """zeta = phi^{-1}(z0), phi'(zeta) and phi''(zeta) for phi = eta T_b."""
+    rotation = cmath.exp(1j * eta)
+    zeta = (z0 / rotation - b) / (1.0 - b.conjugate() * z0 / rotation)
+    den = 1.0 + b.conjugate() * zeta
+    phi1 = rotation * (1.0 - abs(b) ** 2) / den**2
+    return zeta, phi1, -2.0 * b.conjugate() * phi1 / den
+
+
+def post_composition(a, w):
+    """T_a(w), T_a'(w) and T_a''(w)."""
+    den = 1.0 + a.conjugate() * w
+    t1 = (1.0 - abs(a) ** 2) / den**2
+    return mobius_T(a, w), t1, -2.0 * a.conjugate() * t1 / den
+
+
+def first_derivative(z0, delta0, delta1):
+    """g'(z0) = delta1 (1 - |delta0|^2) / (1 - |z0|^2)."""
+    return delta1 * (1.0 - abs(delta0) ** 2) / (1.0 - abs(z0) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z0=polar(0.95), delta0=polar(0.95), b=polar(0.9), eta=phases)
+def test_the_schwarz_pick_disk_under_pre_composition(z0, delta0, b, eta):
+    zeta, phi1, _ = pre_composition(z0, b, eta)
+    disk = schwarz_pick_disk(z0, delta0)
+    assert_moved(schwarz_pick_disk(zeta, delta0), phi1 * disk.center, abs(phi1) * disk.radius)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z0=polar(0.95), delta0=polar(0.95), a=polar(0.9))
+def test_the_schwarz_pick_disk_under_post_composition(z0, delta0, a):
+    value, t1, _ = post_composition(a, delta0)
+    disk = schwarz_pick_disk(z0, delta0)
+    assert_moved(schwarz_pick_disk(z0, value), t1 * disk.center, abs(t1) * disk.radius)
+
+
 # |delta1| <= 0.99: the turned delta1 is rounded, which moves 1 - |delta1|^2 by
 # ~1e-16; on the circle, with z0 = delta0 = 0, that is all of |c| + rho
 @settings(max_examples=200, deadline=None)
 @given(z0=polar(0.95), delta0=polar(0.95), delta1=polar(0.99), b=polar(0.9), eta=phases)
 def test_the_second_derivative_disk_under_pre_composition(z0, delta0, delta1, b, eta):
-    rotation = cmath.exp(1j * eta)
-    zeta = (z0 / rotation - b) / (1.0 - b.conjugate() * z0 / rotation)
-    den = 1.0 + b.conjugate() * zeta
-    phi1 = rotation * (1.0 - abs(b) ** 2) / den**2
-    phi2 = -2.0 * b.conjugate() * phi1 / den
-    g1 = delta1 * (1.0 - abs(delta0) ** 2) / (1.0 - abs(z0) ** 2)
+    zeta, phi1, phi2 = pre_composition(z0, b, eta)
     disk = second_derivative_disk(PrescribedData(z0, delta0, delta1))
     moved = second_derivative_disk(PrescribedData(zeta, delta0, delta1 * phi1 / abs(phi1)))
+    g1 = first_derivative(z0, delta0, delta1)
     assert_moved(moved, phi1 * phi1 * disk.center + g1 * phi2, abs(phi1) ** 2 * disk.radius)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z0=polar(0.95), delta0=polar(0.95), delta1=polar(0.99), a=polar(0.9))
+def test_the_second_derivative_disk_under_post_composition(z0, delta0, delta1, a):
+    value, t1, t2 = post_composition(a, delta0)
+    disk = second_derivative_disk(PrescribedData(z0, delta0, delta1))
+    moved = second_derivative_disk(PrescribedData(z0, value, delta1 * t1 / abs(t1)))
+    g1 = first_derivative(z0, delta0, delta1)
+    assert_moved(moved, t1 * disk.center + t2 * g1 * g1, abs(t1) * disk.radius)

@@ -274,6 +274,20 @@ def test_domain_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "kind, given",
+    [
+        ("dieudonne", ("--alpha", "1,0")),
+        ("dieudonne2-degenerate", ("--delta1", "1,0")),
+        ("dieudonne2-boundary", ("--delta1", "0.5,0", "--alpha", "1,0")),
+    ],
+)
+@pytest.mark.parametrize("command", ["emit", "verify"])
+def test_a_w0_beyond_z0_is_refused_in_the_kinds_name(capsys, kind, given, command):
+    code, out, err = run(capsys, "extremal", command, "--kind", kind, "--z0", "0.5,0", "--w0", "0.6,0", *given)
+    assert (code, out, err) == (2, "", f"error: {kind} requires |w0| < |z0|\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         ("disk second --z0=1.5e308,1.5e308 --delta0 0,0 --delta1 0,0", "z0 must lie in the open unit disk, |z0| = inf"),

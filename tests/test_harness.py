@@ -142,23 +142,18 @@ def test_the_pool_starts_no_more_workers_than_chunks_or_cores(monkeypatch):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     monkeypatch.setenv("THREADS", "100000")
     assert harness._workers() == 64
-    assert harness._map_chunks(lambda rg: rg, 3, True) == [(0, 1), (1, 2), (2, 3)]
+    assert harness._map_chunks(lambda rg: rg, 3, 1) == [(0, 1), (1, 2), (2, 3)]
     started = [len(forked)]
     monkeypatch.setenv("THREADS", "16")
-    assert harness._map_chunks(lambda rg: rg, 100, True)[-1] == (98, 100)
+    done = harness._map_chunks(lambda rg: rg, 100, 1)
     started.append(len(forked) - started[0])
-    # one range per worker: ceil(100 / 16) = 7 samples each gives 15 ranges
-    assert started == [3, 15]
+    # one range per worker, of 6 or 7 samples
+    assert done[-1] == (93, 100) and {hi - lo for lo, hi in done} == {6, 7}
+    assert started == [3, 16]
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
     assert harness._workers() == 2
     monkeypatch.delenv("THREADS")
     assert harness._workers() == 2
-
-
-def test_membership_parallel_matches_serial():
-    serial = run_membership_suite(small(300))
-    parallel = run_membership_suite(small(300, parallel=True))
-    assert serial.to_obj() == parallel.to_obj()
 
 
 def _in_worker(rg):
@@ -170,12 +165,46 @@ def _two_workers(monkeypatch):
     monkeypatch.setenv("THREADS", "2")
 
 
-def test_a_parallel_call_maps_one_range_per_worker_none_in_the_parent(monkeypatch):
+def _forking(monkeypatch):
+    """Two workers, and suites that fork for a child of a single sample."""
     _two_workers(monkeypatch)
+    monkeypatch.setattr(harness, "_MEMBERSHIP_PER_CHILD", 1)
+    monkeypatch.setattr(harness, "_TIGHTNESS_PER_CHILD", 1)
+
+
+def test_membership_parallel_matches_serial(monkeypatch):
+    _forking(monkeypatch)
+    serial = run_membership_suite(small(300))
+    parallel = run_membership_suite(small(300, parallel=True))
+    assert serial.to_obj() == parallel.to_obj()
+
+
+@pytest.mark.parametrize(
+    "run, per_child",
+    [
+        (run_membership_suite, "_MEMBERSHIP_PER_CHILD"),
+        (partial(run_tightness_search, r=0.4, R=0.3), "_TIGHTNESS_PER_CHILD"),
+    ],
+)
+def test_a_parallel_call_forks_only_where_each_child_gets_the_crossover(monkeypatch, run, per_child):
+    # below it the call runs in-process, as a serial one does; at it each of
+    # the two workers takes half of the samples in a child
+    _two_workers(monkeypatch)
+    forked = _count_forks(monkeypatch)
+    at = 2 * getattr(harness, per_child)
+    for samples, children in ((at - 1, 0), (at, 2)):
+        parallel = run(small(samples, parallel=True))
+        assert len(forked) == children
+        assert parallel.to_obj() == run(small(samples)).to_obj()
+        forked.clear()
+
+
+def test_a_parallel_call_maps_one_range_per_worker_none_in_the_parent(monkeypatch):
+    _forking(monkeypatch)
     forked = _count_forks(monkeypatch)
     assert run_membership_suite(small(1000, parallel=True)).details["per_family_samples"] == 1000
     assert len(forked) == 2
-    done = harness._map_chunks(_in_worker, 1000, True)
+    done = harness._map_chunks(_in_worker, 1000, 1)
     assert [rg for rg, _ in done] == [(0, 500), (500, 1000)]
     assert os.getpid() not in {pid for _, pid in done}
 
@@ -191,17 +220,17 @@ def _raise_domain_error(rg):
 
 def test_a_childs_exception_is_raised_in_the_parent(monkeypatch):
     _two_workers(monkeypatch)
-    assert harness._map_chunks(lambda rg: rg, 4, True) == [(0, 2), (2, 4)]
+    assert harness._map_chunks(lambda rg: rg, 4, 1) == [(0, 2), (2, 4)]
     _assert_no_child_left()
     with pytest.raises(DomainError, match=r"^no samples \(2, 4\)$"):
-        harness._map_chunks(lambda rg: _raise_domain_error(rg) if rg[0] else rg, 4, True)
+        harness._map_chunks(lambda rg: _raise_domain_error(rg) if rg[0] else rg, 4, 1)
     _assert_no_child_left()
 
 
 def test_a_child_that_exits_without_a_result_is_named(monkeypatch):
     _two_workers(monkeypatch)
     with pytest.raises(ChildProcessError, match=r"^the child for samples 0\.\.1 ended without a result$"):
-        harness._map_chunks(lambda rg: rg if rg[0] else os._exit(3), 4, True)
+        harness._map_chunks(lambda rg: rg if rg[0] else os._exit(3), 4, 1)
     _assert_no_child_left()
 
 
@@ -211,7 +240,7 @@ def test_a_child_that_ends_mid_result_is_named(monkeypatch):
     dumps = pickle.dumps
     monkeypatch.setattr(harness.pickle, "dumps", lambda obj, protocol: dumps(obj, protocol)[: len(dumps(obj, protocol)) // 2])
     with pytest.raises(ChildProcessError, match=r"^the child for samples 0\.\.1 ended with a truncated result$"):
-        harness._map_chunks(lambda rg: rg, 4, True)
+        harness._map_chunks(lambda rg: rg, 4, 1)
     _assert_no_child_left()
 
 
@@ -227,12 +256,12 @@ def test_a_failed_range_does_not_wait_on_a_result_larger_than_the_pipe(monkeypat
     signal.alarm(10)
     try:
         with pytest.raises(DomainError, match=r"^no samples \(0, 1\)$"):
-            harness._map_chunks(lambda rg: b"x" * 2**21 if rg[0] else _raise_domain_error(rg), 2, True)
+            harness._map_chunks(lambda rg: b"x" * 2**21 if rg[0] else _raise_domain_error(rg), 2, 1)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     _assert_no_child_left()
-    assert harness._map_chunks(lambda rg: b"x" * 2**21, 2, True) == [b"x" * 2**21] * 2
+    assert harness._map_chunks(lambda rg: b"x" * 2**21, 2, 1) == [b"x" * 2**21] * 2
     _assert_no_child_left()
 
 
@@ -243,14 +272,14 @@ def test_unflushed_parent_output_is_written_once(monkeypatch, capfd):
     out = open(1, "w", closefd=False)
     monkeypatch.setattr(sys, "stdout", out)
     print("before the call", end="")
-    assert harness._map_chunks(lambda rg: rg, 2, True) == [(0, 1), (1, 2)]
+    assert harness._map_chunks(lambda rg: rg, 2, 1) == [(0, 1), (1, 2)]
     out.flush()
     assert capfd.readouterr().out == "before the call"
 
 
 def test_parallel_matches_serial_across_unaligned_blocks(monkeypatch):
     # 2500 samples on 2 workers: each range cuts block 1 of 1024 samples
-    _two_workers(monkeypatch)
+    _forking(monkeypatch)
     for run in (run_membership_suite, partial(run_tightness_search, r=0.4, R=0.3)):
         serial = run(small(2500))
         parallel = run(small(2500, parallel=True))
@@ -680,7 +709,8 @@ def test_tightness_search_closes_the_gap():
         assert details["gap"] <= 1e-6
 
 
-def test_tightness_parallel_matches_serial():
+def test_tightness_parallel_matches_serial(monkeypatch):
+    _forking(monkeypatch)
     serial = run_tightness_search(small(300), r=0.4, R=0.3)
     parallel = run_tightness_search(small(300, parallel=True), r=0.4, R=0.3)
     assert serial.to_obj() == parallel.to_obj()

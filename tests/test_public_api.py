@@ -147,11 +147,14 @@ def test_closed_form_commands_leave_numpy_unloaded():
 )
 def test_a_parallel_call_preloads_secrets_but_not_numpy_random():
     """The children inherit OpenSSL through secrets from the parent; numpy's
-    random module is imported in the children alone."""
+    random module is imported in the children alone.  The crossover is set
+    down so that 1,000 samples fork."""
     code = (
         "import os, sys\n"
         "os.environ['THREADS'] = '2'\n"
+        "from diskvar import harness\n"
         "from diskvar.harness import HarnessConfig, run_membership_suite\n"
+        "harness._MEMBERSHIP_PER_CHILD = 500\n"
         "loaded = lambda: [m in sys.modules for m in ('secrets', 'numpy.random')]\n"
         "print(loaded())\n"
         "run_membership_suite(HarnessConfig(samples=1000, parallel=True))\n"
