@@ -25,9 +25,9 @@ from .disks import (
     second_derivative_disk,
     second_order_dieudonne_disk,
 )
-from .extremal import ExtremalKind, kind_for_branch, kind_spec, make_extremal, verify_attainment
+from .extremal import _DEFAULTS, _PARAMETERS, KINDS, kind_for_branch, kind_spec, make_extremal, verify_attainment
 from .functions import PrescribedData, complex_to_pair
-from .moebius import DegeneracyError, DomainError, PoleError, _modulus, require_finite
+from .moebius import DegeneracyError, DomainError, PoleError, _modulus, require_finite, require_real
 
 # not called here since the kind table computes the targets; kept bound
 # because bench/tracing.py wraps this name in this module
@@ -118,12 +118,17 @@ def _point(point, name, magnitude, magnitude_name):
     return point
 
 
-def _extremal_obj(values, free):
-    """The parameters of a sharp extremal, "arbitrary" for the free ones."""
-    return {
-        name: "arbitrary" if name in free else complex_to_pair(value) if isinstance(value, complex) else value
-        for name, value in values.items()
-    }
+def _pairs(values):
+    """``values`` with each complex value as its [re, im] pair."""
+    return {name: complex_to_pair(value) if isinstance(value, complex) else value for name, value in values.items()}
+
+
+def _extremal_obj(spec, data):
+    """The parameters of a sharp kind's extremal at ``data`` and free value
+    0, "arbitrary" for those that differ at free value 1: every free value
+    attains the bound, so these take any value, all together."""
+    at_zero, turned = (spec.params(**data, **{name: theta for name, _ in spec.free}) for theta in (0.0, 1.0))
+    return _pairs({name: "arbitrary" if turned[name] != value else value for name, value in at_zero.items()})
 
 
 def _cmd_bound(args):
@@ -137,7 +142,7 @@ def _cmd_bound(args):
             result = szasz_bound(r)
             data = {"z0": _point(args.z0, "z0", r, "r")}
         spec = kind_spec(kind_for_branch(result.branch))
-        doc = _bound_obj(result, _extremal_obj(*spec.params(**data)))
+        doc = _bound_obj(result, _extremal_obj(spec, data))
         if args.emit_function:
             doc["function"] = make_extremal(spec.kind, **data).to_obj()
         _emit_json(args, doc)
@@ -153,12 +158,18 @@ def _cmd_bound(args):
 
 
 def _extremal_kwargs(args):
-    kwargs = {}
-    for name in ("z0", "delta0", "delta1", "alpha", "w0", "theta"):
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = value
-    return kwargs
+    """Each kind parameter's flag value, None where it is not given."""
+    return {name: getattr(args, name) for name in _PARAMETERS}
+
+
+def _kinds_help():
+    """Each kind with its parameters' flags, in brackets where one may be left out."""
+    defaults = ", ".join(f"{name} defaults to {value}" for name, value in _DEFAULTS.items())
+    lines = [f"kinds and their parameters ({defaults}):"]
+    for spec in KINDS.values():
+        flags = (f"[--{name}]" if name in _DEFAULTS else f"--{name}" for name, _ in spec.data + spec.free)
+        lines.append(f"  {spec.kind.value:<23}{' '.join(flags)}")
+    return "\n".join(lines)
 
 
 def _cmd_extremal_emit(args):
@@ -170,16 +181,7 @@ def _cmd_extremal_emit(args):
 def _cmd_extremal_verify(args):
     kwargs = _extremal_kwargs(args)
     report = verify_attainment(args.kind, kwargs, args.tol)
-    doc = {
-        "kind": report.kind.value,
-        "value": complex_to_pair(report.value),
-        "first": complex_to_pair(report.first),
-        "second": complex_to_pair(report.second),
-        "target": report.target,
-        "distance": report.distance,
-        "tol": report.tol,
-        "passed": report.passed,
-    }
+    doc = _pairs(report._asdict() | {"kind": report.kind.value})
     if args.emit_function:
         doc["function"] = make_extremal(args.kind, **kwargs).to_obj()
     _emit_json(args, doc)
@@ -290,13 +292,12 @@ def _parser():
 
     extremal = sub.add_parser("extremal", help="extremal functions as serialized trees")
     extremal_sub = extremal.add_subparsers(dest="action", required=True)
-    kinds = tuple(k.value for k in ExtremalKind)
     for action, func in (("emit", _cmd_extremal_emit), ("verify", _cmd_extremal_verify)):
-        p = extremal_sub.add_parser(action)
-        p.add_argument("--kind", required=True, choices=kinds)
-        for name in ("z0", "delta0", "delta1", "alpha", "w0"):
-            p.add_argument(f"--{name}", type=_complex_arg, metavar="RE,IM")
-        p.add_argument("--theta", type=float)
+        p = extremal_sub.add_parser(action, epilog=_kinds_help(), formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.add_argument("--kind", required=True, choices=tuple(kind.value for kind in KINDS))
+        for name, validate in _PARAMETERS.items():
+            real = validate is require_real
+            p.add_argument(f"--{name}", type=float if real else _complex_arg, metavar=None if real else "RE,IM")
         if action == "verify":
             p.add_argument("--tol", type=float, default=1e-8)
             p.add_argument("--emit-function", action="store_true")

@@ -89,18 +89,17 @@ def _real_quotient(z, x):
 
 
 def _deg1_params(z0, delta0):
-    """Rotation theta and zero a of the deg1 extremal e^{i theta} [a, z];
-    none of its values is free.  Lane-wise for a batch."""
+    """Rotation theta and zero a of the deg1 extremal e^{i theta} [a, z], lane-wise."""
     r, R = abs(z0), abs(delta0)
     if _any_lane(r == 0.0):
         raise DomainError("sharp-deg1 requires z0 != 0")
     turn = -z0.conjugate() * delta0
     theta = _ops(delta0).where(delta0 != 0, _ops(turn).angle(turn), 0.0)
-    return {"theta": theta, "a": _real_quotient((r + R) * z0, r * (1.0 + r * R))}, ()
+    return {"theta": theta, "a": _real_quotient((r + R) * z0, r * (1.0 + r * R))}
 
 
 def _sharp_deg1(z0, delta0):
-    params, _ = _deg1_params(z0, delta0)
+    params = _deg1_params(z0, delta0)
     # |a| = (r + R) / (1 + r R) < 1, but it rounds to 1 when r or R is within
     # an ulp or so of 1
     a = params["a"]
@@ -111,15 +110,14 @@ def _sharp_deg1(z0, delta0):
 
 
 def _deg2_params(z0, delta0, theta=0.0):
-    """delta1 and alpha of the deg2 extremal T_{delta0}(u T_{delta1}(alpha u)),
-    with the names of the values a free rotation ``theta`` moves.
+    """Rotation theta, delta1 and alpha of the deg2 extremal
+    T_{delta0}(u T_{delta1}(alpha u)).
 
-    Where z0 and delta0 are both nonzero the values are fixed.  At z0 = 0
-    the extremal is T_{delta0}(alpha z^2) with alpha = e^{i theta}; at
-    delta0 = 0 any |delta1| = r/2 with the phase-matched alpha attains the
-    bound.  Each lane of a batch takes its own case, and the batch's free
-    names are those of any of its lanes; a scalar delta0 = 0 reports no
-    theta.
+    Where z0 and delta0 are both nonzero the values are fixed, and theta is
+    the phase of alpha.  At z0 = 0 the extremal is T_{delta0}(alpha z^2) with
+    alpha = e^{i theta}; at delta0 = 0 it takes delta1 = e^{i theta} z0 / 2
+    with the phase-matched alpha = e^{i theta}.  Each lane of a batch takes
+    its own case.
     """
     r, R = abs(z0), abs(delta0)
     if _any_lane(r + 2.0 * R >= 2.0):
@@ -132,27 +130,16 @@ def _deg2_params(z0, delta0, theta=0.0):
     alpha = ops.where(free, rotation, -_unimodular(rel - _ops(z0).angle(z0)))
     free_delta1 = _ops(R).where(R > 0.0, 0j, rotation * z0 / 2.0)
     delta1 = ops.where(free, free_delta1, -(r / (2.0 * (1.0 - R))) * _unimodular(rel))
-    params = {"theta": ops.where(free, theta, _ops(alpha).angle(alpha)), "delta1": delta1, "alpha": alpha}
-    if not _any_lane(free):
-        return params, ()
-    if ops is not _SCALAR_OPS or R > 0.0:
-        return params, ("theta", "alpha")
-    del params["theta"]
-    return params, ("alpha",)
+    return {"theta": ops.where(free, theta, _ops(alpha).angle(alpha)), "delta1": delta1, "alpha": alpha}
 
 
 def _sharp_deg2(z0, delta0, theta):
     """Compose(G, u) with G(u) = T_{delta0}(u T_{delta1}(alpha u)), the
     degree-2 rational attaining the deg2 branch bound."""
-    params, _ = _deg2_params(z0, delta0, theta)
+    params = _deg2_params(z0, delta0, theta)
     ident = Identity()
     inner = MobiusT(params["delta1"], Product(Constant(params["alpha"]), ident))
     return Compose(MobiusT(delta0, Product(ident, inner)), MobiusT(-z0, ident))
-
-
-def _szasz_params(z0, theta=0.0):
-    """The szasz extremal's overall rotation theta, which is free."""
-    return {"theta": theta}, ("theta",)
 
 
 def _szasz(z0, theta):
@@ -280,7 +267,7 @@ def _sharp_grid(kind, groups):
     names = [name for name, _ in kind_spec(kind).data]
     groups = [(list(points), rows) for points, rows in groups]
     data = _lanes(values for points, _ in groups for values in points)
-    bounds = branch_bound_for(kind, *data)
+    bounds = branch_bound_for(kind, **dict(zip(names, data)))
     start = 0
     for points, rows in groups:
         at = slice(start, start + len(points))
@@ -336,9 +323,9 @@ class KindSpec(NamedTuple):
     attains, and ``grid()`` yields the few GridPoints the attainment suite
     checks, their targets from one lane-wise call of the closed form or bound.
     ``build``, ``target`` and a sharp kind's ``params`` take lanes as well as
-    scalars.  ``params`` takes the data (and optionally the free value) and
-    returns ``(values, free)``: the named parameters the tree is built from,
-    and the names among them that any choice of the free value moves.
+    scalars.  ``params`` takes the data and theta (0 if not given) and
+    returns, by name, the values the tree is built from; those that theta
+    moves take any value along the family, together ("arbitrary" in the CLI).
     """
 
     kind: ExtremalKind
@@ -359,6 +346,8 @@ _DELTA1 = ("delta1", unit_disk_point)
 _UNIMODULAR_DELTA1 = ("delta1", unimodular_point)
 _ALPHA = ("alpha", closed_disk_point)
 _THETA = ("theta", require_real)
+# the free values a caller may leave out
+_DEFAULTS = {"theta": 0.0}
 
 KINDS = {
     spec.kind: spec
@@ -411,10 +400,15 @@ KINDS = {
         KindSpec(
             ExtremalKind.SZASZ, (_Z0,), (_THETA,), _szasz,
             lambda z0: branch_value(Branch.SZASZ, abs(z0)),
-            "f2", _szasz_grid, (Branch.SZASZ,), _szasz_params,
+            "f2", _szasz_grid, (Branch.SZASZ,), lambda z0, theta=0.0: {"theta": theta},
         ),
     )
 }
+
+
+# every parameter of the kinds, in the order the rows first list them, with
+# the validator of the last row that lists it
+_PARAMETERS = {name: validate for spec in KINDS.values() for name, validate in spec.data + spec.free}
 
 
 def kind_spec(kind):
@@ -430,30 +424,34 @@ def kind_for_branch(branch):
     return next(spec.kind for spec in KINDS.values() if branch in spec.branches)
 
 
-def make_extremal(kind, *, z0=None, delta0=None, delta1=None, alpha=None, w0=None, theta=None):
-    """Build the extremal function of the given kind.
-
-    The kind's row of ``KINDS`` lists the parameters it requires, with their
-    validators: its data (z0 with delta0, or w0 with |w0| < |z0| when f(0) =
-    0, and delta1 for second order), then its free values (alpha or theta;
-    theta defaults to 0).  Giving a parameter the row does not list raises
-    DomainError.
-    """
-    spec = kind_spec(kind)
-    given = {"z0": z0, "delta0": delta0, "delta1": delta1, "alpha": alpha, "w0": w0, "theta": theta}
-    params = spec.data + spec.free
-    listed = {name for name, _ in params}
-    for name, value in given.items():
+def _row_arguments(spec, row, params):
+    """``(name, validator, value)`` for each parameter of ``row``, a
+    ``KINDS`` row's data or data and free values, in its order, taken from
+    the keyword arguments ``params`` as :func:`make_extremal` takes them."""
+    listed = {name for name, _ in row}
+    for name, value in params.items():
         if value is not None and name not in listed:
             raise DomainError(f"{spec.kind.value} does not take parameter {name}")
-    if theta is None:
-        given["theta"] = 0.0
-    values = []
-    for name, validate in params:
-        if given[name] is None:
+    given = _DEFAULTS | {name: value for name, value in params.items() if value is not None}
+    for name, validate in row:
+        if name not in given:
             raise DomainError(f"{spec.kind.value} requires parameter {name}")
-        values.append(validate(given[name], name))
-    return spec.build(*values)
+        yield name, validate, given[name]
+
+
+def make_extremal(kind, **params):
+    """Build the extremal function of the given kind.
+
+    The kind's row of ``KINDS`` lists the parameters it takes, by name, with
+    their validators: its data (z0 with delta0, or w0 with |w0| < |z0| when
+    f(0) = 0, and delta1 for second order), then its free values (alpha, or
+    theta, which defaults to 0).  Each is validated in that order.  A None
+    value counts as not given; a missing parameter, or one the row does not
+    list, raises DomainError.
+    """
+    spec = kind_spec(kind)
+    row = spec.data + spec.free
+    return spec.build(*(validate(value, name) for name, validate, value in _row_arguments(spec, row, params)))
 
 
 class AttainmentReport(NamedTuple):
@@ -521,10 +519,11 @@ def verify_attainment(kind, params, tol):
     )
 
 
-def branch_bound_for(kind, z0, delta0=None):
-    """Closed-form target value the sharp kinds are expected to attain."""
+def branch_bound_for(kind, **data):
+    """Closed-form target value the sharp kinds are expected to attain, at
+    the data of the kind's ``KINDS`` row, given by name as to
+    :func:`make_extremal`."""
     spec = kind_spec(kind)
     if not spec.branches:
         raise DomainError(f"{spec.kind.value} does not target a scalar bound")
-    given = {"z0": z0, "delta0": 0j if delta0 is None else delta0}
-    return spec.target(**{name: given[name] for name, _ in spec.data})
+    return spec.target(**{name: value for name, _, value in _row_arguments(spec, spec.data, data)})

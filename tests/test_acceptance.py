@@ -7,6 +7,7 @@ criterion 9 runs last and therefore sees the cost of everything above it.
 """
 
 import json
+import os
 import time
 
 from diskvar.bounds import (
@@ -25,6 +26,7 @@ from diskvar.functions import (
     random_schur_function,
     substream,
 )
+from diskvar import harness
 from diskvar.harness import (
     HarnessConfig,
     run_attainment_suite,
@@ -190,26 +192,45 @@ def test_criterion_8_tightness_search():
 
 
 def test_criterion_9_runtime_and_parallel_agreement():
-    serial = HarnessConfig(seed=SEED, samples=10000)
-    parallel = HarnessConfig(seed=SEED, samples=10000, parallel=True)
+    # membership at twice its crossover, so that a parallel call forks a
+    # child for each of two workers; the other suites fork at no size used here
+    members = 2 * harness._MEMBERSHIP_PER_CHILD
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
     reports = []
-    for cfg in (serial, parallel):
-        reports.append(
-            {
-                "membership": run_membership_suite(cfg).to_obj(),
-                "attainment": run_attainment_suite(cfg).to_obj(),
-                "tightness": run_tightness_search(cfg, r=0.5, R=0.25).to_obj(),
-            }
-        )
+    os.fork = counting_fork
+    try:
+        for parallel in (False, True):
+            cfg = HarnessConfig(seed=SEED, samples=10000, parallel=parallel)
+            membership = HarnessConfig(seed=SEED, samples=members, parallel=parallel)
+            reports.append(
+                {
+                    "membership": run_membership_suite(membership).to_obj(),
+                    "attainment": run_attainment_suite(cfg).to_obj(),
+                    "tightness": run_tightness_search(cfg, r=0.5, R=0.25).to_obj(),
+                }
+            )
+    finally:
+        os.fork = fork
     identical = json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+    # one child per worker, and none where a single worker runs the call in-process
+    children = 2 if harness._workers() >= 2 else 0
 
     # file order puts this test last, so process_time covers criteria 1-8 too
     cpu = time.process_time()
-    ok = identical and cpu < 60.0
+    ok = identical and len(forked) == children and cpu < 60.0
     _line(
         9,
         ok,
         f"parallel reports {'identical' if identical else 'DIFFER'}, "
+        f"{len(forked)} children forked for {members} membership samples per family (expected {children}), "
         f"single-threaded CPU time {cpu:.1f} s (budget 60 s)",
     )
 

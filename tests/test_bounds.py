@@ -97,6 +97,9 @@ def test_out_of_range_inputs():
         theorem31_bound(1.5, 0.25)
     with pytest.raises(DomainError):
         ruscheweyh_bound(3, 0.5, 0.0)
+    # the Ruscheweyh bound has no closed-form branch value
+    with pytest.raises(DomainError, match="unknown branch <Branch.RUSCHEWEYH"):
+        branch_value(Branch.RUSCHEWEYH, 0.5, 0.25)
 
 
 def test_branch_values_per_lane():
@@ -207,21 +210,22 @@ def test_ruscheweyh_n1_is_schwarz_pick_radius(r, R):
 
 
 # the parameters of the functions attaining each branch come from the sharp
-# kinds of diskvar.extremal, as (values, names of the free values)
+# kinds of diskvar.extremal, by name
 
 
 def test_deg1_extremal_params():
-    p, free = kind_spec(ExtremalKind.SHARP_DEG1).params(0.5 + 0j, 0.9 + 0j)
+    p = kind_spec(ExtremalKind.SHARP_DEG1).params(0.5 + 0j, 0.9 + 0j)
     assert p["theta"] == pytest.approx(math.pi, abs=TOL)
     assert abs(p["a"]) < 1.0
     assert p["a"] == pytest.approx((0.5 + 0.9) / (0.5 * 1.45) * 0.5, abs=TOL)
-    assert free == ()
+    # the deg1 extremal has no free value
+    assert kind_spec(ExtremalKind.SHARP_DEG1).free == ()
 
 
 def test_deg1_extremal_params_rotate_with_the_data():
     z0 = 0.5 * cmath.exp(0.8j)
     d0 = 0.9 * cmath.exp(-0.3j)
-    p, _ = kind_spec(ExtremalKind.SHARP_DEG1).params(z0, d0)
+    p = kind_spec(ExtremalKind.SHARP_DEG1).params(z0, d0)
     assert p["theta"] == pytest.approx(cmath.phase(-z0.conjugate() * d0), abs=TOL)
     assert abs(p["a"]) == pytest.approx(1.4 / 1.45, abs=TOL)
     assert cmath.phase(p["a"]) == pytest.approx(0.8, abs=TOL)
@@ -229,13 +233,17 @@ def test_deg1_extremal_params_rotate_with_the_data():
 
 def test_deg2_extremal_params():
     deg2_params = kind_spec(ExtremalKind.SHARP_DEG2).params
-    p, free = deg2_params(0.5 + 0j, 0.25 + 0j)
+    p = deg2_params(0.5 + 0j, 0.25 + 0j)
     assert abs(p["alpha"]) == pytest.approx(1.0, abs=TOL)
     assert abs(p["delta1"]) == pytest.approx(0.5 / (2.0 * 0.75), abs=TOL)
-    assert free == ()
-    p, free = deg2_params(0.5 + 0j, 0j)
-    assert "alpha" in free
+    # z0, delta0 != 0: the rotation theta moves no value
+    assert deg2_params(0.5 + 0j, 0.25 + 0j, theta=1.3) == p
+    p = deg2_params(0.5 + 0j, 0j)
     assert abs(p["delta1"]) == pytest.approx(0.25, abs=TOL)
+    # delta0 = 0: theta turns delta1 and alpha together
+    turned = deg2_params(0.5 + 0j, 0j, theta=1.3)
+    assert turned["alpha"] != p["alpha"] and abs(turned["delta1"]) == pytest.approx(0.25, abs=TOL)
+    assert turned["delta1"] / p["delta1"] == pytest.approx(turned["alpha"] / p["alpha"], abs=TOL)
 
 
 def test_comparison_table_and_csv():

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from diskvar.bounds import Branch
 from diskvar.cli import cli_main
-from diskvar.functions import eval_jet, function_from_json
+from diskvar.extremal import _DEFAULTS, KINDS, ExtremalKind, kind_for_branch, kind_spec, make_extremal
+from diskvar.functions import complex_to_pair, eval_jet, function_from_json
 from diskvar.moebius import Jet2
 
 
@@ -115,6 +118,55 @@ def test_bound_extremal_params_are_the_trees(capsys):
     inner = doc["function"]["outer"]["child"]["right"]
     assert doc["extremal"]["delta1"] == inner["a"]
     assert doc["extremal"]["alpha"] == inner["child"]["left"]["c"]
+
+
+def _sharp_bound_cases():
+    """(argv, data) of ``bound thm31`` at z0 = 0, delta0 = 0, both and
+    neither, and of ``bound szasz`` at z0 = 0 and not, each at a real point
+    and a rotated one."""
+    turns = (1.0, 1.0), (cmath.exp(0.6j), cmath.exp(-1.2j))
+    for r, R in ((0.0, 0.25), (0.5, 0.0), (0.0, 0.0), (0.5, 0.25), (0.5, 0.9)):
+        for z0, d0 in ((r * t0, R * t1) for t0, t1 in turns):
+            argv = ["thm31", f"--z0={z0.real!r},{z0.imag!r}", f"--delta0={d0.real!r},{d0.imag!r}"]
+            yield argv, {"z0": complex(z0), "delta0": complex(d0)}
+    for z0 in (0j, 0.5 + 0j, 0.5 * cmath.exp(0.6j)):
+        yield ["szasz", f"--z0={z0.real!r},{z0.imag!r}"], {"z0": z0}
+
+
+def _printed(value):
+    return complex_to_pair(value) if isinstance(value, complex) else value
+
+
+def test_bound_prints_arbitrary_exactly_for_the_values_theta_moves(capsys):
+    # every theta attains the bound: a printed value is the same at theta = 0
+    # and 1.3, and each value printed "arbitrary" differs between them
+    kinds = set()
+    for argv, data in _sharp_bound_cases():
+        code, doc = run_json(capsys, "bound", *argv)
+        kind = kind_for_branch(Branch(doc["branch"]))
+        spec = kind_spec(kind)
+        kinds.add(kind)
+        turns = [{name: theta for name, _ in spec.free} for theta in (0.0, 1.3)]
+        at_zero, turned = (spec.params(**data, **turn) for turn in turns)
+        assert code == 0 and list(doc["extremal"]) == list(at_zero), argv
+        for name, printed in doc["extremal"].items():
+            if printed == "arbitrary":
+                assert turned[name] != at_zero[name], (argv, name)
+            else:
+                assert printed == _printed(at_zero[name]) == _printed(turned[name]), (argv, name)
+        for turn in turns:
+            jet = make_extremal(kind, **data, **turn).jet(data["z0"])
+            assert abs(abs(jet.f2) - doc["value"]) <= 1e-12 * doc["value"], (argv, turn)
+    assert kinds == {ExtremalKind.SHARP_DEG1, ExtremalKind.SHARP_DEG2, ExtremalKind.SZASZ}
+
+
+def test_bound_thm31_at_delta0_zero_prints_theta_delta1_and_alpha_arbitrary(capsys):
+    # with delta1 = 0.25 only alpha = 1 reaches the bound: they turn together
+    arbitrary = {"theta": "arbitrary", "delta1": "arbitrary", "alpha": "arbitrary"}
+    for r in ("0.5", "0"):
+        code, out, err = run(capsys, "bound", "thm31", "--r", r, "--R", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["extremal"] == (arbitrary if r == "0.5" else arbitrary | {"delta1": [0.0, 0.0]})
 
 
 def test_bound_emit_function_attains(capsys):
@@ -264,6 +316,12 @@ def test_malformed_complex_literal(capsys):
     code, out, err = run(capsys, "disk", "schwarz-pick", "--z0", "zebra", "--delta0", "0,0")
     assert code == 2
     assert "RE,IM" in err
+    code, out, err = run(capsys, "disk", "second", "--z0=a,b", "--delta0=0,0", "--delta1=0,0")
+    assert (code, out) == (2, "")
+    assert "expected 're,im' with float parts, got 'a,b'" in err
+    code, out, err = run(capsys, "bound", "table", "--r-grid=0.1,x")
+    assert (code, out) == (2, "")
+    assert "expected comma-separated floats, got '0.1,x'" in err
 
 
 def test_domain_error_exit_code(capsys):
@@ -351,6 +409,13 @@ def test_tiny_z0_in_the_dieudonne_forms_is_an_input_error(capsys):
         assert err.startswith("error: dieudonne_disk requires") and err.count("\n") == 1
 
 
+def test_a_z0_whose_modulus_rounds_to_one_is_refused_by_the_dieudonne_disk(capsys):
+    # x*x + y*y < 1, so the validators accept z0, but |z0| rounds to 1 and
+    # the radius divides by 1 - |z0|^2
+    code, out, err = run(capsys, "disk", "dieudonne", "--z0=0.8827680124242574,-0.46980914874076907", "--w0=0.3,0")
+    assert (code, out, err) == (2, "", "error: z0 must lie in the open unit disk\n")
+
+
 def test_a_delta1_rounded_past_the_circle_gives_radius_zero(capsys):
     # |delta1| = 1 + 1e-13 is inside the closed disk's 1e-12 slack: 1 - |delta1|^2
     # is clamped at 0 rather than giving a negative radius
@@ -423,3 +488,14 @@ def test_help_exits_zero(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
     assert "disk" in out and "bound" in out and "verify" in out
+
+
+@pytest.mark.parametrize("action", ["emit", "verify"])
+def test_extremal_help_lists_each_kind_with_its_parameters(capsys, action):
+    code, out, err = run(capsys, "extremal", action, "--help")
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    for spec in KINDS.values():
+        flags = [f"[--{name}]" if name in _DEFAULTS else f"--{name}" for name, _ in spec.data + spec.free]
+        assert [line.split() for line in lines if line.split()[:1] == [spec.kind.value]] == [[spec.kind.value, *flags]]
+    assert "[--theta]" in out and "theta defaults to 0.0" in out

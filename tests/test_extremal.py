@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskvar.bounds import Branch, branch_value
+from diskvar.cli import _extremal_obj
 from diskvar.disks import (
     dieudonne_disk,
     schwarz_pick_disk,
@@ -258,13 +259,13 @@ def test_sharp_kinds_per_lane(kind):
     # a batch mixing every case gives each lane its scalar extremal's jet and bound
     jet = make_extremal(kind, **lanes, **free).jet(lanes["z0"])
     bounds = spec.target(**lanes)
-    values, _ = spec.params(**lanes, **free)
+    values = spec.params(**lanes, **free)
     for lane, point in enumerate(points):
         given = point | {name: float(v[lane]) for name, v in free.items()}
         scalar = make_extremal(kind, **given).jet(point["z0"])
         assert all(abs(f[lane] - g) <= 1e-14 * (1.0 + abs(g)) for f, g in zip(jet, scalar))
         assert bounds[lane] == spec.target(**point)
-        expected, _ = spec.params(**given)
+        expected = spec.params(**given)
         for name, value in expected.items():
             assert abs(values[name][lane] - value) <= 1e-15 * (1.0 + abs(value))
 
@@ -282,7 +283,7 @@ _MIXED = [
     # z0, delta0 != 0: the values are fixed, and one tree serves every theta
     ("sharp-deg2", {"z0": 0.5 + 0j, "delta0": 0.25 + 0j}, {"theta": _THETAS}, set(), False),
     ("sharp-deg2", {"z0": 0j, "delta0": 0.35 + 0j}, {"theta": _THETAS}, {"theta", "alpha"}, True),
-    ("sharp-deg2", {"z0": 0.5j, "delta0": 0j}, {"theta": _THETAS}, {"delta1", "alpha"}, True),
+    ("sharp-deg2", {"z0": 0.5j, "delta0": 0j}, {"theta": _THETAS}, {"theta", "delta1", "alpha"}, True),
     (
         "sharp-deg2", {"z0": np.array([0.5, 0j, 0.5j]), "delta0": np.array([0.25, 0.35, 0j])},
         {"theta": 0.7}, {"theta", "delta1", "alpha"}, True,
@@ -300,7 +301,7 @@ _MIXED = [
 @pytest.mark.parametrize("kind, data, free, lane_names, lane_jet", _MIXED)
 def test_mixed_scalar_and_lane_arguments(kind, data, free, lane_names, lane_jet):
     spec = kind_spec(kind)
-    values, _ = spec.params(**data, **free)
+    values = spec.params(**data, **free)
     n = max(np.size(v) for v in (*data.values(), *free.values()))
     assert {name: np.shape(v) for name, v in values.items()} == {
         name: (n,) if name in lane_names else () for name in values
@@ -312,7 +313,7 @@ def test_mixed_scalar_and_lane_arguments(kind, data, free, lane_names, lane_jet)
         given |= {name: float(v[lane]) if np.ndim(v) else v for name, v in free.items()}
         # each lane gets its scalar call's values; a value no lane moves is
         # that scalar value, bit for bit
-        expected, _ = spec.params(**given)
+        expected = spec.params(**given)
         for name, value in expected.items():
             if name in lane_names:
                 assert abs(values[name][lane] - value) <= 1e-15 * (1.0 + abs(value))
@@ -327,35 +328,50 @@ def test_mixed_scalar_and_lane_arguments(kind, data, free, lane_names, lane_jet)
 
 
 def test_sharp_params_keep_their_free_names():
-    deg2 = kind_spec(ExtremalKind.SHARP_DEG2).params
-    assert deg2(0.5 + 0j, 0.25 + 0j)[1] == ()
-    assert deg2(0j, 0.25 + 0j)[1] == ("theta", "alpha")
-    # a scalar delta0 = 0 reports alpha alone, as the CLI prints it
-    values, free = deg2(0.5 + 0j, 0j)
-    assert free == ("alpha",) and "theta" not in values
-    # a batch reports the free names of any of its lanes
-    assert deg2(np.array([0.5, 0.3]), np.array([0.25, 0.1]))[1] == ()
-    assert deg2(np.array([0.5, 0.3]), np.array([0.25, 0.0]))[1] == ("theta", "alpha")
+    # the free names are those the rotation theta moves, printed "arbitrary"
+    deg2 = kind_spec(ExtremalKind.SHARP_DEG2)
+
+    def free(z0, delta0):
+        printed = _extremal_obj(deg2, {"z0": z0, "delta0": delta0})
+        return {name for name, value in printed.items() if value == "arbitrary"}
+
+    assert free(0.5 + 0j, 0.25 + 0j) == set()
+    assert free(0j, 0.25 + 0j) == {"theta", "alpha"}
+    # at delta0 = 0, theta turns delta1 and alpha together
+    assert free(0.5 + 0j, 0j) == {"theta", "delta1", "alpha"}
+    assert free(0j, 0j) == {"theta", "alpha"}
+    assert _extremal_obj(kind_spec(ExtremalKind.SZASZ), {"z0": 0.5 + 0j}) == {"theta": "arbitrary"}
+    # sharp-deg1 has no free value: every parameter is printed
+    deg1 = _extremal_obj(kind_spec(ExtremalKind.SHARP_DEG1), {"z0": 0.5 + 0j, "delta0": 0.9 + 0j})
+    assert "arbitrary" not in deg1.values()
 
 
 def test_the_deg1_zero_is_rounded_once_in_a_lane():
     # a last-bit error in a moves |g''| by ~1e10 times as much at r = R = 0.99999
     z0, d0 = complex(0.99999), complex(0.99999)
-    a = kind_spec(ExtremalKind.SHARP_DEG1).params(z0, d0)[0]["a"]
-    lanes = kind_spec(ExtremalKind.SHARP_DEG1).params(np.array([z0]), np.array([d0]))[0]["a"]
+    a = kind_spec(ExtremalKind.SHARP_DEG1).params(z0, d0)["a"]
+    lanes = kind_spec(ExtremalKind.SHARP_DEG1).params(np.array([z0]), np.array([d0]))["a"]
     assert lanes[0] == a
 
 
 def test_branch_bound_for():
-    assert branch_bound_for(ExtremalKind.SHARP_DEG1, 0.5 + 0j, 0.9 + 0j) == pytest.approx(
+    assert branch_bound_for(ExtremalKind.SHARP_DEG1, z0=0.5 + 0j, delta0=0.9 + 0j) == pytest.approx(
         branch_value(Branch.DEG1, 0.5, 0.9), abs=TOL
     )
-    assert branch_bound_for(ExtremalKind.SHARP_DEG2, 0.5 + 0j, 0j) == pytest.approx(
+    assert branch_bound_for(ExtremalKind.SHARP_DEG2, z0=0.5 + 0j, delta0=0j) == pytest.approx(
         branch_value(Branch.DEG2_ZERO, 0.5), abs=TOL
     )
-    assert branch_bound_for(ExtremalKind.SZASZ, 0.5 + 0j) == pytest.approx(3.78125, abs=TOL)
-    with pytest.raises(DomainError):
-        branch_bound_for(ExtremalKind.SCHWARZ_PICK, 0.5 + 0j, 0j)
+    # a None value counts as not given
+    assert branch_bound_for(ExtremalKind.SZASZ, z0=0.5 + 0j, delta0=None) == pytest.approx(3.78125, abs=TOL)
+    with pytest.raises(DomainError, match="does not target a scalar bound"):
+        branch_bound_for(ExtremalKind.SCHWARZ_PICK, z0=0.5 + 0j, delta0=0j)
+    # the data are named as the kind's row names them, with make_extremal's messages
+    with pytest.raises(DomainError, match="^sharp-deg2 requires parameter delta0$"):
+        branch_bound_for(ExtremalKind.SHARP_DEG2, z0=0.5 + 0j)
+    with pytest.raises(DomainError, match="^szasz does not take parameter delta0$"):
+        branch_bound_for(ExtremalKind.SZASZ, z0=0.5 + 0j, delta0=0.1 + 0j)
+    with pytest.raises(DomainError, match="^sharp-deg1 does not take parameter theta$"):
+        branch_bound_for(ExtremalKind.SHARP_DEG1, z0=0.5 + 0j, delta0=0.9 + 0j, theta=0.0)
 
 
 def test_verify_attainment_against_disk():
@@ -372,7 +388,7 @@ def test_verify_attainment_against_disk():
 
 
 def test_verify_attainment_against_bound():
-    value = branch_bound_for(ExtremalKind.SZASZ, 0.5 + 0j)
+    value = branch_bound_for(ExtremalKind.SZASZ, z0=0.5 + 0j)
     report = verify_attainment(ExtremalKind.SZASZ, {"z0": 0.5}, 1e-8)
     assert report.passed
     assert report.target == f"bound {value!r}"
