@@ -18,6 +18,7 @@ from .bounds import (
     theorem31_bound,
 )
 from .disks import (
+    SecondOrderDisk,
     dieudonne_disk,
     mercer_disk,
     rogosinski_disk,
@@ -79,23 +80,11 @@ def _bound_obj(result, extremal=None):
 
 
 def _cmd_disk(args):
-    doc = None
-    if args.region == "schwarz-pick":
-        doc = _disk_obj(schwarz_pick_disk(args.z0, args.delta0))
-    elif args.region == "rogosinski":
-        doc = _disk_obj(rogosinski_disk(args.z0, args.delta1))
-    elif args.region == "mercer":
-        doc = _disk_obj(mercer_disk(args.z0, args.w0, args.z))
-    elif args.region == "dieudonne":
-        doc = _disk_obj(dieudonne_disk(args.z0, args.w0))
-    elif args.region == "second":
-        data = PrescribedData(args.z0, args.delta0, args.delta1)
-        doc = _disk_obj(second_derivative_disk(data))
-    elif args.region == "dieudonne2":
-        w1, region = second_order_dieudonne_disk(args.z0, args.w0, args.delta1)
-        doc = _disk_obj(region)
-        doc["w1"] = complex_to_pair(w1)
-    _emit_json(args, doc)
+    region = args.closed_form(*(getattr(args, name) for name in args.data))
+    if isinstance(region, SecondOrderDisk):
+        _emit_json(args, _disk_obj(region.region) | {"w1": complex_to_pair(region.w1)})
+    else:
+        _emit_json(args, _disk_obj(region))
     return 0
 
 
@@ -250,21 +239,28 @@ def _parser():
 
     disk = sub.add_parser("disk", help="closed-form variability disks")
     disk_sub = disk.add_subparsers(dest="region", required=True)
-    p = disk_sub.add_parser("schwarz-pick", help="g'(z0) given g(z0)")
-    _add_complex(p, "z0", "delta0")
-    p = disk_sub.add_parser("rogosinski", help="g(z0) given g(0) = 0 and g'(0)")
-    _add_complex(p, "z0", "delta1")
-    p = disk_sub.add_parser("mercer", help="f(z) given f(0) = 0 and f(z0) = w0")
-    _add_complex(p, "z0", "w0", "z")
-    p = disk_sub.add_parser("dieudonne", help="f'(z0) given f(0) = 0 and f(z0) = w0")
-    _add_complex(p, "z0", "w0")
-    p = disk_sub.add_parser("second", help="g''(z0) given g(z0) and the hyperbolic derivative")
-    _add_complex(p, "z0", "delta0", "delta1")
-    p = disk_sub.add_parser("dieudonne2", help="f''(z0) given f(0) = 0, f(z0) = w0 and delta1")
-    _add_complex(p, "z0", "w0", "delta1")
-    for p in disk_sub.choices.values():
+    # one row per region: its name, help, data flags in the order its closed
+    # form takes them, and that closed form.  The rows are built with the
+    # parser, so each holds the closed form this module binds at that time,
+    # which is what bench/tracing.py wraps
+    for region, text, data, closed_form in (
+        ("schwarz-pick", "g'(z0) given g(z0)", ("z0", "delta0"), schwarz_pick_disk),
+        ("rogosinski", "g(z0) given g(0) = 0 and g'(0)", ("z0", "delta1"), rogosinski_disk),
+        ("mercer", "f(z) given f(0) = 0 and f(z0) = w0", ("z0", "w0", "z"), mercer_disk),
+        ("dieudonne", "f'(z0) given f(0) = 0 and f(z0) = w0", ("z0", "w0"), dieudonne_disk),
+        (
+            "second", "g''(z0) given g(z0) and the hyperbolic derivative", ("z0", "delta0", "delta1"),
+            lambda *data: second_derivative_disk(PrescribedData(*data)),
+        ),
+        (
+            "dieudonne2", "f''(z0) given f(0) = 0, f(z0) = w0 and delta1", ("z0", "w0", "delta1"),
+            second_order_dieudonne_disk,
+        ),
+    ):
+        p = disk_sub.add_parser(region, help=text)
+        _add_complex(p, *data)
         _add_out(p)
-        p.set_defaults(func=_cmd_disk)
+        p.set_defaults(func=_cmd_disk, data=data, closed_form=closed_form)
 
     bound = sub.add_parser("bound", help="sharp bounds for |g''(z0)|")
     bound_sub = bound.add_subparsers(dest="which", required=True)

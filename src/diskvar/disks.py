@@ -3,11 +3,11 @@ analytic self-maps of the unit disk, and the invariant derivative functionals
 used to state them.
 
 Conventions: g is analytic with |g| <= 1 on the disk; r = |z0|, s = |w0|,
-R = |delta0|.  Every region below is sharp.  The extremal kinds in
-``diskvar.extremal`` land on the boundary of the Schwarz-Pick, Dieudonne,
-second-derivative and second-order Dieudonne disks; the Rogosinski and
-Mercer disks have none yet.  The harness in ``diskvar.harness`` checks
-membership in the second-derivative, Dieudonne and Mercer disks.
+R = |delta0|.  Every region below is sharp.  Which of them the CLI prints,
+the membership suite samples, an extremal kind attains and an automorphism
+property moves is stated region by region in
+``tests/test_region_coverage.py``, which fails when a region, a membership
+family or a disk kind comes or goes without it.
 ``schwarz_pick_disk``, ``dieudonne_disk``, ``mercer_disk``,
 ``second_derivative_disk`` and ``second_order_dieudonne_disk`` also take
 batches (see ``diskvar.moebius``) and return one disk per lane, and
@@ -40,14 +40,11 @@ __all__ = [
     "mercer_disk",
     "dieudonne_disk",
     "second_derivative_disk",
-    "modulus_max_second_derivative",
     "max_attaining_alpha",
     "SecondOrderDisk",
     "second_order_dieudonne_disk",
     "DerivativePair",
     "peschl_pair",
-    "hyperbolic_h2",
-    "H2_DEGENERACY_THRESHOLD",
 ]
 
 
@@ -145,12 +142,6 @@ def second_derivative_disk(data):
     return Disk(center, radius)
 
 
-def modulus_max_second_derivative(data):
-    """max |g''(z0)| over the class, i.e. |c2| + rho2."""
-    d = second_derivative_disk(data)
-    return abs(d.center) + d.radius
-
-
 def max_attaining_alpha(data):
     """Boundary parameter alpha at which |g''(z0)| is maximal.
 
@@ -220,21 +211,3 @@ def peschl_pair(g, z0):
     inner = j.f2 - 2.0 * z0.conjugate() * j.f1 / zden + 2.0 * j.f0.conjugate() * j.f1 * j.f1 / gden
     d2 = zden * zden * inner / gden
     return DerivativePair(d1, d2)
-
-
-H2_DEGENERACY_THRESHOLD = 1e-12
-
-
-def hyperbolic_h2(g, z0):
-    """Normalised second derivative D2 g / (2 (1 - |D1 g|^2)).
-
-    Raises DegeneracyError when 1 - |D1 g|^2 <= 1e-12: g behaves like a
-    Blaschke product of degree <= 1 at z0 and the quotient is ill-posed.
-    """
-    d1, d2 = peschl_pair(g, z0)
-    den = 1.0 - abs(d1) ** 2
-    if den <= H2_DEGENERACY_THRESHOLD:
-        raise DegeneracyError(
-            "1 - |D1 g|^2 is below the degeneracy threshold (degree <= 1 behaviour)"
-        )
-    return d2 / (2.0 * den)

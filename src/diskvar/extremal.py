@@ -472,20 +472,13 @@ class AttainmentReport(NamedTuple):
     passed: bool
 
 
-def _target_circle(target):
-    """A target as (center, radius, scale): the distance of a probe from that
-    circle, divided by scale, is its distance from the target, absolute from
-    the boundary of a Disk and relative to a positive bound."""
-    if isinstance(target, Disk):
-        return target.center, target.radius, 1.0
-    return 0j, target, target
-
-
 def attainment_distance(target, probe):
     """Distance of ``probe`` from the boundary of a Disk ``target``, or the
-    relative gap of |probe| to a positive bound ``target``."""
-    center, radius, scale = _target_circle(target)
-    return Disk(center, radius).boundary_distance(probe) / scale
+    relative gap of |probe| to a positive bound ``target``.  A probe may hold
+    rows of lanes, each row against the target's lanes."""
+    if isinstance(target, Disk):
+        return target.boundary_distance(probe)
+    return Disk(0j, target).boundary_distance(probe) / target
 
 
 def verify_attainment(kind, params, tol):

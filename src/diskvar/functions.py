@@ -18,7 +18,6 @@ A node's JSON tag and fields are declared once, by its class: ``TAG`` and the
 class annotations, whose declared types say how each field is written and read.
 """
 
-import json
 import math
 from functools import reduce
 
@@ -449,11 +448,18 @@ def _node_from_obj(obj, depth):
     return cls(*args)
 
 
+# these two import json themselves, so that importing diskvar does not load it
+
+
 def function_to_json(f):
+    import json
+
     return json.dumps(f.to_obj())
 
 
 def function_from_json(text):
+    import json
+
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

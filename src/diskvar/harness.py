@@ -2,9 +2,11 @@
 
 Three suites back the closed-form results numerically:
 
-* membership: random interpolation data and random Schur-class parameters are
-  pushed through the parametrizations; the predicted derivative must land in
-  the predicted disk, every time;
+* membership: for each family of ``MEMBERSHIP_FAMILIES`` (the
+  second-derivative, Dieudonne and Mercer disks), random interpolation data
+  and random Schur-class parameters are pushed through the
+  parametrizations; the predicted derivative must land in the predicted
+  disk, every time;
 * attainment: extremal functions are swept over parameter grids and must land
   on their targets: the predicted disk boundaries (a smaller concentric circle
   for an interior parameter) and bound values;
@@ -34,9 +36,10 @@ random module for the children, whose memory would count against it.
 
 The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
 sharp kind, comes as a few lane-array grid points, their targets from one
-lane-wise call of the closed form or bound, and is checked as one batch, one
-lane per row, through one extremal tree.  The tightness search's deterministic
-candidates are lanes as well.
+lane-wise call of the closed form or bound, and is checked as one batch
+through one extremal tree: each row of a grid point takes that point's lanes,
+and ``extremal.attainment_distance`` measures the rows against the point's own
+target.  The tightness search's deterministic candidates are lanes as well.
 """
 
 import math
@@ -53,7 +56,7 @@ from .disks import dieudonne_disk, max_attaining_alpha, mercer_disk, second_deri
 from .extremal import (
     _UNIMODULAR_GRID,
     ExtremalKind,
-    _target_circle,
+    attainment_distance,
     kind_for_branch,
     kind_spec,
     make_extremal,
@@ -75,7 +78,7 @@ from .functions import (
     schur_parametrize,
     substream,
 )
-from .moebius import Disk, DomainError, Jet2, _Frozen, _set_field, require_int, require_real
+from .moebius import DomainError, Jet2, _Frozen, _set_field, require_int, require_real
 
 # not called here: the kind table computes the attainment targets, and
 # membership checks each block through one batched template, never a scalar
@@ -94,8 +97,9 @@ __all__ = [
     "MEMBERSHIP_FAMILIES",
 ]
 
-MEMBERSHIP_FAMILIES = ("second", "dieudonne", "mercer")
+# each membership family with its RNG substream tag
 _FAMILY_TAGS = {"second": 11, "dieudonne": 12, "mercer": 13}
+MEMBERSHIP_FAMILIES = tuple(_FAMILY_TAGS)
 _TIGHTNESS_TAG = 31
 # samples per random block
 _BLOCK = 1024
@@ -412,30 +416,31 @@ def _attainment_margins(spec):
     """Minus the distance of every check of one kind's attainment grid from
     its target: each grid point's probes, then each row's pins.
 
-    The grid points hold lane arrays.  Each point's data, free values and
-    target are tiled once per row, so the kind's rows are the lanes of one
-    extremal tree and one jet, and a check is a slice of those lanes.
+    The grid points hold lane arrays.  Each point's data and free values are
+    tiled once per row, so the kind's rows are the lanes of one extremal tree
+    and one jet, and a check is a slice of those lanes, measured row by row
+    against its grid point's own target.
     """
-    lanes, probes, pins = {}, [], []  # a check: (component, lanes, center, radius, scale)
+    lanes, probes, pins = {}, [], []  # a check: (target, component, lanes, shape)
     start = 0
     for point in spec.grid():
         k, n = len(point.rows), point.data["z0"].size
         frees = {name: np.array([free[name] for free, _ in point.rows]).reshape(k, -1) for name in point.rows[0][0]}
         for name, values in {**point.data, **frees}.items():
             lanes.setdefault(name, []).append(_tile(values, k, n))
-        target = _target_circle(point.target)
-        probes.append((spec.probe, slice(start, start + k * n), *(_tile(v, k, n) for v in target)))
+        probes.append((point.target, spec.probe, slice(start, start + k * n), (k, n)))
         for row, (_, pinned) in enumerate(point.rows):
             at = slice(start + row * n, start + (row + 1) * n)
-            pins += [(part, at, *(_tile(v, 1, n) for v in _target_circle(disk))) for part, disk in pinned]
+            pins += [(disk, part, at, n) for part, disk in pinned]
         start += k * n
 
     lanes = {name: np.concatenate(values) for name, values in lanes.items()}
     jet = make_extremal(spec.kind, **lanes).jet(lanes["z0"])
-    parts, at, centers, radii, scales = zip(*probes, *pins)
-    probe = np.concatenate([getattr(jet, part)[rows] for part, rows in zip(parts, at)])
-    distance = Disk(np.concatenate(centers), np.concatenate(radii)).boundary_distance(probe)
-    return -distance / np.concatenate(scales)
+    distances = [
+        attainment_distance(target, getattr(jet, part)[at].reshape(shape)).ravel()
+        for target, part, at, shape in probes + pins
+    ]
+    return -np.concatenate(distances)
 
 
 def run_attainment_suite(cfg, kinds=None):

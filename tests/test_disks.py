@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from diskvar.disks import (
     DerivativePair,
     dieudonne_disk,
-    hyperbolic_h2,
     max_attaining_alpha,
     mercer_disk,
-    modulus_max_second_derivative,
     peschl_pair,
     rogosinski_disk,
     schwarz_pick_disk,
@@ -208,7 +206,6 @@ def test_closed_forms_take_an_empty_batch():
         second_order_dieudonne_disk(e, e, e).region,
     ):
         assert disk.center.shape == disk.radius.shape == (0,)
-    assert modulus_max_second_derivative(PrescribedData(e, e, e)).shape == (0,)
 
 
 def test_second_derivative_disk_spot_values():
@@ -250,8 +247,7 @@ def test_center_is_the_zero_parameter_value(z0, d0, d1):
 def test_modulus_max_and_attaining_alpha():
     data = PrescribedData(0.4, 0.3, 0.5j)
     region = second_derivative_disk(data)
-    top = modulus_max_second_derivative(data)
-    assert top == pytest.approx(abs(region.center) + region.radius, abs=TOL)
+    top = abs(region.center) + region.radius
     alpha = max_attaining_alpha(data)
     g = schur_parametrize(data, Constant(alpha))
     assert abs(abs(eval_jet(g, 0.4 + 0j).f2) - top) < 1e-12
@@ -261,11 +257,12 @@ def test_attaining_alpha_is_free_when_center_vanishes():
     # delta1 = 0 gives c2 = 0: every unimodular alpha attains |c2| + rho2
     data = PrescribedData(0.4, 0.3, 0.0)
     assert max_attaining_alpha(data) is None
+    region = second_derivative_disk(data)
     for k in range(6):
         alpha = cmath.exp(2j * math.pi * k / 6)
         g = schur_parametrize(data, Constant(alpha))
         second = eval_jet(g, 0.4 + 0j).f2
-        assert abs(abs(second) - modulus_max_second_derivative(data)) < 1e-12
+        assert abs(abs(second) - (abs(region.center) + region.radius)) < 1e-12
 
 
 def test_attaining_alpha_per_lane():
@@ -350,19 +347,6 @@ def test_hyperbolic_d1_matches_definition():
     jet = eval_jet(g, z0)
     expect = (1.0 - abs(z0) ** 2) * jet.f1 / (1.0 - abs(jet.f0) ** 2)
     assert abs(peschl_pair(g, z0).d1 - expect) < TOL
-
-
-def test_hyperbolic_h2_relation():
-    g = Product(Identity(), Product(Identity(), Identity()))
-    z0 = 0.25 - 0.3j
-    pair = peschl_pair(g, z0)
-    h2 = hyperbolic_h2(g, z0)
-    assert abs(h2 - pair.d2 / (2.0 * (1.0 - abs(pair.d1) ** 2))) < TOL
-
-
-def test_hyperbolic_h2_degenerate_for_automorphism():
-    with pytest.raises(DegeneracyError):
-        hyperbolic_h2(MobiusT(0.2, Identity()), 0.3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -458,7 +458,7 @@ def test_attainment_kind_filter():
 
 def _circle(target):
     """(center, radius) of a Disk target, or (0, bound) of a bound target."""
-    return extremal._target_circle(target)[:2]
+    return (target.center, target.radius) if isinstance(target, Disk) else (0j, target)
 
 
 def _lane_circles(target, n):

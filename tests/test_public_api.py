@@ -32,7 +32,7 @@ from diskvar.moebius import Disk, Jet2
 
 MODULES = ("bounds", "cli", "disks", "extremal", "functions", "harness", "moebius")
 
-# names that restated another call or that only the proofs used
+# names that restated another call, or that only the proofs or the tests used
 REMOVED = (
     "mobius_T_inverse",
     "disk_contains",
@@ -48,6 +48,9 @@ REMOVED = (
     "phi_cubic",
     "phi_cubic_critical",
     "phi_quadratic",
+    "modulus_max_second_derivative",
+    "hyperbolic_h2",
+    "H2_DEGENERACY_THRESHOLD",
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -109,6 +112,13 @@ def test_import_leaves_numpy_unloaded(module):
     """The closed forms and the CLI run without numpy; only sampling loads it."""
     proc = _fresh_python(f"import sys, {module}; print([m for m in {UNLOADED!r} if m in sys.modules])")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_import_diskvar_leaves_json_unloaded():
+    """Only a function tree's JSON round trip needs json, and it imports json
+    itself; the CLI, which prints JSON, loads it."""
+    proc = _fresh_python("import sys, diskvar; print('json' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 _CLOSED_FORM_COMMANDS = [
