@@ -65,14 +65,22 @@ def schwarz_pick_disk(z0, delta0):
     return Disk(0j, (1.0 - abs(delta0) ** 2) / (1.0 - abs(z0) ** 2))
 
 
+def _pick_image(scale, a, s2, rscale):
+    """``scale`` times the region of h(zeta) over Schur functions h with
+    h(0) = a at |zeta|^2 = s2, a Moebius image of a centered disk: center
+    scale a (1 - s2) / (1 - s2 |a|^2), radius rscale (1 - |a|^2) /
+    (1 - s2 |a|^2), where ``rscale`` is |scale zeta| as the caller rounds it."""
+    a2 = abs(a) ** 2
+    den = 1.0 - s2 * a2
+    return Disk(scale * a * (1.0 - s2) / den, rscale * (1.0 - a2) / den)
+
+
 def rogosinski_disk(z0, gprime0):
     """Region of g(z0) over self-maps with g(0) = 0 and g'(0) = gprime0."""
     z0 = unit_disk_point(z0, "z0")
     b = unit_disk_point(gprime0, "gprime0")
     r2 = abs(z0) ** 2
-    b2 = abs(b) ** 2
-    den = 1.0 - r2 * b2
-    return Disk(z0 * b * (1.0 - r2) / den, r2 * (1.0 - b2) / den)
+    return _pick_image(z0, b, r2, r2)
 
 
 def dieudonne_disk(z0, w0):
@@ -119,10 +127,7 @@ def mercer_disk(z0, w0, z):
     u0 = w0 / z0
     _refuse_pole(-z0, z)
     t = _mobius(-z0, z)
-    k2 = abs(t) ** 2
-    m2 = abs(u0) ** 2
-    den = 1.0 - m2 * k2
-    return Disk(z * u0 * (1.0 - k2) / den, abs(z * t) * (1.0 - m2) / den)
+    return _pick_image(z, u0, abs(t) ** 2, abs(z * t))
 
 
 def second_derivative_disk(data):

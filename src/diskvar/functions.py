@@ -24,6 +24,7 @@ from functools import reduce
 from .moebius import (
     DomainError,
     Jet2,
+    _SCALAR_OPS,
     _any_lane,
     _Frozen,
     _mobius,
@@ -89,12 +90,14 @@ class FunctionExpr:
 
     def to_obj(self):
         """JSON-ready dict: the node's TAG, then its fields in declaration
-        order; complex scalars appear as [re, im] pairs."""
+        order, complex scalars as [re, im] pairs; a field of lanes is refused."""
         obj = {"node": self.TAG}
         for name, kind in type(self).__annotations__.items():
             value = getattr(self, name)
             if kind is FunctionExpr:
                 value = value.to_obj()
+            elif _ops(value) is not _SCALAR_OPS:
+                raise DomainError(f"node {self.TAG!r} holds lanes in {name!r}: a tree of lanes has no JSON form")
             elif kind is complex:
                 value = complex_to_pair(value)
             obj[name] = value

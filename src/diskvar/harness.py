@@ -28,11 +28,15 @@ parallel call forks only where every child gets at least the suite's
 crossover, the samples at which a child pays for its fork and its import of
 numpy's random module (``_MEMBERSHIP_PER_CHILD``, ``_TIGHTNESS_PER_CHILD``);
 a smaller one runs in-process, as a serial call does.  A call that forks runs
-one child per range, which sends its values back through a pipe; none of its
+one child per range, at most one per core the process may run on, up to 8
+(``_workers``); each child sends its values back through a pipe, none of the
 chunks runs in the parent, and no child outlives the call.  Before it forks,
-the parent imports ``secrets``, which numpy's random module needs, so that
-every child inherits OpenSSL instead of loading it; it does not import numpy's
-random module for the children, whose memory would count against it.
+the parent imports ``secrets`` (with ``hmac``, ``hashlib`` and OpenSSL's
+``_hashlib``), since numpy's ``bit_generator`` imports ``secrets.randbits``:
+every child inherits OpenSSL instead of loading it with its own import of
+numpy's random module.  The parent preloads no more than that, because what it
+holds counts in its own peak memory, and numpy's random module would cost it
+nearly twice what OpenSSL does.
 
 The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
 sharp kind, comes as a few lane-array grid points, their targets from one
@@ -168,17 +172,11 @@ class HarnessReport(NamedTuple):
 
 
 def _workers():
-    """THREADS, or the core count up to 8; never more than the cores this
-    process may run on, since a parallel call forks all of its children at
-    once."""
+    """One per core this process may run on, up to 8: a parallel call forks
+    all of its children at once.  A narrower CPU affinity (``taskset``)
+    gives fewer."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    env = os.environ.get("THREADS", "").strip()
-    if not env:
-        return min(cores, 8)
-    try:
-        return min(max(1, int(env)), cores)
-    except ValueError:
-        raise DomainError(f"THREADS must be an integer, got {env!r}") from None
+    return min(cores, 8)
 
 
 def _chunk_ranges(n, pieces):
@@ -196,13 +194,8 @@ def _map_chunks(fn, n, per_child):
     each child is forked and imports numpy's random module anew.  With fewer
     than two ranges, or where ``os.fork`` is missing, fn runs once here, over
     all of 0..n-1, as in a serial call; a call that forks runs no range here.
-    Before the first fork the parent imports ``secrets`` (with ``hmac``,
-    ``hashlib`` and OpenSSL's ``_hashlib``), since numpy's ``bit_generator``
-    imports ``secrets.randbits``: the children inherit it, so their own
-    import of numpy's random module skips loading OpenSSL.  The parent
-    preloads no more than that, because what it holds counts in its own peak
-    memory, and numpy's random module would cost it nearly twice what OpenSSL
-    does."""
+    Before the first fork the parent imports ``secrets`` for the children, as
+    the module docstring tells."""
     if n == 0:
         return []
     if per_child is None:
@@ -210,8 +203,7 @@ def _map_chunks(fn, n, per_child):
     ranges = _chunk_ranges(n, min(_workers(), max(1, n // per_child)))
     if len(ranges) == 1 or not hasattr(os, "fork"):
         return [fn((0, n))]
-    # for numpy.random's bit_generator in the children: OpenSSL is loaded
-    # once, here, not in each child
+    # OpenSSL for the children (module docstring)
     import secrets  # noqa: F401
 
     pipes, pids = [], []

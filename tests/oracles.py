@@ -12,7 +12,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from diskvar.functions import Constant, Identity, MobiusT, Product
+from diskvar.functions import Bracket, Compose, Constant, Identity, MobiusT, Product, Rotation
 
 mp.mp.dps = 40
 
@@ -71,3 +71,87 @@ REFERENCE_EXTREMALS = {
     "dieudonne2-degenerate": lambda z0, w0, delta1: Product(Identity(), one_step(z0, w0 / z0, delta1)),
     "dieudonne2-boundary": lambda z0, w0, delta1, alpha: Product(Identity(), two_step(z0, w0 / z0, delta1, alpha)),
 }
+
+
+# -- every tree as a rational function p/q ------------------------------------
+
+
+def _poly_mul(a, b):
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sum(coeffs, polys):
+    """sum_k coeffs[k] polys[k], for polynomials of one length."""
+    return [sum(c * poly[i] for c, poly in zip(coeffs, polys)) for i in range(len(polys[0]))]
+
+
+def _poly_pow(a, k):
+    out = [1 + 0j]
+    for _ in range(k):
+        out = _poly_mul(out, a)
+    return out
+
+
+def rational(tree):
+    """Coefficient lists (p, q), lowest degree first and of one length d + 1,
+    with tree = p/q: every node maps rational functions to rational functions,
+    so a scalar tree reduces by polynomial arithmetic alone.  d counts the
+    degrees the nodes add up, with no cancellation."""
+    if isinstance(tree, Identity):
+        return [0j, 1 + 0j], [1 + 0j, 0j]
+    if isinstance(tree, Constant):
+        return [complex(tree.c)], [1 + 0j]
+    if isinstance(tree, Rotation):
+        p, q = rational(tree.child)
+        turn = cmath.exp(1j * tree.theta)
+        return [turn * c for c in p], q
+    if isinstance(tree, (MobiusT, Bracket)):
+        # T_a(p/q) = (p + a q) / (q + conj(a) p); a bracket is T_{-w}
+        a = tree.a if isinstance(tree, MobiusT) else -tree.w
+        p, q = rational(tree.child)
+        return [x + a * y for x, y in zip(p, q)], [y + a.conjugate() * x for x, y in zip(p, q)]
+    if isinstance(tree, Product):
+        (pl, ql), (pr, qr) = rational(tree.left), rational(tree.right)
+        return _poly_mul(pl, pr), _poly_mul(ql, qr)
+    if isinstance(tree, Compose):
+        # sum_k P_k p^k q^(d-k) over sum_k Q_k p^k q^(d-k)
+        (P, Q), (p, q) = rational(tree.outer), rational(tree.inner)
+        d = len(P) - 1
+        terms = [_poly_mul(_poly_pow(p, k), _poly_pow(q, d - k)) for k in range(d + 1)]
+        return _poly_sum(P, terms), _poly_sum(Q, terms)
+    raise TypeError(f"no rational form for {type(tree).__name__}")
+
+
+def _taylor2(coeffs, z):
+    """(value, first, second derivative) of a polynomial at z, by Horner."""
+    f0 = f1 = f2 = 0j
+    for c in reversed(coeffs):
+        f2 = f2 * z + 2 * f1
+        f1 = f1 * z + f0
+        f0 = f0 * z + c
+    return f0, f1, f2
+
+
+def rational_jet(p, q, z):
+    """(g, g', g'') of g = p/q at z, by the quotient rule."""
+    p0, p1, p2 = _taylor2(p, z)
+    q0, q1, q2 = _taylor2(q, z)
+    f0 = p0 / q0
+    f1 = (p1 - f0 * q1) / q0
+    return f0, f1, (p2 - 2 * f1 * q1 - f0 * q2) / q0
+
+
+def inner_misfit(p, q):
+    """How far (p, q) is from q_k = lam conj(p_{d-k}) with |lam| = 1, the
+    coefficient identity of an inner rational function of degree d, relative
+    to the largest coefficient of q; inf where p_d = 0."""
+    d = len(p) - 1
+    if p[d] == 0:
+        return math.inf
+    lam = q[0] / p[d].conjugate()
+    misfit = max(abs(q[k] - lam * p[d - k].conjugate()) for k in range(d + 1))
+    return max(abs(abs(lam) - 1.0), misfit / max(map(abs, q)))

@@ -470,13 +470,6 @@ def test_unknown_attainment_kind_is_an_input_error(capsys):
     assert err == "error: unknown extremal kind 'nope'\n"
 
 
-def test_non_integer_threads_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("THREADS", "abc")
-    code, out, err = run(capsys, "verify", "membership", "--samples", "20", "--parallel")
-    assert code == 2 and out == ""
-    assert err == "error: THREADS must be an integer, got 'abc'\n"
-
-
 def test_repeated_invocations_are_byte_identical(capsys):
     argv = ("verify", "membership", "--samples", "50", "--seed", "11")
     _, first, _ = run(capsys, *argv)

@@ -29,6 +29,7 @@ from diskvar.functions import (
     schur_parametrize,
     substream,
 )
+from diskvar.extremal import make_extremal
 from diskvar.moebius import DomainError, Jet2, jet_div
 
 from oracles import fd_jet, rel_err
@@ -246,6 +247,22 @@ def test_expr_from_obj_errors():
     for _ in range(499):
         shallow = {"node": "rotation", "theta": 0.1, "child": shallow}
     assert eval_jet(function_from_json(json.dumps(shallow)), 0.2).f0 == pytest.approx(0.2 * cmath.exp(49.9j))
+
+
+def test_a_tree_of_lanes_has_no_json_form():
+    # each refusal names the node and the field that holds lanes
+    lanes = make_extremal("schwarz-pick", z0=np.array([0.1, 0.2j]), delta0=np.array([0j, 0.3]), alpha=1.0)
+    with pytest.raises(DomainError, match=r"^node 'mobius' holds lanes in 'a': a tree of lanes has no JSON form$"):
+        function_to_json(lanes)
+    turned = Rotation(np.array([0.1, 0.2]), Identity())
+    with pytest.raises(DomainError, match=r"^node 'rotation' holds lanes in 'theta'"):
+        turned.to_obj()
+    with pytest.raises(DomainError, match=r"^node 'rotation' holds lanes in 'theta'"):
+        function_to_json(turned)
+    # a numpy scalar is no batch
+    assert function_to_json(Rotation(np.float64(0.5), Constant(np.complex128(0.25j)))) == function_to_json(
+        Rotation(0.5, Constant(0.25j))
+    )
 
 
 def test_trees_deeper_than_the_cap_are_refused_when_built():

@@ -140,20 +140,26 @@ def _count_forks(monkeypatch):
 def test_the_pool_starts_no_more_workers_than_chunks_or_cores(monkeypatch):
     forked = _count_forks(monkeypatch)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    monkeypatch.setenv("THREADS", "100000")
-    assert harness._workers() == 64
+    assert harness._workers() == 8
     assert harness._map_chunks(lambda rg: rg, 3, 1) == [(0, 1), (1, 2), (2, 3)]
     started = [len(forked)]
-    monkeypatch.setenv("THREADS", "16")
     done = harness._map_chunks(lambda rg: rg, 100, 1)
     started.append(len(forked) - started[0])
-    # one range per worker, of 6 or 7 samples
-    assert done[-1] == (93, 100) and {hi - lo for lo, hi in done} == {6, 7}
-    assert started == [3, 16]
+    # one range per worker, of 12 or 13 samples
+    assert done[-1] == (87, 100) and {hi - lo for lo, hi in done} == {12, 13}
+    assert started == [3, 8]
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
     assert harness._workers() == 2
-    monkeypatch.delenv("THREADS")
-    assert harness._workers() == 2
+
+
+def test_the_workers_follow_the_cpu_affinity_alone(monkeypatch):
+    # THREADS is no input: whatever it holds, a call forks one child per
+    # usable core, up to 8
+    for threads in ("abc", "1", "100000"):
+        monkeypatch.setenv("THREADS", threads)
+        for cores, workers in ((1, 1), (2, 2), (64, 8)):
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)), raising=False)
+            assert harness._workers() == workers
 
 
 def _in_worker(rg):
@@ -162,7 +168,6 @@ def _in_worker(rg):
 
 def _two_workers(monkeypatch):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("THREADS", "2")
 
 
 def _forking(monkeypatch):

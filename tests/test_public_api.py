@@ -160,8 +160,7 @@ def test_a_parallel_call_preloads_secrets_but_not_numpy_random():
     random module is imported in the children alone.  The crossover is set
     down so that 1,000 samples fork."""
     code = (
-        "import os, sys\n"
-        "os.environ['THREADS'] = '2'\n"
+        "import sys\n"
         "from diskvar import harness\n"
         "from diskvar.harness import HarnessConfig, run_membership_suite\n"
         "harness._MEMBERSHIP_PER_CHILD = 500\n"
