@@ -7,9 +7,16 @@ Grammar::
 
 Constants live in the closed disk, Moebius and bracket parameters in the open
 disk, so every well-formed tree maps the disk into the closed disk by
-construction.  Trees evaluate pointwise (``value``) and as second-order jets
-(``jet``); ``value`` is generic over the scalar type so a high-precision
-evaluation (e.g. with mpmath) can serve as an independent oracle.  A node's
+construction.  Trees evaluate pointwise (``value``) and as jets of order 0, 1
+or 2 (``jet(z0, order)``, second order by default); ``value`` is generic over
+the scalar type so a high-precision evaluation (e.g. with mpmath) can serve as
+an independent oracle.  A jet is computed only to the order asked for, and
+the valuation rule lowers it further: a ``Product`` whose left factor is 0 at
+z0 in every lane asks its right factor for one order less, since that
+factor's top derivative is multiplied by the 0.  In a Schur step T_c(u rest),
+u = T_{-z0}(z) is such a factor, so g''(z0) of ``schur_parametrize``'s two
+steps reads its g* by value alone, g''(z0) = c2 + rho2 g*(z0), and so does
+f'(z0) of ``dieudonne_parametrize``'s one step.  A node's
 parameters may also be batches (numpy arrays, one lane per sample, see
 ``diskvar.moebius``): the tree then stands for one function per lane and
 evaluates all of them at once, at a batch of points.
@@ -85,7 +92,9 @@ class FunctionExpr:
     def value(self, z):
         raise NotImplementedError
 
-    def jet(self, z0):
+    def jet(self, z0, order=2):
+        """The jet at z0 to ``order`` (0, 1 or 2): a ``Jet2`` whose
+        derivatives beyond ``order`` are None."""
         raise NotImplementedError
 
     def to_obj(self):
@@ -113,14 +122,22 @@ def _nest(node, child, other=None):
     _set_field(node, "_depth", depth + 1)
 
 
+def _leaf_jet(order, f0, f1):
+    """A leaf's jet (f0, f1, 0) to ``order``.  The leaves check the order,
+    which every node passes down to its children before it uses it."""
+    if type(order) is not int or not 0 <= order <= 2:
+        raise DomainError(f"jet order must be the integer 0, 1 or 2, got {order!r}")
+    return Jet2(f0, f1 if order else None, 0j if order == 2 else None)
+
+
 class Identity(_Frozen, FunctionExpr):
     TAG = "identity"
 
     def value(self, z):
         return z
 
-    def jet(self, z0):
-        return Jet2(z0, 1.0 + 0j, 0j)
+    def jet(self, z0, order=2):
+        return _leaf_jet(order, z0, 1.0 + 0j)
 
 
 class Constant(_Frozen, FunctionExpr):
@@ -133,8 +150,8 @@ class Constant(_Frozen, FunctionExpr):
     def value(self, z):
         return self.c
 
-    def jet(self, z0):
-        return Jet2(self.c, 0j, 0j)
+    def jet(self, z0, order=2):
+        return _leaf_jet(order, self.c, 0j)
 
 
 class Rotation(_Frozen, FunctionExpr):
@@ -152,15 +169,16 @@ class Rotation(_Frozen, FunctionExpr):
     def value(self, z):
         return _unimodular(self.theta) * self.child.value(z)
 
-    def jet(self, z0):
-        return jet_scale(_unimodular(self.theta), self.child.jet(z0))
+    def jet(self, z0, order=2):
+        return jet_scale(_unimodular(self.theta), self.child.jet(z0, order))
 
 
 def _mobius_jet(a, x):
     """Jet of T_a(w) = (w + a) / (1 + conj(a) w) at the jet x of w."""
     ac = a.conjugate()
-    num = Jet2(x.f0 + a, x.f1, x.f2)
-    den = Jet2(1.0 + ac * x.f0, ac * x.f1, ac * x.f2)
+    f1, f2 = x.f1, x.f2
+    num = Jet2(x.f0 + a, f1, f2)
+    den = Jet2(1.0 + ac * x.f0, None if f1 is None else ac * f1, None if f2 is None else ac * f2)
     return jet_div(num, den)
 
 
@@ -184,8 +202,8 @@ class MobiusT(_Frozen, FunctionExpr):
     def value(self, z):
         return _mobius(self.a, self.child.value(z))
 
-    def jet(self, z0):
-        return _mobius_jet(self.a, self.child.jet(z0))
+    def jet(self, z0, order=2):
+        return _mobius_jet(self.a, self.child.jet(z0, order))
 
 
 class Product(_Frozen, FunctionExpr):
@@ -201,8 +219,14 @@ class Product(_Frozen, FunctionExpr):
     def value(self, z):
         return self.left.value(z) * self.right.value(z)
 
-    def jet(self, z0):
-        return jet_mul(self.left.jet(z0), self.right.jet(z0))
+    def jet(self, z0, order=2):
+        left = self.left.jet(z0, order)
+        # the valuation rule: where the left factor is 0 at z0 in every lane,
+        # as a Schur step's u is, the right one's top derivative is multiplied
+        # by that 0, so it is not asked for
+        if order and not _any_lane(left.f0 != 0):
+            order -= 1
+        return jet_mul(left, self.right.jet(z0, order))
 
 
 class Compose(_Frozen, FunctionExpr):
@@ -218,9 +242,9 @@ class Compose(_Frozen, FunctionExpr):
     def value(self, z):
         return self.outer.value(self.inner.value(z))
 
-    def jet(self, z0):
-        ji = self.inner.jet(z0)
-        jo = self.outer.jet(ji.f0)
+    def jet(self, z0, order=2):
+        ji = self.inner.jet(z0, order)
+        jo = self.outer.jet(ji.f0, order)
         return jet_compose(jo, ji)
 
 
@@ -240,8 +264,8 @@ class Bracket(_Frozen, FunctionExpr):
     def value(self, z):
         return _mobius(-self.w, self.child.value(z))
 
-    def jet(self, z0):
-        return _mobius_jet(-self.w, self.child.jet(z0))
+    def jet(self, z0, order=2):
+        return _mobius_jet(-self.w, self.child.jet(z0, order))
 
 
 def evaluate(f, z):

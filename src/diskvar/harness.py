@@ -315,8 +315,10 @@ class _Select(_Frozen, FunctionExpr):
     def value(self, z):
         return np.where(self.mask, self.then.value(z), self.other.value(z))
 
-    def jet(self, z0):
-        return Jet2(*(np.where(self.mask, a, b) for a, b in zip(self.then.jet(z0), self.other.jet(z0))))
+    def jet(self, z0, order=2):
+        # both sides have the order asked for, so a None pairs with a None
+        pairs = zip(self.then.jet(z0, order), self.other.jet(z0, order))
+        return Jet2(*(None if a is None else np.where(self.mask, a, b) for a, b in pairs))
 
 
 def _schur_template(p):
@@ -363,7 +365,7 @@ def _block_margins(family, p):
         return second_derivative_disk(data).margin(g.jet(z0).f2)
     f = dieudonne_parametrize(z0, p["w0"], gstar)
     if family == "dieudonne":
-        return dieudonne_disk(z0, p["w0"]).margin(f.jet(z0).f1)
+        return dieudonne_disk(z0, p["w0"]).margin(f.jet(z0, 1).f1)
     return mercer_disk(z0, p["w0"], p["z"]).margin(f.value(p["z"]))
 
 
@@ -427,7 +429,9 @@ def _attainment_margins(spec):
         start += k * n
 
     lanes = {name: np.concatenate(values) for name, values in lanes.items()}
-    jet = make_extremal(spec.kind, **lanes).jet(lanes["z0"])
+    # to the highest order a probe or a pin reads
+    order = max(Jet2._fields.index(part) for _, part, _, _ in probes + pins)
+    jet = make_extremal(spec.kind, **lanes).jet(lanes["z0"], order)
     distances = [
         attainment_distance(target, getattr(jet, part)[at].reshape(shape)).ravel()
         for target, part, at, shape in probes + pins

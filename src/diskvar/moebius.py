@@ -1,5 +1,5 @@
 """Unit-disk Moebius maps, pseudo-hyperbolic differences, closed disks, and
-second-order jet arithmetic.
+jet arithmetic to order 2.
 
 Everything here works on plain ``complex`` scalars, and lane-wise on a batch:
 a numpy array holding one value per sample.  Domains are checked at the API
@@ -13,6 +13,9 @@ closed, is accepted from one pass over |z|; a unimodular batch passes the
 closed check that way.  Only a batch near or beyond the bounding circle, or
 with a lane that is not finite, is decided lane by lane from x*x + y*y, and
 only that path raises.
+A jet (``Jet2``) holds a value and its derivatives up to its order, 0, 1 or
+2, and None beyond it; each ``jet_*`` helper computes only the orders its
+inputs carry.
 ``_ops`` is the one place that chooses between scalars and lanes: it maps
 a value to numpy when it is a batch, and to the math/cmath counterparts of
 the numpy functions otherwise.  It alone imports numpy, so the scalar paths
@@ -346,48 +349,72 @@ class Disk(_Frozen):
 
 
 class Jet2(NamedTuple):
-    """Second-order jet (f(z0), f'(z0), f''(z0)) of an analytic map, or of a
-    batch of maps with one lane per sample.
+    """Jet (f(z0), f'(z0), f''(z0)) of an analytic map to order 0, 1 or 2,
+    or of a batch of maps with one lane per sample.  The derivatives beyond
+    its order are None: a jet of order 0 is (f(z0), None, None).
 
-    All binary operations assume both operands are expanded at the same base
-    point; combining jets taken at different points is meaningless and is not
-    detectable from the values themselves.
+    Each helper below computes only the orders its inputs carry, so its
+    result has the lower order of its operands (``jet_mul`` excepted, see
+    there).  All binary operations assume both operands are expanded at the
+    same base point; combining jets taken at different points is meaningless
+    and is not detectable from the values themselves.
     """
 
     f0: complex
-    f1: complex
-    f2: complex
+    f1: complex = None
+    f2: complex = None
 
 
 def jet_scale(s, a):
-    return Jet2(s * a.f0, s * a.f1, s * a.f2)
+    f1, f2 = a.f1, a.f2
+    return Jet2(s * a.f0, None if f1 is None else s * f1, None if f2 is None else s * f2)
+
+
+def _order(j):
+    """The order of a jet: the index of its last component that is not None."""
+    return 0 if j.f1 is None else 1 if j.f2 is None else 2
 
 
 def jet_mul(a, b):
-    """Leibniz to second order: (fg)'' = f''g + 2f'g' + fg''."""
-    return Jet2(
-        a.f0 * b.f0,
-        a.f1 * b.f0 + a.f0 * b.f1,
-        a.f2 * b.f0 + 2.0 * a.f1 * b.f1 + a.f0 * b.f2,
-    )
+    """Leibniz: (fg)' = f'g + fg' and (fg)'' = f''g + 2f'g' + fg''.
+
+    The product has a's order.  b may be one order short where a's value is
+    0 in every lane, as a Schur step's u is at z0: the terms it lacks are the
+    ones multiplied by that exact 0, and are dropped.
+    """
+    ka, kb = _order(a), _order(b)
+    if kb < ka and (kb < ka - 1 or _any_lane(a.f0 != 0)):
+        raise DomainError(f"jet_mul needs a right factor of order {ka}, or {ka - 1} where the left one vanishes")
+    f0 = a.f0 * b.f0
+    if ka == 0:
+        return Jet2(f0)
+    f1 = a.f1 * b.f0 if kb == 0 else a.f1 * b.f0 + a.f0 * b.f1
+    if ka == 1:
+        return Jet2(f0, f1)
+    f2 = a.f2 * b.f0 + 2.0 * a.f1 * b.f1
+    return Jet2(f0, f1, f2 if kb == 1 else f2 + a.f0 * b.f2)
 
 
 def jet_div(a, b):
-    """Quotient jet; solves a = q*b order by order."""
+    """Quotient jet; solves a = q*b order by order, to the lower order of a and b."""
     # a batch's all() counts NaN as non-zero, as the scalar == 0 does
     if (not b.f0.all()) if _is_batch(b.f0) else b.f0 == 0:
         raise PoleError("jet division by a jet with zero value part")
     q0 = a.f0 / b.f0
+    if a.f1 is None or b.f1 is None:
+        return Jet2(q0)
     q1 = (a.f1 - q0 * b.f1) / b.f0
-    q2 = (a.f2 - 2.0 * q1 * b.f1 - q0 * b.f2) / b.f0
-    return Jet2(q0, q1, q2)
+    if a.f2 is None or b.f2 is None:
+        return Jet2(q0, q1)
+    return Jet2(q0, q1, (a.f2 - 2.0 * q1 * b.f1 - q0 * b.f2) / b.f0)
 
 
 def jet_compose(outer, inner):
-    """Chain rule; ``outer`` must be expanded at ``inner.f0``."""
-    return Jet2(
-        outer.f0,
-        outer.f1 * inner.f1,
-        outer.f2 * inner.f1 * inner.f1 + outer.f1 * inner.f2,
-    )
-
+    """Chain rule, to the lower order of the two; ``outer`` must be expanded
+    at ``inner.f0``."""
+    if outer.f1 is None or inner.f1 is None:
+        return Jet2(outer.f0)
+    f1 = outer.f1 * inner.f1
+    if outer.f2 is None or inner.f2 is None:
+        return Jet2(outer.f0, f1)
+    return Jet2(outer.f0, f1, outer.f2 * inner.f1 * inner.f1 + outer.f1 * inner.f2)

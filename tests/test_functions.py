@@ -29,10 +29,11 @@ from diskvar.functions import (
     schur_parametrize,
     substream,
 )
-from diskvar.extremal import make_extremal
+from diskvar import harness
+from diskvar.extremal import KINDS, make_extremal
 from diskvar.moebius import DomainError, Jet2, jet_div
 
-from oracles import fd_jet, rel_err
+from oracles import fd_jet, lane_params, rel_err
 
 
 def polar(max_modulus):
@@ -291,16 +292,19 @@ def test_trees_deeper_than_the_cap_are_refused_when_built():
 
 
 class _FixedJet(FunctionExpr):
-    """A leaf with a given value and jet."""
+    """A leaf with a given value and jet, truncated to the order it is asked
+    for; ``asked`` records those orders."""
 
     def __init__(self, jet):
         self.fixed = jet
+        self.asked = []
 
     def value(self, z):
         return self.fixed.f0
 
-    def jet(self, z0):
-        return self.fixed
+    def jet(self, z0, order=2):
+        self.asked.append(order)
+        return Jet2(*self.fixed[: order + 1])
 
 
 def _bracket_in_w(w, x):
@@ -343,3 +347,71 @@ def test_disk_sample_stays_in_cap():
     rng = substream(3, 1)
     for _ in range(200):
         assert abs(disk_sample(rng, 0.7)) <= 0.7 + 1e-15
+
+
+# -- jets to order 0, 1 and 2 --------------------------------------------------
+
+
+def _assert_truncations_agree(tree, z0):
+    """tree.jet(z0, k) is the first k + 1 components of tree.jet(z0), bit for
+    bit, and None beyond them; the order-0 jet is tree.value(z0)."""
+    full = tree.jet(z0)
+    for k in (0, 1):
+        jet = tree.jet(z0, k)
+        assert jet[k + 1 :] == (None,) * (2 - k)
+        assert [np.asarray(c, complex).tobytes() for c in jet[: k + 1]] == [
+            np.asarray(c, complex).tobytes() for c in full[: k + 1]
+        ]
+    assert np.asarray(tree.value(z0), complex).tobytes() == np.asarray(full.f0, complex).tobytes()
+
+
+def test_a_truncated_jet_is_the_full_jet_cut_short_on_every_grid_extremal():
+    trees = 0
+    for spec in KINDS.values():
+        for point in spec.grid():
+            for free, _ in point.rows:
+                _assert_truncations_agree(make_extremal(spec.kind, **point.data, **free), point.data["z0"])
+                for i in range(point.data["z0"].size):
+                    params = lane_params(point, free, i)
+                    _assert_truncations_agree(make_extremal(spec.kind, **params), params["z0"])
+                    trees += 1
+    assert trees == 1753  # the lanes test_rational.py checks
+
+
+def test_a_truncated_jet_is_the_full_jet_cut_short_on_random_trees():
+    for index in range(300):
+        _assert_truncations_agree(random_schur_function(9, index), disk_sample(substream(9, 7, index), 0.9))
+
+
+@pytest.mark.parametrize("family", harness.MEMBERSHIP_FAMILIES)
+def test_a_truncated_jet_is_the_full_jet_cut_short_on_a_membership_template(family):
+    p = harness._draw_block(family, substream(SEED, harness._FAMILY_TAGS[family], 0), slice(None))
+    gstar = harness._schur_template(p)
+    z0 = p["z0"]
+    _assert_truncations_agree(gstar, z0)
+    if family == "second":
+        _assert_truncations_agree(schur_parametrize(PrescribedData(z0, p["delta0"], p["delta1"]), gstar), z0)
+    else:
+        _assert_truncations_agree(dieudonne_parametrize(z0, p["w0"], gstar), z0)
+
+
+def test_a_schur_step_asks_its_free_parameter_for_its_value_alone():
+    # u(z0) = 0, so g''(z0) = c2 + rho2 g*(z0) and f'(z0) = c1 + rho1 (z0/|z0|) f*(z0)
+    z0 = 0.4 - 0.2j
+    leaf = _FixedJet(Jet2(0.3 + 0.1j, 0.2j, -0.4 + 0j))
+    data = PrescribedData(z0, 0.1 + 0.5j, -0.3 + 0.2j)
+    g = schur_parametrize(data, leaf)
+    assert g.jet(z0).f2 is not None
+    assert leaf.asked == [0]
+    leaf.asked.clear()
+    f = dieudonne_parametrize(z0, 0.1 + 0.1j, leaf)
+    assert f.jet(z0, 1).f1 is not None
+    assert leaf.asked == [0]
+
+
+@pytest.mark.parametrize("order", [-1, 3, 1.5, True])
+def test_a_jet_order_other_than_0_1_or_2_is_refused(order):
+    two_steps = schur_parametrize(PrescribedData(0.3, 0.2j, 0.1), Constant(0.5))
+    for tree in (Identity(), Constant(0.5), random_schur_function(SEED), two_steps):
+        with pytest.raises(DomainError, match="order"):
+            tree.jet(0.1 + 0.2j, order)

@@ -347,6 +347,33 @@ def test_jet_div_by_zero_value():
         jet_div(Jet2(ones, ones, ones), Jet2(np.array([1.0, 0.0, 2.0]), ones, ones))
 
 
+def test_each_jet_helper_keeps_the_lower_order_of_its_operands():
+    z = 0.3 - 0.2j
+    full = (Jet2(z, 1.0 + 0j, 0j), Jet2(1.0 - z, -1.0 + 0j, 0.5j))
+    for k in (0, 1):
+        cut = [Jet2(*j[: k + 1]) for j in full]
+        for helper in (jet_mul, jet_div, jet_compose):
+            assert helper(*cut) == helper(*full)[: k + 1] + (None,) * (2 - k)
+            assert helper(cut[0], full[1]) == helper(*cut)
+        for helper in (jet_div, jet_compose):
+            assert helper(full[0], cut[1]) == helper(*cut)
+        assert jet_scale(2j, cut[0]) == jet_scale(2j, full[0])[: k + 1] + (None,) * (2 - k)
+
+
+def test_jet_mul_takes_a_right_factor_one_order_short_only_where_the_left_one_vanishes():
+    u = Jet2(0j, 2.0 + 0j, 1j)
+    # what the short factor lacks is multiplied by u's 0 and dropped
+    assert jet_mul(u, Jet2(0.5 + 0j, 3j)) == jet_mul(u, Jet2(0.5 + 0j, 3j, 7.0 + 0j)) == Jet2(0j, 1.0 + 0j, 12.5j)
+    assert jet_mul(Jet2(0j, 2.0 + 0j), Jet2(0.5 + 0j)) == Jet2(0j, 1.0 + 0j, None)
+    for left, right in (
+        (Jet2(0.1 + 0j, 2.0 + 0j, 1j), Jet2(0.5 + 0j, 3j)),  # a value that is not 0
+        (Jet2(np.array([0j, 0.1]), np.ones(2, complex)), Jet2(np.ones(2, complex))),  # in one lane
+        (u, Jet2(0.5 + 0j)),  # two orders short
+    ):
+        with pytest.raises(DomainError, match="jet_mul"):
+            jet_mul(left, right)
+
+
 def test_jet_compose_chain_rule():
     # outer(w) = w^2 at w = inner value; inner(z) = 2z + 1
     z = 0.1 + 0.1j
