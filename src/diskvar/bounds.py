@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .moebius import DomainError, _any_lane, _lane, require_real
+from .moebius import DomainError, _any_lane, _lane, _refuse_batch, require_int, require_real
 
 __all__ = [
     "Branch",
@@ -83,8 +83,11 @@ def theorem31_bound(r, R):
 
     Returns the value and the active branch.  The functions that attain it
     depend on the phases of z0 and g(z0) as well; ``diskvar.extremal`` derives
-    their parameters.
+    their parameters.  r and R are scalars: the branch is chosen per call
+    (``branch_value`` takes lanes).
     """
+    _refuse_batch(r, "r", "theorem31_bound", "branch_value")
+    _refuse_batch(R, "R", "theorem31_bound", "branch_value")
     r, R = _check_rR(r, R)
     if r + 2.0 * R >= 2.0:
         return BoundResult(branch_value(Branch.DEG1, r, R), Branch.DEG1)
@@ -103,7 +106,7 @@ def szasz_bound(r):
 
 def ruscheweyh_bound(n, r, R):
     """|g^(n)(z0)| <= n! (1 - R^2) / ((1 - r)^n (1 + r)) for n in {1, 2}."""
-    if n not in (1, 2):
+    if require_int(n, "n", minimum=1) not in (1, 2):
         raise DomainError("ruscheweyh_bound is implemented for n in {1, 2}")
     r, R = _check_rR(r, R)
     value = math.factorial(n) * (1.0 - R * R) / ((1.0 - r) ** n * (1.0 + r))

@@ -309,10 +309,12 @@ def _parser():
     ):
         p = verify_sub.add_parser(suite)
         if suite != "attainment":  # the attainment grids are fixed, not sampled
-            p.add_argument("--seed", type=int, default=42)
-            p.add_argument("--samples", type=int, default=10000)
+            p.add_argument("--seed", type=int)
+            p.add_argument("--samples", type=int)
             p.add_argument("--parallel", action="store_true")
-        p.add_argument("--tol", type=float, default=None)
+        # left unset, --seed, --samples and --tol are None, and HarnessConfig's
+        # defaults decide
+        p.add_argument("--tol", type=float)
         if suite == "membership":
             p.add_argument("--families", help="comma-separated subset of second,dieudonne,mercer")
         elif suite == "attainment":

@@ -27,6 +27,7 @@ from .moebius import (
     _any_lane,
     _mobius,
     _ops,
+    _refuse_batch,
     _refuse_pole,
     _require_w0_below_z0,
     closed_disk_point,
@@ -204,8 +205,9 @@ def peschl_pair(g, z0):
 
     |D2 g| <= 2 (1 - |D1 g|^2), with equality exactly for Blaschke products
     of degree <= 2.  Undefined when |g(z0)| = 1 (g is then a unimodular
-    constant).
+    constant).  z0 is a scalar.
     """
+    _refuse_batch(z0, "z0", "peschl_pair")
     j = eval_jet(g, z0)
     z0 = complex(z0)
     gden = 1.0 - abs(j.f0) ** 2

@@ -7,10 +7,11 @@ Grammar::
 
 Constants live in the closed disk, Moebius and bracket parameters in the open
 disk, so every well-formed tree maps the disk into the closed disk by
-construction.  Trees evaluate pointwise (``value``) and as jets of order 0, 1
-or 2 (``jet(z0, order)``, second order by default); ``value`` is generic over
-the scalar type so a high-precision evaluation (e.g. with mpmath) can serve as
-an independent oracle.  A jet is computed only to the order asked for, and
+construction.  Trees evaluate as jets of order 0, 1 or 2 (``jet(z0,
+order)``, second order by default), and a node's map is written once, as its
+jet: ``value(z)`` is the jet of order 0.  The jets are generic over the scalar
+type, so a high-precision evaluation (e.g. with mpmath) can serve as an
+independent oracle.  A jet is computed only to the order asked for, and
 the valuation rule lowers it further: a ``Product`` whose left factor is 0 at
 z0 in every lane asks its right factor for one order less, since that
 factor's top derivative is multiplied by the 0.  In a Schur step T_c(u rest),
@@ -34,7 +35,6 @@ from .moebius import (
     _SCALAR_OPS,
     _any_lane,
     _Frozen,
-    _mobius,
     _modulus2,
     _ops,
     _require_w0_below_z0,
@@ -90,7 +90,9 @@ class FunctionExpr:
     _depth = 1
 
     def value(self, z):
-        raise NotImplementedError
+        """The tree's value at z: its jet of order 0, so a value and a jet
+        run the same arithmetic, and a pole raises ``PoleError`` in both."""
+        return self.jet(z, 0).f0
 
     def jet(self, z0, order=2):
         """The jet at z0 to ``order`` (0, 1 or 2): a ``Jet2`` whose
@@ -133,9 +135,6 @@ def _leaf_jet(order, f0, f1):
 class Identity(_Frozen, FunctionExpr):
     TAG = "identity"
 
-    def value(self, z):
-        return z
-
     def jet(self, z0, order=2):
         return _leaf_jet(order, z0, 1.0 + 0j)
 
@@ -146,9 +145,6 @@ class Constant(_Frozen, FunctionExpr):
 
     def __init__(self, c):
         _set_field(self, "c", closed_disk_point(c, "c"))
-
-    def value(self, z):
-        return self.c
 
     def jet(self, z0, order=2):
         return _leaf_jet(order, self.c, 0j)
@@ -165,9 +161,6 @@ class Rotation(_Frozen, FunctionExpr):
         _set_field(self, "theta", require_real(theta, "theta"))
         _set_field(self, "child", child)
         _nest(self, child)
-
-    def value(self, z):
-        return _unimodular(self.theta) * self.child.value(z)
 
     def jet(self, z0, order=2):
         return jet_scale(_unimodular(self.theta), self.child.jet(z0, order))
@@ -199,9 +192,6 @@ class MobiusT(_Frozen, FunctionExpr):
         _set_field(self, "child", child)
         _nest(self, child)
 
-    def value(self, z):
-        return _mobius(self.a, self.child.value(z))
-
     def jet(self, z0, order=2):
         return _mobius_jet(self.a, self.child.jet(z0, order))
 
@@ -215,9 +205,6 @@ class Product(_Frozen, FunctionExpr):
         _set_field(self, "left", left)
         _set_field(self, "right", right)
         _nest(self, left, right)
-
-    def value(self, z):
-        return self.left.value(z) * self.right.value(z)
 
     def jet(self, z0, order=2):
         left = self.left.jet(z0, order)
@@ -239,9 +226,6 @@ class Compose(_Frozen, FunctionExpr):
         _set_field(self, "inner", inner)
         _nest(self, outer, inner)
 
-    def value(self, z):
-        return self.outer.value(self.inner.value(z))
-
     def jet(self, z0, order=2):
         ji = self.inner.jet(z0, order)
         jo = self.outer.jet(ji.f0, order)
@@ -260,9 +244,6 @@ class Bracket(_Frozen, FunctionExpr):
         _set_field(self, "w", unit_disk_point(w, "w"))
         _set_field(self, "child", child)
         _nest(self, child)
-
-    def value(self, z):
-        return _mobius(-self.w, self.child.value(z))
 
     def jet(self, z0, order=2):
         return _mobius_jet(-self.w, self.child.jet(z0, order))

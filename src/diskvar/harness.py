@@ -312,9 +312,6 @@ class _Select(_Frozen, FunctionExpr):
         _set_field(self, "other", other)
         _nest(self, then, other)
 
-    def value(self, z):
-        return np.where(self.mask, self.then.value(z), self.other.value(z))
-
     def jet(self, z0, order=2):
         # both sides have the order asked for, so a None pairs with a None
         pairs = zip(self.then.jet(z0, order), self.other.jet(z0, order))

@@ -104,6 +104,14 @@ def _any_lane(cond):
     return cond if type(cond) is bool else cond.any() if _is_batch(cond) else cond
 
 
+def _refuse_batch(x, name, caller, lanes=None):
+    """Refuse a batch ``x`` where ``caller`` takes a scalar ``name``;
+    ``lanes`` names the function that takes lanes instead, if there is one."""
+    if _is_batch(x):
+        instead = f"; {lanes} takes lanes" if lanes else ""
+        raise DomainError(f"{caller} takes a scalar {name}, not a batch{instead}")
+
+
 def _lane(x, bad):
     """x itself, or the first lane of a batch x where ``bad`` holds: the value
     an error message names."""
@@ -120,14 +128,29 @@ def _all_below(x, bound):
     return abs(x).max(initial=0.0) < bound
 
 
+def _complex_lanes(z, name):
+    """A batch z as complex lanes; a batch of strings, bytes, bools or
+    objects is refused rather than converted."""
+    if z.dtype.kind not in "iufc":
+        raise DomainError(f"{name} must hold a number in every lane, got a {z.dtype} batch")
+    return z.astype(complex, copy=False)
+
+
 def require_finite(z, name="value"):
-    if type(z) is not complex and _is_batch(z):
-        z = z.astype(complex, copy=False)
-        if not _all_below(z, math.inf):
-            finite = _ops(z).isfinite(z)
-            if not finite.all():
-                raise DomainError(f"{name} must have finite components, got {complex(_lane(z, ~finite))!r}")
-        return z
+    """Validate a finite complex number and return it as a complex; strings,
+    bytes and bools are refused rather than converted.  A batch must hold
+    integers, floats or complex numbers."""
+    if type(z) is not complex:
+        if _is_batch(z):
+            z = _complex_lanes(z, name)
+            if not _all_below(z, math.inf):
+                finite = _ops(z).isfinite(z)
+                if not finite.all():
+                    raise DomainError(f"{name} must have finite components, got {complex(_lane(z, ~finite))!r}")
+            return z
+        # a numpy scalar or 0-d array names its kind by its dtype, as a batch does
+        if isinstance(z, (str, bytes, bool)) or getattr(getattr(z, "dtype", None), "kind", "c") not in "iufc":
+            raise DomainError(f"{name} must be a complex number, got {z!r}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"{name} must have finite components, got {z!r}")
@@ -199,7 +222,7 @@ def _require_w0_below_z0(z0, w0, name):
 def _disk_check(z, name, closed):
     """unit_disk_point, or closed_disk_point when ``closed``: they differ in a bound and a word."""
     if type(z) is not complex and _is_batch(z):
-        z = z.astype(complex, copy=False)
+        z = _complex_lanes(z, name)
         if _all_below(z, _CLOSED_WELL_INSIDE if closed else _WELL_INSIDE):
             return z
     z = require_finite(z, name)
@@ -232,8 +255,9 @@ def unimodular_point(z, name="alpha"):
 
 
 def _mobius(a, z):
-    """T_a(z) = (z + a) / (1 + conj(a) z), unchecked: the one formula of the
-    Moebius maps, T_a nodes and brackets alike."""
+    """T_a(z) = (z + a) / (1 + conj(a) z), unchecked: the formula of
+    ``mobius_T``, ``hyperbolic_bracket`` and ``disks.mercer_disk``.  A tree's
+    T_a and bracket nodes evaluate it as the jet quotient of ``jet_div``."""
     return (z + a) / (1.0 + a.conjugate() * z)
 
 

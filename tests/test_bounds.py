@@ -102,6 +102,20 @@ def test_out_of_range_inputs():
         branch_value(Branch.RUSCHEWEYH, 0.5, 0.25)
 
 
+@pytest.mark.parametrize("n", [2.0, True, 0, "2"])
+def test_ruscheweyh_refuses_an_n_that_is_not_a_positive_integer(n):
+    with pytest.raises(DomainError, match="n must be"):
+        ruscheweyh_bound(n, 0.5, 0.25)
+
+
+def test_theorem31_bound_takes_scalars_and_points_to_branch_value_for_lanes():
+    # the branch is chosen once per call, so the lanes of a batch would need several
+    for r, R in ((np.array([0.1, 0.2]), 0.1), (np.array([0.1]), 0.1), (0.1, np.array([0.1, 0.2]))):
+        with pytest.raises(DomainError, match="takes a scalar .*, not a batch; branch_value takes lanes"):
+            theorem31_bound(r, R)
+    assert theorem31_bound(np.float64(0.1), 0.2) == theorem31_bound(0.1, 0.2)
+
+
 def test_branch_values_per_lane():
     r = np.array([0.0, 0.1, 0.5, 0.9, 0.99999])
     R = np.array([0.0, 0.9, 0.25, 0.5, 0.99999])

@@ -341,6 +341,11 @@ def test_peschl_pair_degenerate():
         peschl_pair(Constant(cmath.exp(0.3j)), 0.2)
 
 
+def test_peschl_pair_takes_a_scalar_z0():
+    with pytest.raises(DomainError, match="peschl_pair takes a scalar z0, not a batch"):
+        peschl_pair(MobiusT(0.3 + 0.2j, Identity()), np.array([0.1, 0.2]))
+
+
 def test_hyperbolic_d1_matches_definition():
     g = Product(Identity(), Identity())
     z0 = 0.3 + 0.2j

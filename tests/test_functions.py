@@ -17,6 +17,7 @@ from diskvar.functions import (
     PrescribedData,
     Product,
     Rotation,
+    _NODES,
     dieudonne_parametrize,
     disk_sample,
     eval_jet,
@@ -31,7 +32,7 @@ from diskvar.functions import (
 )
 from diskvar import harness
 from diskvar.extremal import KINDS, make_extremal
-from diskvar.moebius import DomainError, Jet2, jet_div
+from diskvar.moebius import DomainError, Jet2, PoleError, jet_div
 
 from oracles import fd_jet, lane_params, rel_err
 
@@ -299,9 +300,6 @@ class _FixedJet(FunctionExpr):
         self.fixed = jet
         self.asked = []
 
-    def value(self, z):
-        return self.fixed.f0
-
     def jet(self, z0, order=2):
         self.asked.append(order)
         return Jet2(*self.fixed[: order + 1])
@@ -407,6 +405,22 @@ def test_a_schur_step_asks_its_free_parameter_for_its_value_alone():
     f = dieudonne_parametrize(z0, 0.1 + 0.1j, leaf)
     assert f.jet(z0, 1).f1 is not None
     assert leaf.asked == [0]
+
+
+def test_a_value_is_the_order_0_jet_of_one_formula_per_node():
+    for cls in (*_NODES.values(), harness._Select):
+        assert cls.value is FunctionExpr.value, cls.__name__
+
+
+def test_a_value_at_a_rounded_pole_raises_pole_error():
+    # 1 + conj(a) c rounds to 0, in the scalar tree and in the first lane
+    scalar = MobiusT(-0.9999999999999999, Constant(1.0000000000000002))
+    lanes = MobiusT(np.array([-0.9999999999999999, 0.1]), Constant(np.array([1.0000000000000002, 0.2])))
+    for tree in (scalar, lanes):
+        with pytest.raises(PoleError):
+            tree.value(0.0)
+        with pytest.raises(PoleError):
+            evaluate(tree, 0.0)
 
 
 @pytest.mark.parametrize("order", [-1, 3, 1.5, True])

@@ -866,6 +866,11 @@ def test_tightness_rejects_bad_grid_point():
         run_tightness_search(small(10), r=0.5, R=-0.1)
 
 
+def test_tightness_refuses_a_batch_r():
+    with pytest.raises(DomainError, match="takes a scalar r, not a batch"):
+        run_tightness_search(small(10), np.array([0.1]), 0.1)
+
+
 def test_report_is_plain_data():
     report = HarnessReport(suite="x", samples=1, violations=0, worst_margin=0.5, wall_time=0.0)
     assert report.to_obj() == {

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,24 @@ def test_require_real_refuses_non_reals_and_huge_integers():
     for bad in (10**400, -(10**400), float("nan"), True, "1"):
         with pytest.raises(DomainError, match="x must be a finite real number"):
             require_real(bad, "x")
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.5", "a", b"0.5", True, np.True_, np.array("0.5"), np.array(["0.5"]), np.array([True]), np.array([0.5], object)]
+)
+def test_a_string_bytes_a_bool_or_a_batch_of_them_is_refused_not_parsed(bad):
+    for check in (require_finite, unit_disk_point, closed_disk_point):
+        with pytest.raises(DomainError, match="z must (be|hold) a"):
+            check(bad, "z")
+    with pytest.raises(DomainError, match="c must (be|hold) a"):
+        Constant(bad)
+
+
+def test_the_number_types_still_pass_the_finite_and_disk_checks():
+    for good in (0, 0.5, 0.5j, np.float64(0.5), np.complex64(0.5j), np.array(0.5), mp.mpf("0.5"), mp.mpc("0.5", "0.25")):
+        assert require_finite(good) == unit_disk_point(good) == closed_disk_point(good) == complex(good)
+    for lanes in (np.array([0, 0], np.int8), np.array([0.5], np.float32), np.array([0.5j])):
+        assert (unit_disk_point(lanes) == lanes).all() and (require_finite(lanes) == lanes).all()
 
 
 def test_batches_are_checked_in_every_lane():
