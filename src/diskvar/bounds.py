@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .moebius import DomainError, _any_lane, _lane, _refuse_batch, require_int, require_real
+from .moebius import DomainError, _any_lane, _lane, _refuse_batch, _same_lanes, require_int, require_real
 
 __all__ = [
     "Branch",
@@ -50,7 +50,9 @@ class BoundResult(NamedTuple):
 
 def _check_rR(r, R):
     """r and R as floats, each in [0, 1); lane-wise for a batch."""
-    return _unit_interval(r, "r"), _unit_interval(R, "R")
+    r, R = _unit_interval(r, "r"), _unit_interval(R, "R")
+    _same_lanes(r, R)
+    return r, R
 
 
 def _unit_interval(x, name):
@@ -129,6 +131,15 @@ TABLE_CSV_HEADER = "r,R,thm31,ruscheweyh2,szasz,branch"
 _DOMINATION_SLACK = 1e-12
 
 
+def _grid(values, name):
+    """The values of a grid, as a list; a grid that is not a sequence is
+    refused."""
+    try:
+        return list(values)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence of numbers, got {values!r}") from None
+
+
 def bound_comparison_table(r_grid, R_grid):
     """Cross-tabulate the sharp bound against the Ruscheweyh and Szasz bounds.
 
@@ -136,7 +147,8 @@ def bound_comparison_table(r_grid, R_grid):
     whole parameter square and is re-checked by the tests.
     """
     rows = []
-    for r in r_grid:
+    R_grid = _grid(R_grid, "R_grid")
+    for r in _grid(r_grid, "r_grid"):
         for R in R_grid:
             t = theorem31_bound(r, R)
             rw = ruscheweyh_bound(2, r, R).value

@@ -18,18 +18,18 @@ checks a whole block of samples, or a whole attainment grid, at once.
 import sys
 from typing import NamedTuple
 
-from .functions import eval_jet
+from .functions import _mobius_jet, eval_jet
 from .moebius import (
     DegeneracyError,
     Disk,
     DomainError,
+    Jet2,
     _SCALAR_OPS,
     _any_lane,
-    _mobius,
     _ops,
     _refuse_batch,
-    _refuse_pole,
     _require_w0_below_z0,
+    _same_lanes,
     closed_disk_point,
     require_finite,
     unit_disk_point,
@@ -63,6 +63,7 @@ def schwarz_pick_disk(z0, delta0):
     """
     z0 = unit_disk_point(z0, "z0")
     delta0 = unit_disk_point(delta0, "delta0")
+    _same_lanes(z0, delta0)
     return Disk(0j, (1.0 - abs(delta0) ** 2) / (1.0 - abs(z0) ** 2))
 
 
@@ -80,6 +81,7 @@ def rogosinski_disk(z0, gprime0):
     """Region of g(z0) over self-maps with g(0) = 0 and g'(0) = gprime0."""
     z0 = unit_disk_point(z0, "z0")
     b = unit_disk_point(gprime0, "gprime0")
+    _same_lanes(z0, b)
     r2 = abs(z0) ** 2
     return _pick_image(z0, b, r2, r2)
 
@@ -124,11 +126,10 @@ def mercer_disk(z0, w0, z):
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
     z = unit_disk_point(z, "z")
+    _same_lanes(z0, w0, z)
     _require_w0_below_z0(z0, w0, "mercer_disk")
-    u0 = w0 / z0
-    _refuse_pole(-z0, z)
-    t = _mobius(-z0, z)
-    return _pick_image(z, u0, abs(t) ** 2, abs(z * t))
+    t = _mobius_jet(-z0, Jet2(z)).f0
+    return _pick_image(z, w0 / z0, abs(t) ** 2, abs(z * t))
 
 
 def second_derivative_disk(data):
@@ -180,6 +181,7 @@ def second_order_dieudonne_disk(z0, w0, delta1):
     z0 = unit_disk_point(z0, "z0")
     w0 = require_finite(w0, "w0")
     d1 = closed_disk_point(delta1, "delta1")
+    _same_lanes(z0, w0, d1)
     first = _dieudonne_disk(z0, w0)
     # w1 = c1 + rho1 * r * delta1 / conj(z0) with (c1, rho1) the first-order disk
     w1 = first.center + first.radius * abs(z0) * d1 / z0.conjugate()
@@ -205,10 +207,12 @@ def peschl_pair(g, z0):
 
     |D2 g| <= 2 (1 - |D1 g|^2), with equality exactly for Blaschke products
     of degree <= 2.  Undefined when |g(z0)| = 1 (g is then a unimodular
-    constant).  z0 is a scalar.
+    constant).  z0 and g are scalars: a tree of lanes is refused, as a
+    batch z0 is.
     """
     _refuse_batch(z0, "z0", "peschl_pair")
     j = eval_jet(g, z0)
+    _refuse_batch(j.f0, "g", "peschl_pair")
     z0 = complex(z0)
     gden = 1.0 - abs(j.f0) ** 2
     if gden <= 0.0:

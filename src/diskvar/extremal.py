@@ -53,6 +53,8 @@ from .moebius import (
     _lane,
     _modulus2,
     _ops,
+    _refuse_batch,
+    _same_lanes,
     closed_disk_point,
     require_finite,
     require_real,
@@ -450,8 +452,9 @@ def make_extremal(kind, **params):
     list, raises DomainError.
     """
     spec = kind_spec(kind)
-    row = spec.data + spec.free
-    return spec.build(*(validate(value, name) for name, validate, value in _row_arguments(spec, row, params)))
+    values = [validate(value, name) for name, validate, value in _row_arguments(spec, spec.data + spec.free, params)]
+    _same_lanes(*values)
+    return spec.build(*values)
 
 
 class AttainmentReport(NamedTuple):
@@ -487,6 +490,8 @@ def verify_attainment(kind, params, tol):
     target of the kind's ``KINDS`` row (a Disk boundary or a positive bound)
     within ``tol``."""
     spec = kind_spec(kind)
+    for name, value in {**params, "tol": tol}.items():
+        _refuse_batch(value, name, "verify_attainment", "harness.run_attainment_suite")
     g = make_extremal(spec.kind, **params)
     target = spec.target(**{name: params[name] for name, _ in spec.data})
     tol = require_real(tol, "tol", finite=False)

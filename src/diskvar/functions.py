@@ -37,7 +37,9 @@ from .moebius import (
     _Frozen,
     _modulus2,
     _ops,
+    _refuse_batch,
     _require_w0_below_z0,
+    _same_lanes,
     _set_field,
     closed_disk_point,
     jet_compose,
@@ -59,7 +61,6 @@ __all__ = [
     "Product",
     "Compose",
     "Bracket",
-    "evaluate",
     "eval_jet",
     "PrescribedData",
     "schur_parametrize",
@@ -67,8 +68,6 @@ __all__ = [
     "random_schur_function",
     "random_blaschke_product",
     "complex_to_pair",
-    "pair_to_complex",
-    "expr_from_obj",
     "function_to_json",
     "function_from_json",
 ]
@@ -167,7 +166,9 @@ class Rotation(_Frozen, FunctionExpr):
 
 
 def _mobius_jet(a, x):
-    """Jet of T_a(w) = (w + a) / (1 + conj(a) w) at the jet x of w."""
+    """Jet of T_a(w) = (w + a) / (1 + conj(a) w) at the jet x of w: the one
+    place T_a is computed, for ``MobiusT``, ``Bracket`` and
+    ``disks.mercer_disk``.  A pole raises ``PoleError`` from ``jet_div``."""
     ac = a.conjugate()
     f1, f2 = x.f1, x.f2
     num = Jet2(x.f0 + a, f1, f2)
@@ -249,12 +250,6 @@ class Bracket(_Frozen, FunctionExpr):
         return _mobius_jet(-self.w, self.child.jet(z0, order))
 
 
-def evaluate(f, z):
-    """Evaluate a tree at a point of the open disk."""
-    z = unit_disk_point(z, "z")
-    return f.value(z)
-
-
 def eval_jet(f, z0):
     """Second-order jet of a tree at a point of the open disk."""
     z0 = unit_disk_point(z0, "z0")
@@ -276,6 +271,7 @@ class PrescribedData(_Frozen):
         _set_field(self, "z0", unit_disk_point(z0, "z0"))
         _set_field(self, "delta0", unit_disk_point(delta0, "delta0"))
         _set_field(self, "delta1", closed_disk_point(delta1, "delta1"))
+        _same_lanes(self.z0, self.delta0, self.delta1)
 
 
 def _schur_steps(z0, cs, rest):
@@ -410,11 +406,13 @@ def random_blaschke_product(seed, index=0, degree=None):
 
 
 def complex_to_pair(z):
-    z = complex(z)
+    """[re, im], the JSON form of a finite complex scalar."""
+    _refuse_batch(z, "z", "complex_to_pair")
+    z = require_finite(z, "z")
     return [z.real, z.imag]
 
 
-def pair_to_complex(p):
+def _pair_to_complex(p):
     if not isinstance(p, (list, tuple)) or len(p) != 2:
         raise DomainError(f"expected [re, im] pair, got {p!r}")
     return complex(require_real(p[0], "real part"), require_real(p[1], "imaginary part"))
@@ -423,14 +421,10 @@ def pair_to_complex(p):
 _NODES = {cls.TAG: cls for cls in (Identity, Constant, Rotation, MobiusT, Product, Compose, Bracket)}
 
 
-def expr_from_obj(obj):
-    """Inverse of ``FunctionExpr.to_obj``.  Unknown or missing fields,
-    non-numeric components and trees deeper than ``_MAX_TREE_DEPTH`` levels
-    raise DomainError."""
-    return _node_from_obj(obj, 1)
-
-
-def _node_from_obj(obj, depth):
+def _expr_from_obj(obj, depth=1):
+    """Inverse of ``FunctionExpr.to_obj``, for a node ``depth`` levels down.
+    Unknown or missing fields, non-numeric components and trees deeper than
+    ``_MAX_TREE_DEPTH`` levels raise DomainError."""
     if depth > _MAX_TREE_DEPTH:
         raise DomainError(f"function tree is deeper than {_MAX_TREE_DEPTH} levels")
     if not isinstance(obj, dict) or "node" not in obj:
@@ -449,9 +443,9 @@ def _node_from_obj(obj, depth):
             raise DomainError(f"node {node!r} is missing field {name!r}")
         value = obj[name]
         if kind is FunctionExpr:
-            value = _node_from_obj(value, depth + 1)
+            value = _expr_from_obj(value, depth + 1)
         elif kind is complex:
-            value = pair_to_complex(value)
+            value = _pair_to_complex(value)
         args.append(value)  # a real field is checked by its node's constructor
     return cls(*args)
 
@@ -473,4 +467,4 @@ def function_from_json(text):
     except (json.JSONDecodeError, RecursionError) as exc:
         # the decoder recurses per nesting level too
         raise DomainError(f"not a function document: {exc}") from None
-    return expr_from_obj(obj)
+    return _expr_from_obj(obj)

@@ -82,7 +82,7 @@ from .functions import (
     schur_parametrize,
     substream,
 )
-from .moebius import DomainError, Jet2, _Frozen, _set_field, require_int, require_real
+from .moebius import DomainError, Jet2, _Frozen, _refuse_batch, _set_field, require_int, require_real
 
 # not called here: the kind table computes the attainment targets, and
 # membership checks each block through one batched template, never a scalar
@@ -132,6 +132,7 @@ class HarnessConfig(_Frozen):
     def __init__(self, seed=42, samples=10000, tol=1e-8, parallel=False):
         _set_field(self, "seed", require_int(seed, "seed"))
         _set_field(self, "samples", require_int(samples, "samples"))
+        _refuse_batch(tol, "tol", "HarnessConfig")
         tol = require_real(tol, "tol", finite=False)
         if not tol > 0.0:
             raise DomainError("tol must be positive")

@@ -1,5 +1,7 @@
-"""Unit-disk Moebius maps, pseudo-hyperbolic differences, closed disks, and
-jet arithmetic to order 2.
+"""Domain checks for points of the unit disk, closed disks, and jet
+arithmetic to order 2.  The disk automorphisms T_a are tree nodes
+(``functions.MobiusT`` and ``functions.Bracket``), computed by one formula,
+``functions._mobius_jet``.
 
 Everything here works on plain ``complex`` scalars, and lane-wise on a batch:
 a numpy array holding one value per sample.  Domains are checked at the API
@@ -12,7 +14,9 @@ differently.  A batch well inside the disk it is checked against, open or
 closed, is accepted from one pass over |z|; a unimodular batch passes the
 closed check that way.  Only a batch near or beyond the bounding circle, or
 with a lane that is not finite, is decided lane by lane from x*x + y*y, and
-only that path raises.
+only that path raises.  Batches that meet in one call must have one shape,
+or one lane (``_same_lanes``); any other value, None or a list say, is a
+``DomainError`` too.
 A jet (``Jet2``) holds a value and its derivatives up to its order, 0, 1 or
 2, and None beyond it; each ``jet_*`` helper computes only the orders its
 inputs carry.
@@ -38,8 +42,6 @@ __all__ = [
     "unit_disk_point",
     "closed_disk_point",
     "unimodular_point",
-    "mobius_T",
-    "hyperbolic_bracket",
     "Disk",
     "Jet2",
     "jet_scale",
@@ -112,6 +114,14 @@ def _refuse_batch(x, name, caller, lanes=None):
         raise DomainError(f"{caller} takes a scalar {name}, not a batch{instead}")
 
 
+def _same_lanes(*values):
+    """Refuse lane arguments of different shapes; a scalar, or a batch of one
+    lane, goes with any.  Arguments of one shape pass on one set of shapes."""
+    shapes = {x.shape for x in values if _is_batch(x) and x.size != 1}
+    if len(shapes) > 1:
+        raise DomainError(f"lane arguments must have one shape, got {' and '.join(map(str, sorted(shapes)))}")
+
+
 def _lane(x, bad):
     """x itself, or the first lane of a batch x where ``bad`` holds: the value
     an error message names."""
@@ -137,9 +147,9 @@ def _complex_lanes(z, name):
 
 
 def require_finite(z, name="value"):
-    """Validate a finite complex number and return it as a complex; strings,
-    bytes and bools are refused rather than converted.  A batch must hold
-    integers, floats or complex numbers."""
+    """Validate a finite complex number and return it as a complex; None,
+    strings, bytes, bools and sequences are refused rather than converted.
+    A batch must hold integers, floats or complex numbers."""
     if type(z) is not complex:
         if _is_batch(z):
             z = _complex_lanes(z, name)
@@ -148,20 +158,28 @@ def require_finite(z, name="value"):
                 if not finite.all():
                     raise DomainError(f"{name} must have finite components, got {complex(_lane(z, ~finite))!r}")
             return z
-        # a numpy scalar or 0-d array names its kind by its dtype, as a batch does
-        if isinstance(z, (str, bytes, bool)) or getattr(getattr(z, "dtype", None), "kind", "c") not in "iufc":
-            raise DomainError(f"{name} must be a complex number, got {z!r}")
-    z = complex(z)
+        # a numpy scalar or 0-d array names its kind by its dtype, as a batch
+        # does; complex() would parse a string and take a bool, and raises
+        # for None, a sequence and an int beyond the floats
+        kind = getattr(getattr(z, "dtype", None), "kind", "c")
+        try:
+            if isinstance(z, (str, bytes, bool)) or kind not in "iufc":
+                raise TypeError
+            z = complex(z)
+        except (TypeError, OverflowError):
+            raise DomainError(f"{name} must be a complex number, got {z!r}") from None
     if not cmath.isfinite(z):
         raise DomainError(f"{name} must have finite components, got {z!r}")
     return z
 
 
 def require_int(n, name, minimum=0):
-    """Validate an integer n >= minimum and return it as an int; bools and
-    floats, even integral ones, are refused rather than truncated."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
+    """Validate an integer n >= minimum, an integer too, and return it as an
+    int; bools and floats, even integral ones, are refused rather than
+    truncated."""
+    for value, label in ((n, name), (minimum, "minimum")):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{label} must be an integer, got {value!r}")
     if n < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {n}")
     return int(n)
@@ -211,9 +229,11 @@ def _modulus(z):
 
 def _require_w0_below_z0(z0, w0, name):
     """Refuse unless |w0| < |z0| in every lane, as f(0) = 0 requires of w0 =
-    f(z0).  As in the disk checks, a lane with |w0| < _WELL_INSIDE |z0| passes
-    from its moduli, and one nearer the edge is decided from x*x + y*y, which
-    CPython and numpy round alike (it underflows for |z0| below ~1e-154)."""
+    f(z0), and lanes of z0 and w0 that do not pair up.  As in the disk checks,
+    a lane with |w0| < _WELL_INSIDE |z0| passes from its moduli, and one nearer
+    the edge is decided from x*x + y*y, which CPython and numpy round alike
+    (it underflows for |z0| below ~1e-154)."""
+    _same_lanes(z0, w0)
     near = _modulus(w0) >= _WELL_INSIDE * abs(z0)
     if _any_lane(near) and _any_lane(near & (_modulus2(w0) >= _modulus2(z0))):
         raise DomainError(f"{name} requires |w0| < |z0|")
@@ -252,53 +272,6 @@ def unimodular_point(z, name="alpha"):
     if _any_lane(off):
         raise DomainError(f"{name} must be unimodular, |{name}| = {_lane(m, off)}")
     return z / m
-
-
-def _mobius(a, z):
-    """T_a(z) = (z + a) / (1 + conj(a) z), unchecked: the formula of
-    ``mobius_T``, ``hyperbolic_bracket`` and ``disks.mercer_disk``.  A tree's
-    T_a and bracket nodes evaluate it as the jet quotient of ``jet_div``."""
-    return (z + a) / (1.0 + a.conjugate() * z)
-
-
-def _refuse_pole(a, z, where=True):
-    """PoleError where 1 + conj(a) z, the denominator of T_a(z), is 0 in a
-    lane where ``where`` holds.  Within the domains it rounds to 0 only for
-    |a| next to 1 and z on the circle or just beyond it, within the
-    closed-disk slack."""
-    if _any_lane((1.0 + a.conjugate() * z == 0) & where):
-        raise PoleError("T_a(z) has a pole: 1 + conj(a) z rounds to 0")
-
-
-def mobius_T(a, z):
-    """Disk automorphism T_a(z) = (z + a) / (1 + conj(a) z)."""
-    a = unit_disk_point(a, "a")
-    z = closed_disk_point(z, "z")
-    _refuse_pole(a, z)
-    return _mobius(a, z)
-
-
-def hyperbolic_bracket(z, w):
-    """Pseudo-hyperbolic difference [z, w] = (z - w) / (1 - conj(w) z), which
-    is T_{-w}(z).
-
-    [z, z] = 0 even for |z| = 1.  For z != w the base point must satisfy
-    |w| < 1; a unimodular w with z != w is refused rather than guessed at,
-    and so is a pole, where 1 - conj(w) z rounds to 0.  On a batch these
-    hold lane by lane.
-    """
-    z = closed_disk_point(z, "z")
-    w = closed_disk_point(w, "w")
-    differ = z != w
-    if _any_lane(differ & (_modulus2(w) >= 1.0)):
-        raise DomainError("bracket base point must satisfy |w| < 1 when z != w")
-    _refuse_pole(-w, z, differ)
-    ops = _ops(differ)
-    if ops is _SCALAR_OPS:
-        # not ops.where: it would divide by 0 at z == w on the circle
-        return _mobius(-w, z) if differ else 0j
-    with ops.errstate(divide="ignore", invalid="ignore"):  # the z == w lanes are replaced
-        return ops.where(differ, _mobius(-w, z), 0j)
 
 
 # how a record's __init__ stores a field: _Frozen refuses plain assignment
@@ -346,17 +319,11 @@ class Disk(_Frozen):
     def __init__(self, center, radius):
         _set_field(self, "center", require_finite(center, "center"))
         r = require_real(radius, "radius")
+        _same_lanes(self.center, r)
         # require_real has refused NaN, so the least lane decides a batch
         if (r if type(r) is float else r.min(initial=0.0)) < 0.0:
             raise DomainError(f"radius must be non-negative, got {_lane(r, r < 0.0)}")
         _set_field(self, "radius", r)
-
-    def contains(self, p, tol=0.0):
-        """Membership with relative slack: |p - center| <= radius + tol*(1 + radius)."""
-        if not require_real(tol, "tol", finite=False) >= 0.0:
-            raise DomainError("tol must be non-negative")
-        p = require_finite(p, "p")
-        return abs(p - self.center) <= self.radius + tol * (1.0 + self.radius)
 
     def boundary_distance(self, p):
         """Distance of p from the boundary circle: | |p - center| - radius |."""
@@ -365,8 +332,9 @@ class Disk(_Frozen):
     def margin(self, p):
         """Signed inclusion margin (radius - |p - center|) / (1 + radius).
 
-        Positive inside, negative outside; the 1 + radius scaling matches the
-        relative tolerance used by :meth:`contains`.
+        Positive inside, negative outside; the 1 + radius scaling makes it
+        relative, so that p lies within tol of the disk, in that scale,
+        exactly when the margin is >= -tol.
         """
         p = require_finite(p, "p")
         return (self.radius - abs(p - self.center)) / (1.0 + self.radius)
@@ -390,6 +358,8 @@ class Jet2(NamedTuple):
 
 
 def jet_scale(s, a):
+    """s times a jet, for a finite s or a batch of them."""
+    s = require_finite(s, "s")
     f1, f2 = a.f1, a.f2
     return Jet2(s * a.f0, None if f1 is None else s * f1, None if f2 is None else s * f2)
 

@@ -30,6 +30,11 @@ def fd_jet(f, z0):
     return complex(mid), complex(f1), complex(f2)
 
 
+def mobius(a, z):
+    """T_a(z) = (z + a) / (1 + conj(a) z), written out as the reference."""
+    return (z + a) / (1 + a.conjugate() * z)
+
+
 def rel_err(measured, reference):
     """|measured - reference| / max(1, |reference|)."""
     return abs(measured - reference) / max(1.0, abs(reference))

@@ -346,6 +346,11 @@ def test_peschl_pair_takes_a_scalar_z0():
         peschl_pair(MobiusT(0.3 + 0.2j, Identity()), np.array([0.1, 0.2]))
 
 
+def test_peschl_pair_refuses_a_tree_of_lanes():
+    with pytest.raises(DomainError, match="peschl_pair takes a scalar g, not a batch"):
+        peschl_pair(MobiusT(np.array([0.1, 0.2]), Identity()), 0.3)
+
+
 def test_hyperbolic_d1_matches_definition():
     g = Product(Identity(), Identity())
     z0 = 0.3 + 0.2j

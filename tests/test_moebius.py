@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskvar import moebius
-from diskvar.functions import Bracket, Constant, Identity, MobiusT, PrescribedData, schur_parametrize
+from diskvar.functions import Bracket, Constant, Identity, MobiusT, PrescribedData, eval_jet, schur_parametrize
 from diskvar.moebius import (
     DegeneracyError,
     Disk,
@@ -16,17 +16,17 @@ from diskvar.moebius import (
     Jet2,
     PoleError,
     closed_disk_point,
-    hyperbolic_bracket,
     jet_compose,
     jet_div,
     jet_mul,
     jet_scale,
-    mobius_T,
     require_finite,
     require_real,
     unimodular_point,
     unit_disk_point,
 )
+
+from oracles import mobius
 
 TOL = 1e-12
 
@@ -43,17 +43,27 @@ disk_pts = polar(0.95)
 closed_pts = polar(1.0)
 
 
+def T(a, z):
+    """T_a(z) as the library computes it: the value of a MobiusT node."""
+    return MobiusT(a, Identity()).value(z)
+
+
+def bracket(z, w):
+    """[z, w] as the library computes it: the value of a Bracket node."""
+    return Bracket(w, Identity()).value(z)
+
+
 def test_mobius_spot_values():
-    assert mobius_T(0.3, 0.0) == 0.3
-    assert mobius_T(0.0, 0.5 + 0.1j) == 0.5 + 0.1j
-    assert abs(mobius_T(0.5, 0.5) - 0.8) < TOL
+    assert T(0.3, 0j) == 0.3
+    assert T(0.0, 0.5 + 0.1j) == 0.5 + 0.1j
+    assert abs(T(0.5, 0.5 + 0j) - 0.8) < TOL
 
 
 def test_mobius_rejects_bad_a():
     with pytest.raises(DomainError):
-        mobius_T(1.0, 0.0)
+        MobiusT(1.0, Identity())
     with pytest.raises(DomainError):
-        mobius_T(0.3, 1.5)
+        eval_jet(MobiusT(0.3, Identity()), 1.5)
 
 
 def test_require_finite_rejects_nan_inf():
@@ -152,56 +162,54 @@ def test_unimodular_point_renormalises():
 @settings(max_examples=200, deadline=None)
 @given(a=disk_pts, z=disk_pts)
 def test_mobius_inverse_roundtrip(a, z):
-    w = mobius_T(a, z)
+    w = T(a, z)
     assert abs(w) < 1.0
     # T_a^{-1} = T_{-a}
-    assert abs(mobius_T(-a, w) - z) < 1e-10
+    assert abs(T(-a, w) - z) < 1e-10
+    assert abs(MobiusT(-a, MobiusT(a, Identity())).value(z) - z) < 1e-10
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=disk_pts, phase=st.floats(min_value=0.0, max_value=2.0 * math.pi))
 def test_mobius_preserves_circle(a, phase):
     z = cmath.exp(1j * phase)
-    assert abs(abs(mobius_T(a, z)) - 1.0) < 1e-12
+    assert abs(abs(T(a, z)) - 1.0) < 1e-12
 
 
 def test_bracket_spot_values():
-    assert hyperbolic_bracket(0.3 + 0.4j, 0.3 + 0.4j) == 0.0
-    # [z, z] = 0 holds even on the circle
-    assert hyperbolic_bracket(cmath.exp(1j), cmath.exp(1j)) == 0.0
-    assert hyperbolic_bracket(0.5, 0.0) == 0.5
-    assert hyperbolic_bracket(0.0, 0.5) == -0.5
+    assert bracket(0.3 + 0.4j, 0.3 + 0.4j) == 0.0
+    assert bracket(0.5 + 0j, 0.0) == 0.5
+    assert bracket(0j, 0.5) == -0.5
 
 
 def test_bracket_refuses_unimodular_base():
     with pytest.raises(DomainError):
-        hyperbolic_bracket(0.2, cmath.exp(0.3j))
+        Bracket(cmath.exp(0.3j), Identity())
 
 
 def test_bracket_per_lane():
-    # z == w gives 0 in its lane, on the circle too; other lanes are T_{-w}(z)
-    z = np.array([0.3 + 0.4j, cmath.exp(1j), 0.5, 0.0, 1j])
-    w = np.array([0.3 + 0.4j, cmath.exp(1j), 0.0, 0.5, 0.2 - 0.1j])
-    batch = hyperbolic_bracket(z, w)
-    assert batch.shape == (5,)
-    for lane in range(5):
-        assert batch[lane] == hyperbolic_bracket(complex(z[lane]), complex(w[lane]))
-    assert hyperbolic_bracket(0.5, w[2:]).tolist() == [hyperbolic_bracket(0.5, complex(v)) for v in w[2:]]
-    # a unimodular base point with z != w in any one lane is refused
-    with pytest.raises(DomainError):
-        hyperbolic_bracket(np.array([0.3 + 0.4j, 0.2]), np.array([0.3 + 0.4j, 1j]))
+    # z == w gives 0 in its lane; the lanes are T_{-w}(z) bit for bit
+    z = np.array([0.3 + 0.4j, 0.5, 0.0, 1j])
+    w = np.array([0.3 + 0.4j, 0.0, 0.5, 0.2 - 0.1j])
+    batch = bracket(z, w)
+    assert batch.shape == (4,) and batch[0] == 0.0
+    for lane in range(4):
+        assert batch[lane] == bracket(complex(z[lane]), complex(w[lane]))
+    assert bracket(0.5 + 0j, w[1:]).tolist() == [bracket(0.5 + 0j, complex(v)) for v in w[1:]]
 
 
 @pytest.mark.parametrize(
-    "fn, z, w",
-    [(mobius_T, -0.9999999999999999, 1.0000000000000002), (hyperbolic_bracket, 1.0000000000000002, 0.9999999999999998)],
+    "node, a, c",
+    [(MobiusT, -0.9999999999999999, 1.0000000000000002), (Bracket, 0.9999999999999998, 1.0000000000000002)],
+    ids=["mobius", "bracket"],
 )
-def test_a_rounded_pole_is_a_pole_error(fn, z, w):
-    # both arguments lie in their domains, yet 1 + conj(a) z rounds to 0
+def test_a_rounded_pole_is_a_pole_error(node, a, c):
+    # the parameter and c lie in their domains, yet the denominator of
+    # T_a(c) (a = -w for a bracket) rounds to 0
     with pytest.raises(PoleError):
-        fn(z, w)
+        node(a, Constant(c)).value(0j)
     with pytest.raises(PoleError):
-        fn(np.array([z]), np.array([w]))
+        node(np.array([a]), Constant(np.array([c]))).value(np.zeros(1, complex))
 
 
 def _message(fn, *args):
@@ -237,8 +245,8 @@ def test_scalar_and_lane_get_the_same_domain_verdict(z, w, good, at, bad):
     for fn, args in (
         (unit_disk_point, (z,)),
         (closed_disk_point, (z,)),
-        (hyperbolic_bracket, (w, z)),
-        (hyperbolic_bracket, (z, w)),
+        (lambda w: Bracket(w, Identity()), (z,)),
+        (lambda c: MobiusT(w, Constant(c)), (z,)),
         (lambda d1: schur_parametrize(PrescribedData(0.3, 0.2, d1), Constant(0j)), (z,)),
     ):
         assert _message(fn, *args) == _message(fn, *(np.array([a]) for a in args))
@@ -281,35 +289,28 @@ def test_lanes_at_the_closed_slack_get_their_scalar_verdicts():
 def test_bracket_base_on_the_circle_is_refused_in_a_lane_too():
     # CPython's |e^{0.3i}| is 1.0 and numpy's 1 - 1.1e-16: both are refused
     for w in (cmath.exp(0.3j), np.array([cmath.exp(0.3j)])):
-        with pytest.raises(DomainError, match="bracket base point must satisfy"):
-            hyperbolic_bracket(0.2, w)
+        with pytest.raises(DomainError, match="w must lie in the open unit disk"):
+            Bracket(w, Identity())
 
 
 @settings(max_examples=200, deadline=None)
 @given(z=disk_pts, w=disk_pts)
 def test_bracket_symmetric_modulus_and_contraction(z, w):
-    zw = hyperbolic_bracket(z, w)
-    wz = hyperbolic_bracket(w, z)
+    zw = bracket(z, w)
+    wz = bracket(w, z)
     assert abs(abs(zw) - abs(wz)) < 1e-12
     assert abs(zw) < 1.0
-    # bracket inverts Moebius transport: T_w([z, w]... ) recovers z
-    assert abs(mobius_T(w, zw) - z) < 1e-10
+    # bracket inverts Moebius transport: T_w([z, w]) recovers z
+    assert abs(T(w, zw) - z) < 1e-10
+    assert abs(MobiusT(w, Bracket(w, Identity())).value(z) - z) < 1e-10
 
 
-def test_disk_contains_and_margin():
+def test_disk_margin_and_boundary_distance():
     d = Disk(1.0 + 0j, 2.0)
-    assert d.contains(2.9)
-    assert not d.contains(3.1)
-    assert d.contains(3.0)  # boundary is included
-    assert not d.contains(3.0 + 1e-13)  # tol defaults to 0
-    assert d.contains(3.0 + 1e-13, tol=1e-12)  # slack is relative: tol*(1 + radius)
-    assert d.contains(3.2, tol=0.1)
-    with pytest.raises(DomainError):
-        d.contains(0.0, tol=-1e-9)
-    with pytest.raises(DomainError):
-        d.contains(0.0, tol=float("nan"))
-    with pytest.raises(DomainError, match="tol must be a real number"):
-        d.contains(0.0, tol="0.1")
+    assert d.margin(2.9) > 0.0 > d.margin(3.1)
+    assert d.margin(3.0) == 0.0  # boundary is included
+    # the margin is relative: 1e-13 beyond the circle is -1e-13 / (1 + radius)
+    assert -1e-12 < d.margin(3.0 + 1e-13) < 0.0
     assert d.margin(1.0) == pytest.approx(2.0 / 3.0)
     assert d.margin(3.0) == pytest.approx(0.0, abs=1e-15)
     assert d.boundary_distance(3.5) == pytest.approx(0.5)
@@ -318,8 +319,8 @@ def test_disk_contains_and_margin():
 
 def test_disk_degenerate_radius():
     d = Disk(0.2j, 0.0)
-    assert d.contains(0.2j)
-    assert not d.contains(0.2j + 1e-6)
+    assert d.margin(0.2j) == 0.0
+    assert d.margin(0.2j + 1e-6) < 0.0
     with pytest.raises(DomainError):
         Disk(0.0, -1e-3)
     for bad in ("0.5", True, float("inf")):
@@ -412,7 +413,7 @@ def test_jet_mobius_derivatives(a, z):
     # T_a' = (1 - |a|^2) / (1 + conj(a) z)^2, T_a'' = -2 conj(a) (1 - |a|^2) / (1 + conj(a) z)^3
     j = MobiusT(a, Identity()).jet(z)
     den = 1.0 + a.conjugate() * z
-    assert abs(j.f0 - mobius_T(a, z)) < 1e-12
+    assert abs(j.f0 - mobius(a, z)) < 1e-12
     assert abs(j.f1 - (1.0 - abs(a) ** 2) / den**2) < 1e-10
     assert abs(j.f2 - (-2.0 * a.conjugate() * (1.0 - abs(a) ** 2) / den**3)) < 1e-10
 

@@ -51,6 +51,11 @@ REMOVED = (
     "modulus_max_second_derivative",
     "hyperbolic_h2",
     "H2_DEGENERACY_THRESHOLD",
+    "mobius_T",
+    "hyperbolic_bracket",
+    "evaluate",
+    "pair_to_complex",
+    "expr_from_obj",
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,6 +88,7 @@ def test_removed_names_stay_removed():
         for name in REMOVED:
             assert not hasattr(mod, name), f"diskvar.{module}.{name}"
     assert not hasattr(Jet2, "constant") and not hasattr(Jet2, "variable")
+    assert not hasattr(Disk, "contains")
     assert "__call__" not in vars(FunctionExpr)
     assert not callable(Identity())
 
