@@ -168,8 +168,15 @@ def bound_comparison_table(r_grid, R_grid):
 
 
 def table_to_csv(rows):
+    """The CSV text of ``bound_comparison_table``'s TableRow records."""
+    try:
+        rows = list(rows)
+    except TypeError:
+        rows = [rows]  # refused below, as a row
     lines = [TABLE_CSV_HEADER]
     for row in rows:
+        if not isinstance(row, TableRow):
+            raise DomainError(f"table_to_csv needs TableRow records, got {row!r}")
         lines.append(
             f"{row.r!r},{row.R!r},{row.thm31!r},{row.ruscheweyh2!r},{row.szasz!r},{row.branch}"
         )

@@ -18,7 +18,7 @@ checks a whole block of samples, or a whole attainment grid, at once.
 import sys
 from typing import NamedTuple
 
-from .functions import _mobius_jet, eval_jet
+from .functions import PrescribedData, _mobius_jet, eval_jet
 from .moebius import (
     DegeneracyError,
     Disk,
@@ -142,6 +142,8 @@ def second_derivative_disk(data):
     For |delta1| = 1 the radius vanishes: the class contains exactly one
     function (a degree-1 Blaschke product) and g''(z0) = c2.
     """
+    if type(data) is not PrescribedData:
+        raise DomainError(f"second_derivative_disk needs a PrescribedData record, got {data!r}")
     z0, d0, d1 = data.z0, data.delta0, data.delta1
     lead = 2.0 * (1.0 - abs(d0) ** 2) / (1.0 - abs(z0) ** 2) ** 2
     center = lead * (z0.conjugate() - d0.conjugate() * d1) * d1

@@ -490,6 +490,8 @@ def verify_attainment(kind, params, tol):
     target of the kind's ``KINDS`` row (a Disk boundary or a positive bound)
     within ``tol``."""
     spec = kind_spec(kind)
+    if not isinstance(params, dict) or not all(isinstance(name, str) for name in params):
+        raise DomainError(f"params must be a dict of make_extremal's keyword arguments, got {params!r}")
     for name, value in {**params, "tol": tol}.items():
         _refuse_batch(value, name, "verify_attainment", "harness.run_attainment_suite")
     g = make_extremal(spec.kind, **params)

@@ -317,6 +317,9 @@ def _dieudonne_steps(z0, w0, fstar, name):
 # their zeros
 _MAX_BLASCHKE_DEGREE = 4
 _ZERO_MODULUS_CAP = 0.95
+# the uniforms of one random tree: two for k, two per zero, theta, scaled,
+# s, wrapped and two for c
+_SCHUR_WIDTH = 2 + 2 * _MAX_BLASCHKE_DEGREE + 4 + 2
 
 
 def substream(seed, *key):
@@ -338,27 +341,36 @@ def _disk_point(cap, radius_u, angle_u):
     return cap * _ops(radius_u).sqrt(radius_u) * _ops(angle_u).exp(2j * math.pi * angle_u)
 
 
-def _lane_disk_sample(rng, cap, shape, lanes):
-    """``disk_sample(rng, cap, shape)[..., lanes]``: both uniforms drawn in
-    full, only the lanes made points."""
-    return _disk_point(cap, rng.random(shape)[..., lanes], rng.random(shape)[..., lanes])
+def _draw_schur(rng, n, lanes, width=0, least_degree=0):
+    """The parameters of random Schur trees for ``lanes`` of n, one lane per
+    tree, with ``width`` uniforms per lane for the caller's own data.
 
-
-def _draw_schur(rng, n, lanes, least_degree=0):
-    """The parameters of n random Schur trees, sliced to ``lanes``, one lane
-    per tree: a Blaschke degree from least_degree..4 (degree 0 gives the
-    constant k), the zeros and the angle theta, whether the tree is scaled by
-    s into the interior, and whether it is wrapped in T_c.  Every draw is made
-    for all n lanes, so the stream does not depend on ``lanes``."""
-    return {
-        "degree": rng.integers(least_degree, _MAX_BLASCHKE_DEGREE + 1, n)[lanes],
-        "k": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, n, lanes),
-        "zeros": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, (_MAX_BLASCHKE_DEGREE, n), lanes),
-        "theta": 2.0 * math.pi * rng.random(n)[lanes],
-        "scaled": rng.random(n)[lanes] < 0.5,
-        "s": rng.random(n)[lanes],
-        "wrapped": rng.random(n)[lanes] < 0.5,
-        "c": _lane_disk_sample(rng, _ZERO_MODULUS_CAP, n, lanes),
+    A tree has a Blaschke degree from least_degree..4 (degree 0 gives the
+    constant k), the zeros and the angle theta, whether it is scaled by s
+    into the interior, and whether it is wrapped in T_c.  All n degrees come
+    first, since the bounded-integer sampler takes a data-dependent number of
+    words.  Then one lane-major draw runs up to the last lane: each row holds
+    one lane's ``width`` data uniforms, then its ``_SCHUR_WIDTH`` uniforms in
+    the order of the parameters above.  The first rows of a C-order draw do
+    not depend on its length, so a lane's values do not depend on ``lanes``.
+    Returns the data uniforms, one row per uniform and a lane per column, and
+    the parameters."""
+    start, stop, _ = lanes.indices(n)
+    degree = rng.integers(least_degree, _MAX_BLASCHKE_DEGREE + 1, n)[start:stop]
+    u = rng.random((stop, width + _SCHUR_WIDTH))[start:].T
+    data, u = u[:width], u[width:]
+    m = _MAX_BLASCHKE_DEGREE
+    theta, scaled, s, wrapped = u[2 + 2 * m : 6 + 2 * m]
+    return data, {
+        "degree": degree,
+        "k": _disk_point(_ZERO_MODULUS_CAP, u[0], u[1]),
+        # one row per zero: the radius uniforms, then the angle uniforms
+        "zeros": _disk_point(_ZERO_MODULUS_CAP, u[2 : 2 + m], u[2 + m : 2 + 2 * m]),
+        "theta": 2.0 * math.pi * theta,
+        "scaled": scaled < 0.5,
+        "s": s,
+        "wrapped": wrapped < 0.5,
+        "c": _disk_point(_ZERO_MODULUS_CAP, u[-2], u[-1]),
     }
 
 
@@ -388,14 +400,14 @@ def random_schur_function(seed, index=0):
     its parameter g* from.  Reproducible per (seed, index); each index gets
     an independent substream."""
     rng = substream(require_int(seed, "seed"), 0, require_int(index, "index"))
-    return _schur_tree(_draw_schur(rng, 1, slice(None)))
+    return _schur_tree(_draw_schur(rng, 1, slice(None))[1])
 
 
 def random_blaschke_product(seed, index=0, degree=None):
     """Random finite Blaschke product of the given degree, 1 to 4, drawn
     uniformly from {1, ..., 4} when degree is None."""
     rng = substream(require_int(seed, "seed"), 1, require_int(index, "index"))
-    p = _draw_schur(rng, 1, slice(None), least_degree=1)
+    _, p = _draw_schur(rng, 1, slice(None), least_degree=1)
     if degree is not None:
         degree = require_int(degree, "degree", minimum=1)
         if degree > _MAX_BLASCHKE_DEGREE:
@@ -454,6 +466,8 @@ def _expr_from_obj(obj, depth=1):
 
 
 def function_to_json(f):
+    if not isinstance(f, FunctionExpr):
+        raise DomainError(f"function_to_json needs a function tree, got {f!r}")
     import json
 
     return json.dumps(f.to_obj())
@@ -462,9 +476,12 @@ def function_to_json(f):
 def function_from_json(text):
     import json
 
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise DomainError(f"a function document is JSON text, got {text!r}")
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # the decoder recurses per nesting level too
+    except (ValueError, RecursionError) as exc:
+        # a ValueError is also bytes that are not UTF-8 or an integer of more
+        # digits than int() takes; the decoder recurses per nesting level too
         raise DomainError(f"not a function document: {exc}") from None
     return _expr_from_obj(obj)

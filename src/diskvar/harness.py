@@ -15,10 +15,13 @@ Three suites back the closed-form results numerically:
 
 Sampling is deterministic.  Membership and tightness draw their random
 parameters in blocks of ``_BLOCK`` samples, from an independent RNG substream
-keyed by (seed, family or suite tag, block); a block always draws all of its
-uniforms, in one order, and a chunk transforms only its own lanes, so no lane
-depends on another.  The random Schur parameter g* of each sample comes from
-``functions._draw_schur``, the draw behind ``random_schur_function`` too.
+keyed by (seed, family or suite tag, block), in one order, and a chunk
+transforms only its own lanes, so no lane depends on another or on the
+split.  A tightness chunk draws all of its block's uniforms.  A membership
+chunk draws its block's Blaschke degrees, then its uniforms lane-major up to
+its last lane only, in one generator call (``functions._draw_schur``, the
+draw behind ``random_schur_function`` too): the first rows of a C-order draw
+do not depend on its length.
 The samples of a block are checked together, as a batch
 (numpy arrays, one lane per sample), through the same trees, parametrizations
 and closed forms that evaluate a single sample.  Chunks of indices return
@@ -76,7 +79,6 @@ from .functions import (
     Rotation,
     _disk_point,
     _draw_schur,
-    _lane_disk_sample,
     _nest,
     dieudonne_parametrize,
     schur_parametrize,
@@ -104,6 +106,9 @@ __all__ = [
 # each membership family with its RNG substream tag
 _FAMILY_TAGS = {"second": 11, "dieudonne": 12, "mercer": 13}
 MEMBERSHIP_FAMILIES = tuple(_FAMILY_TAGS)
+# the uniforms of each family's interpolation data per sample: z0, delta0
+# and delta1, or z0, w0 / z0 and, for Mercer, z
+_DATA_WIDTH = {"second": 6, "dieudonne": 4, "mercer": 6}
 _TIGHTNESS_TAG = 31
 # samples per random block
 _BLOCK = 1024
@@ -190,11 +195,12 @@ def _map_chunks(fn, n, per_child):
     """fn over index ranges that cover 0..n-1, its results in index order, so
     that parallel == serial.  ``per_child`` is None for a serial call.  A
     parallel call forks one child per range: at most one range per worker,
-    each of ``per_child`` samples or more, since every chunk draws the whole
-    block of each family it touches and builds its own tree template, and
-    each child is forked and imports numpy's random module anew.  With fewer
-    than two ranges, or where ``os.fork`` is missing, fn runs once here, over
-    all of 0..n-1, as in a serial call; a call that forks runs no range here.
+    each of ``per_child`` samples or more, since every chunk draws the
+    degrees of the whole block of each family it touches and builds its own
+    tree template, and each child is forked and imports numpy's random
+    module anew.  With fewer than two ranges, or where ``os.fork`` is
+    missing, fn runs once here, over all of 0..n-1, as in a serial call; a
+    call that forks runs no range here.
     Before the first fork the parent imports ``secrets`` for the children, as
     the module docstring tells."""
     if n == 0:
@@ -287,9 +293,9 @@ def _reduce(fn, a):
 
 def _blocks(rg):
     """(block, lanes) for each block of ``_BLOCK`` samples that the indices
-    lo..hi-1 touch, lanes slicing the block to them.  Each block draws all of
-    its uniforms and slices them, so any split of the indices sees the same
-    lanes."""
+    lo..hi-1 touch, lanes slicing the block to them.  A chunk's draw of a
+    block does not depend on the lanes it slices (module docstring), so any
+    split of the indices sees the same lanes."""
     lo, hi = rg
     for block in range(lo // _BLOCK, (hi + _BLOCK - 1) // _BLOCK):
         first = block * _BLOCK
@@ -334,22 +340,23 @@ def _schur_template(p):
 
 
 def _draw_block(family, rng, lanes):
-    """Every random parameter of ``lanes`` of one block of a family, in draw
-    order: the interpolation data, then the Schur parameter.  The Dieudonné
-    and Mercer forms divide by z0, so their z0 takes its radius uniform
-    floored at 2e-12, which keeps |z0| >= 0.95 * sqrt(2e-12) = 1.34e-6."""
+    """Every random parameter of ``lanes`` of one block of a family:
+    ``_draw_schur``'s draw, each lane's row starting with the family's
+    interpolation data, two uniforms per point.  The Dieudonné and Mercer
+    forms divide by z0, so their z0 takes its radius uniform floored at
+    2e-12, which keeps |z0| >= 0.95 * sqrt(2e-12) = 1.34e-6."""
+    u, p = _draw_schur(rng, _BLOCK, lanes, _DATA_WIDTH[family])
+
+    def point(cap, row):
+        return _disk_point(cap, u[row], u[row + 1])
+
     if family == "second":
-        p = {
-            "z0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes),
-            "delta0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes),
-            "delta1": _lane_disk_sample(rng, 0.98, _BLOCK, lanes),
-        }
+        p.update(z0=point(0.95, 0), delta0=point(0.95, 2), delta1=point(0.98, 4))
     else:
-        z0 = _disk_point(0.95, np.maximum(rng.random(_BLOCK)[lanes], 2e-12), rng.random(_BLOCK)[lanes])
-        p = {"z0": z0, "w0": _lane_disk_sample(rng, 0.95, _BLOCK, lanes) * z0}
+        p["z0"] = _disk_point(0.95, np.maximum(u[0], 2e-12), u[1])
+        p["w0"] = point(0.95, 2) * p["z0"]
         if family == "mercer":
-            p["z"] = _lane_disk_sample(rng, 0.95, _BLOCK, lanes)
-    p.update(_draw_schur(rng, _BLOCK, lanes))
+            p["z"] = point(0.95, 4)
     return p
 
 
@@ -377,11 +384,28 @@ def _membership_chunk(cfg, families, rg):
     return np.array([np.concatenate(row) for row in margins])
 
 
+def _require_config(cfg):
+    if not isinstance(cfg, HarnessConfig):
+        raise DomainError(f"cfg must be a HarnessConfig, got {cfg!r}")
+
+
+def _names(values, what):
+    """The names in ``values`` as a tuple.  A bare string, which would be
+    its characters, and a value that is not a sequence are refused."""
+    if not isinstance(values, str):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be a sequence of names, got {values!r}")
+
+
 def run_membership_suite(cfg, families=MEMBERSHIP_FAMILIES):
     """Check cfg.samples random samples per family against their disks."""
-    families = tuple(families)
+    _require_config(cfg)
+    families = _names(families, "families")
     for family in families:
-        if family not in _FAMILY_TAGS:
+        if not isinstance(family, str) or family not in _FAMILY_TAGS:
             raise DomainError(f"unknown membership family {family!r}")
     if not families or len(set(families)) < len(families):  # a repeated one would count twice
         raise DomainError(f"membership needs one or more distinct families, got {','.join(families) or 'none'}")
@@ -446,7 +470,8 @@ def run_attainment_suite(cfg, kinds=None):
     for its violation count.  Rows are deterministic (no sampling), so
     cfg.seed, cfg.samples and cfg.parallel do not change the report.
     """
-    specs = [kind_spec(kind) for kind in (ExtremalKind if kinds is None else kinds)]
+    _require_config(cfg)
+    specs = [kind_spec(kind) for kind in (ExtremalKind if kinds is None else _names(kinds, "kinds"))]
     names = [spec.kind.value for spec in specs]
     if not names or len(set(names)) < len(names):  # a repeated one would count twice
         raise DomainError(f"attainment needs one or more distinct kinds, got {','.join(names) or 'none'}")
@@ -497,6 +522,7 @@ def run_tightness_search(cfg, r, R):
     the bound grows like (1 - r^2)^-2, and a fixed slack would count rounding
     error near the boundary as a violation.
     """
+    _require_config(cfg)
     result = theorem31_bound(r, R)
     bound = result.value
     start = time.perf_counter()

@@ -89,6 +89,19 @@ def test_membership_unknown_family():
         run_membership_suite(small(), families=("second", "cayley"))
 
 
+def test_a_bare_name_or_a_config_of_another_type_is_refused():
+    # a string would be taken for its characters, 's', 'e', ...
+    with pytest.raises(DomainError, match="^families must be a sequence of names, got 'second'$"):
+        run_membership_suite(small(), "second")
+    with pytest.raises(DomainError, match="^kinds must be a sequence of names, got 'szasz'$"):
+        run_attainment_suite(small(), "szasz")
+    with pytest.raises(DomainError, match="^families must be a sequence of names, got None$"):
+        run_membership_suite(small(), None)
+    for run in (run_membership_suite, run_attainment_suite, partial(run_tightness_search, r=0.5, R=0.2)):
+        with pytest.raises(DomainError, match="^cfg must be a HarnessConfig, got None$"):
+            run(None)
+
+
 def test_a_repeated_or_empty_family_or_kind_list_is_refused():
     # a repeated one would be checked, and counted, twice; none checks nothing
     for families, got in ((("second", "second"), "second,second"), ((), "none")):
@@ -347,18 +360,46 @@ def test_a_lane_draw_is_the_full_draw_sliced(family):
             assert np.array_equal(v, whole[name][..., lo:hi]), name
 
 
+# the uniforms a lane of each family draws: its data, two per point, then
+# the 16 of its random Schur tree
+WIDTHS = {"second": 22, "dieudonne": 20, "mercer": 22}
+
+
+@pytest.mark.parametrize("family", MEMBERSHIP_FAMILIES)
+def test_a_chunk_draws_the_degrees_and_the_uniforms_up_to_its_last_lane(family):
+    # the whole block's degrees, then hi rows of uniforms, however few of
+    # them the chunk checks
+    for lo, hi in ((0, 1), (0, 250), (700, 1024), (1023, 1024)):
+        rng = substream(7, harness._FAMILY_TAGS[family], 0)
+        harness._draw_block(family, rng, slice(lo, hi))
+        reference = substream(7, harness._FAMILY_TAGS[family], 0)
+        reference.integers(0, 5, harness._BLOCK)
+        reference.random(hi * WIDTHS[family])
+        assert rng.bit_generator.state == reference.bit_generator.state, (lo, hi)
+
+
+def test_a_family_alone_gives_its_row_of_all_families():
+    # each family draws from substreams of its own, over two blocks here
+    cfg = small(1100)
+    every = harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, (0, 1100))
+    for row, family in enumerate(MEMBERSHIP_FAMILIES):
+        alone = harness._membership_chunk(cfg, (family,), (0, 1100))
+        assert np.array_equal(alone, every[row : row + 1]), family
+
+
 class _PlantedRng:
-    """Draws from ``rng``, but its first ``random`` draw, the block's radius
-    uniforms for a Dieudonné or Mercer z0, has ``value`` at lane 500.  It
-    records the size of every ``random`` draw."""
+    """Draws from ``rng``, but where its lane-major ``random`` draw reaches
+    lane 500, that lane's first uniform, the radius uniform of a Dieudonné
+    or Mercer z0, is ``value``.  It records the shape of every ``random``
+    draw."""
 
     def __init__(self, rng, value):
         self.rng, self.value, self.sizes = rng, value, []
 
     def random(self, size=None):
         u = self.rng.random(size)
-        if not self.sizes:
-            u[500] = self.value
+        if len(u) > 500:
+            u[500, 0] = self.value
         self.sizes.append(size)
         return u
 
@@ -374,16 +415,19 @@ def _planted_draw(family, lanes, value):
 @pytest.mark.parametrize("family", ["dieudonne", "mercer"])
 def test_a_tiny_z0_radius_uniform_is_floored_in_its_own_lane(family):
     # a radius uniform of 0 at lane 500 is floored at 2e-12, so that z0 stays
-    # off 0; no other lane and no later draw moves, in the block or a chunk
+    # off 0; no other lane moves, nor any parameter of lane 500 but z0 and
+    # w0, a point times z0, in the block or in a chunk that ends at lane 500
     whole, whole_sizes = _planted_draw(family, slice(0, harness._BLOCK), 0.0)
-    part, part_sizes = _planted_draw(family, slice(0, 10), 0.0)
-    assert 1 not in whole_sizes + part_sizes
+    part, part_sizes = _planted_draw(family, slice(500, 501), 0.0)
+    assert whole_sizes == [(harness._BLOCK, WIDTHS[family])] and part_sizes == [(501, WIDTHS[family])]
     assert abs(whole["z0"][500]) == pytest.approx(0.95 * math.sqrt(2e-12), rel=1e-15)
     assert abs(whole["z0"][500]) >= 1e-6
     unplanted = _draw(family, slice(0, harness._BLOCK))
     for name, v in whole.items():
         assert np.array_equal(np.delete(v, 500, axis=-1), np.delete(unplanted[name], 500, axis=-1)), name
-        assert np.array_equal(part[name], unplanted[name][..., :10]), name
+        if name not in ("z0", "w0"):
+            assert np.array_equal(v[..., 500], unplanted[name][..., 500]), name
+        assert np.array_equal(part[name], v[..., 500:501]), name
 
 
 def test_membership_draws_one_substream_per_family_and_block(monkeypatch):

@@ -8,6 +8,9 @@ hostile value into one numeric argument and keeps the others valid, as
 scalars or as three lanes each, so that lanes of different lengths meet too.
 Every public name is either in the table or in ``NO_NUMBERS`` with the
 reason it takes none; a new name in neither fails the test.
+
+``OTHER_CONTRACT`` does the same for the arguments that take a record, a
+tree, names or text, with values of the wrong type.
 """
 
 import importlib
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskvar.bounds import Branch, branch_value
+from diskvar.bounds import Branch, TableRow, branch_value
 from diskvar.disks import dieudonne_disk, mercer_disk
 from diskvar.extremal import make_extremal
 from diskvar.functions import Constant, Identity, MobiusT, PrescribedData, Product, dieudonne_parametrize
@@ -156,6 +159,52 @@ RESULTS = (
 )
 
 
+# the values each argument that takes no number receives: none of the type
+# it wants, a bare string where names are wanted, names of nothing, names
+# that are not strings, a mapping with a key that is not a string, a tree
+# and a record, text that is not UTF-8, not JSON or too deep for the decoder
+OTHER_HOSTILE = (
+    None,
+    0,
+    2.5,
+    "second",
+    "szasz",
+    "",
+    b"\xff",
+    "1" * 5000,
+    "[" * 100_000,
+    [],
+    [None],
+    [["second"]],
+    {1: 2},
+    object(),
+    TREE,
+    CFG,
+    TableRow(0.5, 0.25, 1.0, 1.0, 1.0, "deg1", True),
+    np.array(["second"]),
+)
+
+DATA = PrescribedData(0.3, 0.2j, 0.1)
+
+# (module.name, a valid value for every argument by keyword, the arguments
+# that take no number)
+OTHER_CONTRACT = [
+    ("harness.run_membership_suite", {"cfg": CFG, "families": ("second",)}, ("cfg", "families")),
+    ("harness.run_attainment_suite", {"cfg": CFG, "kinds": ("szasz",)}, ("cfg", "kinds")),
+    ("harness.run_tightness_search", {"cfg": CFG, "r": 0.5, "R": 0.25}, ("cfg",)),
+    ("bounds.table_to_csv", {"rows": []}, ("rows",)),
+    ("disks.second_derivative_disk", {"data": DATA}, ("data",)),
+    ("disks.max_attaining_alpha", {"data": DATA}, ("data",)),
+    (
+        "extremal.verify_attainment",
+        {"kind": "szasz", "params": {"z0": 0.3, "theta": 0.4}, "tol": 1e-9},
+        ("kind", "params"),
+    ),
+    ("functions.function_to_json", {"f": TREE}, ("f",)),
+    ("functions.function_from_json", {"text": '{"node": "identity"}'}, ("text",)),
+]
+
+
 # the other refusals a callable documents: peschl_pair's D1 and D2 are
 # undefined where |g(z0)| rounds to 1, as it does for TREE at 1 - 1e-16
 DOCUMENTED = {"disks.peschl_pair": DegeneracyError}
@@ -174,9 +223,10 @@ def test_every_public_name_is_in_the_contract():
     # each result record is a NamedTuple, which stores its fields unchecked
     assert all(issubclass(_public(name), tuple) and _public(name)._fields for name in RESULTS)
     # each row gives every argument its callable requires, and no other
-    for name, kwargs, numeric in CONTRACT:
+    for name, kwargs, numeric in CONTRACT + OTHER_CONTRACT:
         inspect.signature(_public(name)).bind(**kwargs)
         assert {arg.split(".")[0] for arg in numeric} <= set(kwargs)
+    assert {name for name, _, _ in OTHER_CONTRACT} <= public
 
 
 def _at(call, arg):
@@ -210,6 +260,23 @@ def test_a_hostile_number_gives_a_result_or_a_domain_error(row, data):
                 pass
             except Exception as exc:
                 raise AssertionError(f"{name} with {arg} = {value!r}: {exc!r}") from exc
+
+
+@pytest.mark.parametrize("row", OTHER_CONTRACT, ids=[f"{name}:{','.join(args)}" for name, _, args in OTHER_CONTRACT])
+def test_a_value_of_the_wrong_type_gives_a_result_or_a_domain_error(row):
+    """Every value of ``OTHER_HOSTILE`` in each argument in turn, the others
+    valid."""
+    name, kwargs, args = row
+    for arg in args:
+        for value in OTHER_HOSTILE:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    _public(name)(**{**kwargs, arg: value})
+                except DomainError:
+                    pass
+                except Exception as exc:
+                    raise AssertionError(f"{name} with {arg} = {value!r:.60}: {exc!r}") from exc
 
 
 def test_lanes_of_different_lengths_are_refused_where_they_meet():
