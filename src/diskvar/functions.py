@@ -114,10 +114,15 @@ class FunctionExpr:
         return obj
 
 
-def _nest(node, child, other=None):
-    """Give ``node`` one level more than its deepest child, refusing trees
-    deeper than ``_MAX_TREE_DEPTH`` levels."""
-    depth = child._depth if other is None or child._depth >= other._depth else other._depth
+def _nest(node, *children):
+    """Give ``node`` one level more than its deepest child, refusing a child
+    that is not a tree and trees deeper than ``_MAX_TREE_DEPTH`` levels."""
+    depth = 0
+    for child in children:
+        if not isinstance(child, FunctionExpr):
+            raise DomainError(f"{type(node).__name__} takes function trees, got {child!r}")
+        if child._depth > depth:
+            depth = child._depth
     if depth >= _MAX_TREE_DEPTH:
         raise DomainError(f"function tree is deeper than {_MAX_TREE_DEPTH} levels")
     _set_field(node, "_depth", depth + 1)
@@ -252,6 +257,8 @@ class Bracket(_Frozen, FunctionExpr):
 
 def eval_jet(f, z0):
     """Second-order jet of a tree at a point of the open disk."""
+    if not isinstance(f, FunctionExpr):
+        raise DomainError(f"eval_jet needs a function tree, got {f!r}")
     z0 = unit_disk_point(z0, "z0")
     return f.jet(z0)
 
@@ -291,6 +298,8 @@ def schur_parametrize(data, gstar):
     the extremals).  Requires |delta1| < 1: on the boundary the class is one
     function, one step at the constant delta1.
     """
+    if type(data) is not PrescribedData:
+        raise DomainError(f"schur_parametrize needs a PrescribedData record, got {data!r}")
     if _any_lane(_modulus2(data.delta1) >= 1.0):
         raise DomainError(
             "schur_parametrize needs |delta1| < 1; the |delta1| = 1 case is a "
@@ -330,14 +339,10 @@ def substream(seed, *key):
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
 
-def disk_sample(rng, cap, size=None):
-    """Area-uniform point with |z| <= cap, or a batch of ``size`` such points."""
-    return _disk_point(cap, rng.random(size), rng.random(size))
-
-
 def _disk_point(cap, radius_u, angle_u):
-    """cap * sqrt(radius_u) * e^{2 pi i angle_u}: the point ``disk_sample``
-    makes of its two uniforms, element by element where they are arrays."""
+    """cap * sqrt(radius_u) * e^{2 pi i angle_u}, element by element where
+    the uniforms are arrays: area-uniform in |z| <= cap for uniform radius_u
+    and angle_u."""
     return cap * _ops(radius_u).sqrt(radius_u) * _ops(angle_u).exp(2j * math.pi * angle_u)
 
 

@@ -22,24 +22,25 @@ chunk draws its block's Blaschke degrees, then its uniforms lane-major up to
 its last lane only, in one generator call (``functions._draw_schur``, the
 draw behind ``random_schur_function`` too): the first rows of a C-order draw
 do not depend on its length.
-The samples of a block are checked together, as a batch
-(numpy arrays, one lane per sample), through the same trees, parametrizations
-and closed forms that evaluate a single sample.  Chunks of indices return
-their per-sample values in index order, so any split, serial or parallel,
-gives a suite the same values, from which it builds its report once.  A
-parallel call forks only where every child gets at least the suite's
-crossover, the samples at which a child pays for its fork and its import of
-numpy's random module (``_MEMBERSHIP_PER_CHILD``, ``_TIGHTNESS_PER_CHILD``);
-a smaller one runs in-process, as a serial call does.  A call that forks runs
-one child per range, at most one per core the process may run on, up to 8
-(``_workers``); each child sends its values back through a pipe, none of the
-chunks runs in the parent, and no child outlives the call.  Before it forks,
-the parent imports ``secrets`` (with ``hmac``, ``hashlib`` and OpenSSL's
-``_hashlib``), since numpy's ``bit_generator`` imports ``secrets.randbits``:
-every child inherits OpenSSL instead of loading it with its own import of
-numpy's random module.  The parent preloads no more than that, because what it
-holds counts in its own peak memory, and numpy's random module would cost it
-nearly twice what OpenSSL does.
+The samples of a block are checked together, as a batch (numpy arrays, one
+lane per sample), through the same parametrizations and closed forms that
+evaluate a single sample; its g* are one node, ``_SchurTemplate``, whose jet
+runs the helpers of the scalar trees' nodes.  Chunks of indices return their
+per-sample values in index order, so any split, serial or parallel, gives a
+suite the same values, from which it builds its report once.  A parallel call
+forks only where every child gets at least the suite's crossover, the samples
+at which a child pays for its fork and its import of numpy's random module
+(``_MEMBERSHIP_PER_CHILD``, ``_TIGHTNESS_PER_CHILD``); a smaller one runs
+in-process, as a serial call does.  A call that forks runs one child per
+range, at most one per core the process may run on, up to 8 (``_workers``);
+each child sends its values back through a pipe, none of the chunks runs in
+the parent, and no child outlives the call.  Before it forks, the parent
+imports ``secrets`` (with ``hmac``, ``hashlib`` and OpenSSL's ``_hashlib``),
+since numpy's ``bit_generator`` imports ``secrets.randbits``: every child
+inherits OpenSSL instead of loading it with its own import of numpy's random
+module.  The parent preloads no more than that, because what it holds counts
+in its own peak memory, and numpy's random module would cost it nearly twice
+what OpenSSL does.
 
 The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
 sharp kind, comes as a few lane-array grid points, their targets from one
@@ -69,27 +70,36 @@ from .extremal import (
     make_extremal,
 )
 from .functions import (
-    Bracket,
     Constant,
     FunctionExpr,
-    Identity,
-    MobiusT,
     PrescribedData,
-    Product,
-    Rotation,
     _disk_point,
     _draw_schur,
-    _nest,
+    _leaf_jet,
+    _mobius_jet,
+    _unimodular,
     dieudonne_parametrize,
     schur_parametrize,
     substream,
 )
-from .moebius import DomainError, Jet2, _Frozen, _refuse_batch, _set_field, require_int, require_real
+from .moebius import (
+    DomainError,
+    Jet2,
+    _Frozen,
+    _refuse_batch,
+    _set_field,
+    closed_disk_point,
+    jet_mul,
+    jet_scale,
+    require_int,
+    require_real,
+    unit_disk_point,
+)
 
 # not called here: the kind table computes the attainment targets, and
-# membership checks each block through one batched template, never a scalar
-# tree per sample; kept bound because bench/tracing.py wraps these names in
-# this module
+# membership evaluates each block's g* as one ``_SchurTemplate`` node, never
+# a scalar tree per sample; kept bound because bench/tracing.py wraps these
+# names in this module
 from .disks import schwarz_pick_disk, second_order_dieudonne_disk  # noqa: F401
 from .extremal import branch_bound_for  # noqa: F401
 from .functions import _schur_tree  # noqa: F401
@@ -197,7 +207,7 @@ def _map_chunks(fn, n, per_child):
     parallel call forks one child per range: at most one range per worker,
     each of ``per_child`` samples or more, since every chunk draws the
     degrees of the whole block of each family it touches and builds its own
-    tree template, and each child is forked and imports numpy's random
+    g* node, and each child is forked and imports numpy's random
     module anew.  With fewer than two ranges, or where ``os.fork`` is
     missing, fn runs once here, over all of 0..n-1, as in a serial call; a
     call that forks runs no range here.
@@ -302,41 +312,44 @@ def _blocks(rg):
         yield block, slice(max(lo - first, 0), min(hi - first, _BLOCK))
 
 
-class _Select(_Frozen, FunctionExpr):
-    """Batch-only node: ``then`` in the lanes where ``mask`` holds, ``other``
-    elsewhere.  It pads random trees of different shapes to one template and
-    has no JSON form.  It equals only itself: its mask is an array."""
+class _SchurTemplate(_Frozen, FunctionExpr):
+    """Batch-only node: ``_draw_schur``'s random Schur trees, one per lane, as
+    T_c(s * base): base is the constant k at degree 0, else e^{i theta} times
+    the factors [z, w_j], each padded to 1 at or beyond the lane's degree; s
+    is 1 where a lane is not scaled, c is 0 where it is not wrapped.  Its jet
+    runs the node helpers of ``functions._schur_tree``'s tree in its order,
+    so each lane evaluates as that tree.  No JSON form; equal only to itself."""
 
-    mask: object
-    then: FunctionExpr
-    other: FunctionExpr
+    degree: int
+    k: complex
+    zeros: complex
+    theta: float
+    s: complex
+    c: complex
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, mask, then, other):
-        _set_field(self, "mask", mask)
-        _set_field(self, "then", then)
-        _set_field(self, "other", other)
-        _nest(self, then, other)
+    def __init__(self, p):
+        _set_field(self, "degree", p["degree"])
+        _set_field(self, "k", closed_disk_point(p["k"], "k"))
+        _set_field(self, "zeros", unit_disk_point(p["zeros"], "w"))
+        _set_field(self, "theta", require_real(p["theta"], "theta"))
+        _set_field(self, "s", closed_disk_point(np.where(p["scaled"], p["s"], 1.0), "s"))
+        _set_field(self, "c", unit_disk_point(np.where(p["wrapped"], p["c"], 0.0), "c"))
 
     def jet(self, z0, order=2):
-        # both sides have the order asked for, so a None pairs with a None
-        pairs = zip(self.then.jet(z0, order), self.other.jet(z0, order))
-        return Jet2(*(None if a is None else np.where(self.mask, a, b) for a, b in pairs))
+        z, one = _leaf_jet(order, z0, 1.0 + 0j), _leaf_jet(order, 1.0 + 0j, 0j)
+        degree = self.degree
+        factors = [_where(j < degree, _mobius_jet(-w, z), one) for j, w in enumerate(self.zeros)]
+        base = jet_scale(_unimodular(self.theta), reduce(jet_mul, factors))
+        base = _where(degree == 0, _leaf_jet(order, self.k, 0j), base)
+        return _mobius_jet(self.c, jet_mul(_leaf_jet(order, self.s, 0j), base))
 
 
-def _schur_template(p):
-    """One tree for a batch of random Schur trees, ``_draw_schur``'s lanes:
-    T_c(s * base), where base is the constant k at degree 0 and e^{i theta}
-    times the bracket factors [z, w_j] otherwise, each factor at or beyond the
-    lane's degree padded to 1; s = 1 where the lane is not scaled and c = 0
-    where it is not wrapped.  Lane by lane it evaluates as the scalar tree
-    ``functions._schur_tree`` builds."""
-    degree = p["degree"]
-    factors = [_Select(j < degree, Bracket(w, Identity()), Constant(1.0)) for j, w in enumerate(p["zeros"])]
-    base = _Select(degree == 0, Constant(p["k"]), Rotation(p["theta"], reduce(Product, factors)))
-    s = np.where(p["scaled"], p["s"], 1.0)
-    return MobiusT(np.where(p["wrapped"], p["c"], 0.0), Product(Constant(s), base))
+def _where(mask, then, other):
+    """The jet ``then`` in the lanes where ``mask`` holds, ``other`` elsewhere;
+    both have one order, so a None pairs with a None."""
+    return Jet2(*(None if a is None else np.where(mask, a, b) for a, b in zip(then, other)))
 
 
 def _draw_block(family, rng, lanes):
@@ -363,7 +376,7 @@ def _draw_block(family, rng, lanes):
 def _block_margins(family, p):
     """Inclusion margins of a batch of samples in their predicted disks."""
     z0 = p["z0"]
-    gstar = _schur_template(p)
+    gstar = _SchurTemplate(p)
     if family == "second":
         data = PrescribedData(z0, p["delta0"], p["delta1"])
         g = schur_parametrize(data, gstar)

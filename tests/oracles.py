@@ -12,7 +12,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from diskvar.functions import Bracket, Compose, Constant, Identity, MobiusT, Product, Rotation
+from diskvar.functions import Bracket, Compose, Constant, Identity, MobiusT, Product, Rotation, _disk_point
 
 mp.mp.dps = 40
 
@@ -28,6 +28,11 @@ def fd_jet(f, z0):
     f1 = (up - down) / (2 * FD_H)
     f2 = (up - 2 * mid + down) / (FD_H * FD_H)
     return complex(mid), complex(f1), complex(f2)
+
+
+def disk_sample(rng, cap, size=None):
+    """Area-uniform point with |z| <= cap, or a batch of ``size`` such points."""
+    return _disk_point(cap, rng.random(size), rng.random(size))
 
 
 def mobius(a, z):

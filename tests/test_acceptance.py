@@ -20,7 +20,6 @@ from diskvar.bounds import (
 from diskvar.disks import dieudonne_disk, peschl_pair
 from diskvar.extremal import ExtremalKind
 from diskvar.functions import (
-    disk_sample,
     eval_jet,
     random_blaschke_product,
     random_schur_function,
@@ -34,7 +33,7 @@ from diskvar.harness import (
     run_tightness_search,
 )
 
-from oracles import fd_jet, rel_err
+from oracles import disk_sample, fd_jet, rel_err
 
 SEED = 42
 

@@ -20,7 +20,6 @@ from diskvar.functions import (
     _NODES,
     _expr_from_obj,
     dieudonne_parametrize,
-    disk_sample,
     eval_jet,
     function_from_json,
     function_to_json,
@@ -33,7 +32,7 @@ from diskvar import harness
 from diskvar.extremal import KINDS, make_extremal
 from diskvar.moebius import DomainError, Jet2, PoleError, jet_div
 
-from oracles import fd_jet, lane_params, rel_err
+from oracles import disk_sample, fd_jet, lane_params, rel_err
 
 
 def polar(max_modulus):
@@ -382,7 +381,7 @@ def test_a_truncated_jet_is_the_full_jet_cut_short_on_random_trees():
 @pytest.mark.parametrize("family", harness.MEMBERSHIP_FAMILIES)
 def test_a_truncated_jet_is_the_full_jet_cut_short_on_a_membership_template(family):
     p = harness._draw_block(family, substream(SEED, harness._FAMILY_TAGS[family], 0), slice(None))
-    gstar = harness._schur_template(p)
+    gstar = harness._SchurTemplate(p)
     z0 = p["z0"]
     _assert_truncations_agree(gstar, z0)
     if family == "second":
@@ -406,7 +405,7 @@ def test_a_schur_step_asks_its_free_parameter_for_its_value_alone():
 
 
 def test_a_value_is_the_order_0_jet_of_one_formula_per_node():
-    for cls in (*_NODES.values(), harness._Select):
+    for cls in (*_NODES.values(), harness._SchurTemplate):
         assert cls.value is FunctionExpr.value, cls.__name__
 
 

@@ -334,6 +334,16 @@ def test_batched_margins_match_scalar_trees(family):
     assert worst <= 1e-12
 
 
+def test_a_schur_template_refuses_a_zero_on_or_outside_the_circle():
+    # every row is checked, as a Bracket checks its w, the rows beyond a
+    # lane's degree too
+    for zero, modulus in ((1.5j, 1.5), (-1.0, 1.0)):
+        p = _draw("second", slice(0, 8))
+        p["zeros"][3, 5] = zero
+        with pytest.raises(DomainError, match=rf"w must lie in the open unit disk, \|w\| = {modulus}$"):
+            harness._SchurTemplate(p)
+
+
 def test_any_split_gives_the_same_margins():
     cfg = small(2500)
     whole = harness._membership_chunk(cfg, MEMBERSHIP_FAMILIES, (0, 2500))

@@ -200,6 +200,15 @@ OTHER_CONTRACT = [
         {"kind": "szasz", "params": {"z0": 0.3, "theta": 0.4}, "tol": 1e-9},
         ("kind", "params"),
     ),
+    ("disks.peschl_pair", {"g": TREE, "z0": 0.3}, ("g",)),
+    ("functions.Rotation", {"theta": 0.4, "child": TREE}, ("child",)),
+    ("functions.MobiusT", {"a": 0.3, "child": TREE}, ("child",)),
+    ("functions.Bracket", {"w": 0.3, "child": TREE}, ("child",)),
+    ("functions.Product", {"left": TREE, "right": TREE}, ("left", "right")),
+    ("functions.Compose", {"outer": TREE, "inner": TREE}, ("outer", "inner")),
+    ("functions.eval_jet", {"f": TREE, "z0": 0.3}, ("f",)),
+    ("functions.schur_parametrize", {"data": DATA, "gstar": TREE}, ("data", "gstar")),
+    ("functions.dieudonne_parametrize", {"z0": 0.5, "w0": 0.2j, "fstar": Constant(0.5)}, ("fstar",)),
     ("functions.function_to_json", {"f": TREE}, ("f",)),
     ("functions.function_from_json", {"text": '{"node": "identity"}'}, ("text",)),
 ]

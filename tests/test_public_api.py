@@ -27,7 +27,7 @@ from diskvar.functions import (
     Product,
     Rotation,
 )
-from diskvar.harness import HarnessConfig, HarnessReport, _Select
+from diskvar.harness import HarnessConfig, HarnessReport, _SchurTemplate
 from diskvar.moebius import Disk, Jet2
 
 MODULES = ("bounds", "cli", "disks", "extremal", "functions", "harness", "moebius")
@@ -56,6 +56,7 @@ REMOVED = (
     "evaluate",
     "pair_to_complex",
     "expr_from_obj",
+    "disk_sample",
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -310,14 +311,27 @@ def test_records_keep_their_defaults_and_classes():
     assert MobiusT(a=0.5, child=Identity()) != Bracket(w=0.5, child=Identity())
 
 
-def test_select_nodes_equal_only_themselves():
-    args = {"mask": np.array([True, False]), "then": Identity(), "other": Constant(c=1.0)}
-    node = _Select(**args)
-    assert node == node and node != _Select(**args)
+def test_schur_template_nodes_equal_only_themselves():
+    params = {
+        "degree": np.array([2]),
+        "k": np.array([0.5j]),
+        "zeros": np.array([[0.5], [0.25j], [0.0], [0.0]]),
+        "theta": np.array([1.0]),
+        "scaled": np.array([True]),
+        "s": np.array([0.5]),
+        "wrapped": np.array([False]),
+        "c": np.array([0.25]),
+    }
+    node = _SchurTemplate(params)
+    assert node == node and node != _SchurTemplate(params)
     assert hash(node) == object.__hash__(node)
-    text = "_Select(mask=array([ True, False]), then=Identity(), other=Constant(c=(1+0j)))"
+    text = (
+        "_SchurTemplate(degree=array([2]), k=array([0.+0.5j]), zeros=array([[0.5+0.j  ],\n"
+        "       [0. +0.25j],\n       [0. +0.j  ],\n       [0. +0.j  ]]), theta=array([1.]), "
+        "s=array([0.5+0.j]), c=array([0.+0.j]))"
+    )
     assert repr(node) == text
-    for name in args:
+    for name in _SchurTemplate.__annotations__:
         with pytest.raises(AttributeError):
             setattr(node, name, None)
         with pytest.raises(AttributeError):

@@ -5,9 +5,9 @@ functions (finite Blaschke products of stated degrees) are checked."""
 import numpy as np
 
 from diskvar.extremal import KINDS, make_extremal
-from diskvar.functions import disk_sample, eval_jet, random_schur_function, substream
+from diskvar.functions import eval_jet, random_schur_function, substream
 
-from oracles import inner_misfit, lane_params, rational, rational_jet
+from oracles import disk_sample, inner_misfit, lane_params, rational, rational_jet
 
 # the Blaschke degree of each kind's extremals at a unimodular alpha or delta1
 DEGREES = {
