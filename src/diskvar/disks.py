@@ -18,7 +18,7 @@ checks a whole block of samples, or a whole attainment grid, at once.
 import sys
 from typing import NamedTuple
 
-from .functions import PrescribedData, _mobius_jet, eval_jet
+from .functions import PrescribedData, _mobius_jet, _require_tree, eval_jet
 from .moebius import (
     DegeneracyError,
     Disk,
@@ -213,6 +213,7 @@ def peschl_pair(g, z0):
     batch z0 is.
     """
     _refuse_batch(z0, "z0", "peschl_pair")
+    _require_tree(g, "peschl_pair", "g")
     j = eval_jet(g, z0)
     _refuse_batch(j.f0, "g", "peschl_pair")
     z0 = complex(z0)

@@ -255,10 +255,16 @@ class Bracket(_Frozen, FunctionExpr):
         return _mobius_jet(-self.w, self.child.jet(z0, order))
 
 
+def _require_tree(f, caller, name):
+    """Refuse an argument ``name`` of ``caller`` that is not a function tree,
+    in the words of that call rather than of a node or jet it builds."""
+    if not isinstance(f, FunctionExpr):
+        raise DomainError(f"{caller} needs a function tree as {name}, got {f!r}")
+
+
 def eval_jet(f, z0):
     """Second-order jet of a tree at a point of the open disk."""
-    if not isinstance(f, FunctionExpr):
-        raise DomainError(f"eval_jet needs a function tree, got {f!r}")
+    _require_tree(f, "eval_jet", "f")
     z0 = unit_disk_point(z0, "z0")
     return f.jet(z0)
 
@@ -300,6 +306,7 @@ def schur_parametrize(data, gstar):
     """
     if type(data) is not PrescribedData:
         raise DomainError(f"schur_parametrize needs a PrescribedData record, got {data!r}")
+    _require_tree(gstar, "schur_parametrize", "g*")
     if _any_lane(_modulus2(data.delta1) >= 1.0):
         raise DomainError(
             "schur_parametrize needs |delta1| < 1; the |delta1| = 1 case is a "
@@ -312,6 +319,7 @@ def dieudonne_parametrize(z0, w0, fstar):
     """All self-maps with f(0) = 0 and f(z0) = w0: z T_{u0}(T_{-z0}(z) f*), z
     times one Schur step at z0 with u0 = w0/z0, for a free Schur-class f* (a
     constant, or a step at one, for the extremals).  Requires |w0| < |z0|."""
+    _require_tree(fstar, "dieudonne_parametrize", "f*")
     return _dieudonne_steps(unit_disk_point(z0, "z0"), require_finite(w0, "w0"), fstar, "dieudonne_parametrize")
 
 
@@ -471,8 +479,7 @@ def _expr_from_obj(obj, depth=1):
 
 
 def function_to_json(f):
-    if not isinstance(f, FunctionExpr):
-        raise DomainError(f"function_to_json needs a function tree, got {f!r}")
+    _require_tree(f, "function_to_json", "f")
     import json
 
     return json.dumps(f.to_obj())

@@ -24,23 +24,24 @@ draw behind ``random_schur_function`` too): the first rows of a C-order draw
 do not depend on its length.
 The samples of a block are checked together, as a batch (numpy arrays, one
 lane per sample), through the same parametrizations and closed forms that
-evaluate a single sample; its g* are one node, ``_SchurTemplate``, whose jet
-runs the helpers of the scalar trees' nodes.  Chunks of indices return their
-per-sample values in index order, so any split, serial or parallel, gives a
-suite the same values, from which it builds its report once.  A parallel call
-forks only where every child gets at least the suite's crossover, the samples
-at which a child pays for its fork and its import of numpy's random module
-(``_MEMBERSHIP_PER_CHILD``, ``_TIGHTNESS_PER_CHILD``); a smaller one runs
-in-process, as a serial call does.  A call that forks runs one child per
-range, at most one per core the process may run on, up to 8 (``_workers``);
-each child sends its values back through a pipe, none of the chunks runs in
-the parent, and no child outlives the call.  Before it forks, the parent
-imports ``secrets`` (with ``hmac``, ``hashlib`` and OpenSSL's ``_hashlib``),
-since numpy's ``bit_generator`` imports ``secrets.randbits``: every child
-inherits OpenSSL instead of loading it with its own import of numpy's random
-module.  The parent preloads no more than that, because what it holds counts
-in its own peak memory, and numpy's random module would cost it nearly twice
-what OpenSSL does.
+evaluate a single sample.  A block's families go in groups of ``_BLOCK //
+lanes``, and a group's g* are one node, ``_SchurTemplate``, whose jet runs
+the helpers of the scalar trees' nodes (``_gstars``).  Chunks of indices
+return their per-sample values in index order, so any split, serial or
+parallel, gives a suite the same values, from which it builds its report
+once.  A parallel call forks only where every child gets at least the suite's
+crossover, the samples at which a child pays for its fork and its import of
+numpy's random module (``_MEMBERSHIP_PER_CHILD``, ``_TIGHTNESS_PER_CHILD``);
+a smaller one runs in-process, as a serial call does.  A call that forks runs
+one child per range, at most one per core the process may run on, up to 8
+(``_workers``); each child sends its values back through a pipe, none of the
+chunks runs in the parent, and no child outlives the call.  Before it forks,
+the parent imports ``secrets`` (with ``hmac``, ``hashlib`` and OpenSSL's
+``_hashlib``), since numpy's ``bit_generator`` imports ``secrets.randbits``:
+every child inherits OpenSSL instead of loading it with its own import of
+numpy's random module.  The parent preloads no more than that, because what
+it holds counts in its own peak memory, and numpy's random module would cost
+it nearly twice what OpenSSL does.
 
 The attainment grids are fixed, not sampled.  Each kind's grid, disk kind or
 sharp kind, comes as a few lane-array grid points, their targets from one
@@ -97,9 +98,9 @@ from .moebius import (
 )
 
 # not called here: the kind table computes the attainment targets, and
-# membership evaluates each block's g* as one ``_SchurTemplate`` node, never
-# a scalar tree per sample; kept bound because bench/tracing.py wraps these
-# names in this module
+# membership evaluates the g* of each group of a block's families as one
+# ``_SchurTemplate`` node, never a scalar tree per sample; kept bound because
+# bench/tracing.py wraps these names in this module
 from .disks import schwarz_pick_disk, second_order_dieudonne_disk  # noqa: F401
 from .extremal import branch_bound_for  # noqa: F401
 from .functions import _schur_tree  # noqa: F401
@@ -207,10 +208,10 @@ def _map_chunks(fn, n, per_child):
     parallel call forks one child per range: at most one range per worker,
     each of ``per_child`` samples or more, since every chunk draws the
     degrees of the whole block of each family it touches and builds its own
-    g* node, and each child is forked and imports numpy's random
-    module anew.  With fewer than two ranges, or where ``os.fork`` is
-    missing, fn runs once here, over all of 0..n-1, as in a serial call; a
-    call that forks runs no range here.
+    g* node for each group of families, and each child is forked and imports
+    numpy's random module anew.  With fewer than two ranges, or where
+    ``os.fork`` is missing, fn runs once here, over all of 0..n-1, as in a
+    serial call; a call that forks runs no range here.
     Before the first fork the parent imports ``secrets`` for the children, as
     the module docstring tells."""
     if n == 0:
@@ -318,7 +319,8 @@ class _SchurTemplate(_Frozen, FunctionExpr):
     the factors [z, w_j], each padded to 1 at or beyond the lane's degree; s
     is 1 where a lane is not scaled, c is 0 where it is not wrapped.  Its jet
     runs the node helpers of ``functions._schur_tree``'s tree in its order,
-    so each lane evaluates as that tree.  No JSON form; equal only to itself."""
+    so each lane evaluates as that tree.  Its lanes are those of each of
+    ``ps``, ``_draw_schur``'s parameters.  No JSON form; equal only to itself."""
 
     degree: int
     k: complex
@@ -329,13 +331,16 @@ class _SchurTemplate(_Frozen, FunctionExpr):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, p):
-        _set_field(self, "degree", p["degree"])
-        _set_field(self, "k", closed_disk_point(p["k"], "k"))
-        _set_field(self, "zeros", unit_disk_point(p["zeros"], "w"))
-        _set_field(self, "theta", require_real(p["theta"], "theta"))
-        _set_field(self, "s", closed_disk_point(np.where(p["scaled"], p["s"], 1.0), "s"))
-        _set_field(self, "c", unit_disk_point(np.where(p["wrapped"], p["c"], 0.0), "c"))
+    def __init__(self, *ps):
+        def lanes(key):
+            return ps[0][key] if len(ps) == 1 else np.concatenate([p[key] for p in ps], axis=-1)
+
+        _set_field(self, "degree", lanes("degree"))
+        _set_field(self, "k", closed_disk_point(lanes("k"), "k"))
+        _set_field(self, "zeros", unit_disk_point(lanes("zeros"), "w"))
+        _set_field(self, "theta", require_real(lanes("theta"), "theta"))
+        _set_field(self, "s", closed_disk_point(np.where(lanes("scaled"), lanes("s"), 1.0), "s"))
+        _set_field(self, "c", unit_disk_point(np.where(lanes("wrapped"), lanes("c"), 0.0), "c"))
 
     def jet(self, z0, order=2):
         z, one = _leaf_jet(order, z0, 1.0 + 0j), _leaf_jet(order, 1.0 + 0j, 0j)
@@ -373,10 +378,23 @@ def _draw_block(family, rng, lanes):
     return p
 
 
-def _block_margins(family, p):
-    """Inclusion margins of a batch of samples in their predicted disks."""
+def _gstars(families, ps):
+    """The g* node of each family of a group: a lone family's own
+    ``_SchurTemplate``, or for several, the values of one template over all
+    their lanes as ``Constant``s, since the checks read g* by value alone, at
+    z for Mercer and z0 otherwise (each validated first, as a tree would)."""
+    if len(ps) == 1:
+        return [_SchurTemplate(*ps)]
+    keys = ["z" if family == "mercer" else "z0" for family in families]
+    points = np.concatenate([unit_disk_point(p[key], key) for p, key in zip(ps, keys)])
+    values = _SchurTemplate(*ps).jet(points, 0).f0
+    return [Constant(v) for v in np.split(values, len(ps))]
+
+
+def _block_margins(family, p, gstar):
+    """Inclusion margins of a batch of samples in their predicted disks, with
+    g* the node ``_gstars`` gives them."""
     z0 = p["z0"]
-    gstar = _SchurTemplate(p)
     if family == "second":
         data = PrescribedData(z0, p["delta0"], p["delta1"])
         g = schur_parametrize(data, gstar)
@@ -388,12 +406,17 @@ def _block_margins(family, p):
 
 
 def _membership_chunk(cfg, families, rg):
-    """The margins of samples lo..hi-1, one row per family."""
+    """The margins of samples lo..hi-1, one row per family, a block's
+    families in groups of at most a block's lanes."""
     margins = [[] for _ in families]
     for block, lanes in _blocks(rg):
-        for row, family in zip(margins, families):
-            p = _draw_block(family, substream(cfg.seed, _FAMILY_TAGS[family], block), lanes)
-            row.append(_block_margins(family, p))
+        size = _BLOCK // (lanes.stop - lanes.start)
+        for at in range(0, len(families), size):
+            group = families[at : at + size]
+            ps = [_draw_block(family, substream(cfg.seed, _FAMILY_TAGS[family], block), lanes) for family in group]
+            # map: a g* left bound over the next draw cost 8% at 1,000 lanes
+            for row, margin in zip(margins[at:], map(_block_margins, group, ps, _gstars(group, ps))):
+                row.append(margin)
     return np.array([np.concatenate(row) for row in margins])
 
 

@@ -324,14 +324,36 @@ def _scalar_margin(family, p, lane):
 @pytest.mark.parametrize("family", MEMBERSHIP_FAMILIES)
 def test_batched_margins_match_scalar_trees(family):
     lanes = 200
-    p = harness._draw_block(family, substream(7, harness._FAMILY_TAGS[family], 0), slice(0, lanes))
+    ps = [_draw(name, slice(0, lanes)) for name in MEMBERSHIP_FAMILIES]
+    p = ps[MEMBERSHIP_FAMILIES.index(family)]
     # the lanes cover every template shape: each degree, each mask state
     assert set(p["degree"].tolist()) == {0, 1, 2, 3, 4}
     assert set(p["scaled"].tolist()) == set(p["wrapped"].tolist()) == {False, True}
-    batched = harness._block_margins(family, p)
-    assert batched.shape == (lanes,)
-    worst = max(abs(batched[lane] - _scalar_margin(family, p, lane)) for lane in range(lanes))
-    assert worst <= 1e-12
+    # both forms of g*: the family's own template, and its values from the
+    # one template of a three-family group
+    grouped = harness._gstars(MEMBERSHIP_FAMILIES, ps)[MEMBERSHIP_FAMILIES.index(family)]
+    assert isinstance(grouped, Constant) and grouped.c.shape == (lanes,)
+    for gstar in (harness._SchurTemplate(p), grouped):
+        batched = harness._block_margins(family, p, gstar)
+        assert batched.shape == (lanes,)
+        worst = max(abs(batched[lane] - _scalar_margin(family, p, lane)) for lane in range(lanes))
+        assert worst <= 1e-12, type(gstar).__name__
+
+
+@pytest.mark.parametrize("samples, groups", [(1, [3]), (250, [3]), (400, [2, 1]), (1000, [1, 1, 1])])
+def test_a_block_builds_one_schur_template_per_group_of_families(monkeypatch, samples, groups):
+    # a block's families are grouped by _BLOCK // lanes: all three up to 341
+    # lanes, two up to 512, one each beyond; a group's lanes share a template
+    built = []
+    template = harness._SchurTemplate
+
+    def counted(*ps):
+        built.append(len(ps))
+        return template(*ps)
+
+    monkeypatch.setattr(harness, "_SchurTemplate", counted)
+    assert run_membership_suite(small(samples)).violations == 0
+    assert built == groups
 
 
 def test_a_schur_template_refuses_a_zero_on_or_outside_the_circle():
@@ -462,8 +484,8 @@ def test_nan_margin_is_never_a_pass(monkeypatch):
     # a NaN margin coming out of a block counts as a violation
     real = harness._block_margins
 
-    def poisoned(family, p):
-        margins = real(family, p)
+    def poisoned(family, p, gstar):
+        margins = real(family, p, gstar)
         margins[3] = float("nan")
         return margins
 
@@ -480,9 +502,11 @@ def test_nan_margin_is_never_a_pass(monkeypatch):
         return p
 
     monkeypatch.setattr(harness, "_draw_block", nan_lane)
-    for family in MEMBERSHIP_FAMILIES:
+    # each family alone, and all three as one group, whose g* is evaluated
+    # at the drawn z0 of the second-derivative and Dieudonne lanes
+    for families in [(family,) for family in MEMBERSHIP_FAMILIES] + [MEMBERSHIP_FAMILIES]:
         with pytest.raises(DomainError):
-            run_membership_suite(small(10), families=(family,))
+            run_membership_suite(small(10), families=families)
     with pytest.raises(DomainError):
         Disk(0j, 1.0).margin(np.array([0.5, complex(float("nan"), 0.0)]))
 
@@ -736,8 +760,8 @@ def test_a_nan_lane_leaves_the_report_valid_json(monkeypatch):
     block_margins = harness._block_margins
     attainment_margins = harness._attainment_margins
 
-    def poisoned_block(family, p):
-        margins = block_margins(family, p)
+    def poisoned_block(family, p, gstar):
+        margins = block_margins(family, p, gstar)
         margins[3] = float("nan")
         return margins
 

@@ -288,6 +288,30 @@ def test_a_value_of_the_wrong_type_gives_a_result_or_a_domain_error(row):
                     raise AssertionError(f"{name} with {arg} = {value!r:.60}: {exc!r}") from exc
 
 
+@pytest.mark.parametrize(
+    "name, kwargs, message",
+    [
+        (
+            "functions.schur_parametrize",
+            {"data": DATA, "gstar": "x"},
+            "schur_parametrize needs a function tree as g*, got 'x'",
+        ),
+        (
+            "functions.dieudonne_parametrize",
+            {"z0": 0.5, "w0": 0.2j, "fstar": "x"},
+            "dieudonne_parametrize needs a function tree as f*, got 'x'",
+        ),
+        ("disks.peschl_pair", {"g": None, "z0": 0.3}, "peschl_pair needs a function tree as g, got None"),
+        ("functions.eval_jet", {"f": None, "z0": 0.3}, "eval_jet needs a function tree as f, got None"),
+    ],
+)
+def test_a_value_that_is_not_a_tree_is_refused_in_the_words_of_the_call(name, kwargs, message):
+    # not in those of the node or the jet the call goes on to build
+    with pytest.raises(DomainError) as refused:
+        _public(name)(**kwargs)
+    assert str(refused.value) == message
+
+
 def test_lanes_of_different_lengths_are_refused_where_they_meet():
     two, three = np.array([0.5, 0.6]), np.array([0.1, 0.2, 0.3])
     calls = [
